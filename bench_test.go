@@ -320,14 +320,33 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}
 }
 
+// benchSubs builds n distinct benchmark subscriptions: all on one shape
+// (shared — the triangle M(3,3)) or cycling through the ten-shape catalog
+// (distinct), with φ varied so same-shape subscriptions remain distinct
+// (δ, φ) consumers.
+func benchSubs(n int, shared bool, delta int64, phi float64) []stream.Subscription {
+	subs := make([]stream.Subscription, n)
+	for i := range subs {
+		mo := benchMotifs[1] // the triangle M(3,3)
+		if !shared {
+			mo = benchMotifs[i%len(benchMotifs)]
+		}
+		subs[i] = stream.Subscription{
+			ID:    fmt.Sprintf("s%d", i),
+			Motif: mo,
+			Delta: delta,
+			Phi:   phi + float64(i%4),
+		}
+	}
+	return subs
+}
+
 // BenchmarkStreamIngestManySubs measures the shared-evaluation planner
 // (DESIGN.md §11) across subscription counts: N subscriptions either all
 // watching one motif shape under distinct φ (the planner's best case — one
 // phase-P1 walk and one snapshot serve all N) or cycling through the
-// ten-shape catalog. The /baseline variants run the pre-planner
-// per-subscription rebuild (stream.Config.DisableSharedPlanner) for
-// comparison; 1000-sub variants use a shorter stream to keep `-benchtime
-// 1x` smoke runs bounded.
+// ten-shape catalog. 1000-sub variants use a shorter stream to keep
+// `-benchtime 1x` smoke runs bounded.
 func BenchmarkStreamIngestManySubs(b *testing.B) {
 	ds := harness.Bitcoin(benchScale)
 	evs := ds.G.Events()
@@ -341,21 +360,15 @@ func BenchmarkStreamIngestManySubs(b *testing.B) {
 			events = events[:len(evs)/5]
 		}
 		for _, mode := range []struct {
-			name     string
-			shared   bool
-			baseline bool
+			name   string
+			shared bool
 		}{
-			{"shared-shape", true, false},
-			{"shared-shape/baseline", true, true},
-			{"distinct-shapes", false, false},
+			{"shared-shape", true},
+			{"distinct-shapes", false},
 		} {
-			if mode.baseline && n > 100 {
-				continue // linear in n; the 100-sub ratio already tells the story
-			}
 			b.Run(fmt.Sprintf("subs=%d/%s", n, mode.name), func(b *testing.B) {
 				eng, err := stream.NewEngine(stream.Config{
-					Subs:                 stream.BenchSubs(n, mode.shared, ds.Delta, ds.Phi),
-					DisableSharedPlanner: mode.baseline,
+					Subs: benchSubs(n, mode.shared, ds.Delta, ds.Phi),
 				}, nil)
 				if err != nil {
 					b.Fatal(err)

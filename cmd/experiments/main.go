@@ -6,21 +6,9 @@
 //
 //	experiments -scale small -exp all
 //	experiments -scale medium -exp table3,fig8,fig14 -workers 8 -out results/
-//	experiments -bench-cluster -bench-out BENCH_cluster.json
-//	experiments -bench-cluster -bench-baseline BENCH_cluster.json
-//
-// -bench-cluster skips the paper experiments and instead measures the
-// cluster layer (internal/cluster): pipelined-ingest throughput (acked
-// and sustained) and scatter-gather query latency on an in-process shard
-// set, written as a machine-readable JSON report so perf is tracked
-// across PRs. With -bench-baseline the run doubles as a CI regression
-// gate: it exits non-zero when a tracked throughput metric drops (or a
-// latency metric blows up) beyond -bench-max-regress vs the baseline
-// report.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,45 +16,19 @@ import (
 	"strings"
 	"time"
 
-	"flowmotif/internal/cluster"
 	"flowmotif/internal/harness"
-	"flowmotif/internal/server"
-	"flowmotif/internal/stream"
 )
 
 func main() {
 	var (
-		scale      = flag.String("scale", "small", "tiny | small | medium | large")
-		exps       = flag.String("exp", "all", "comma list: table3,table4,fig8,fig9,fig10,fig11,fig12,fig13,fig14")
-		workers    = flag.Int("workers", 8, "parallel workers for sweep counting and significance")
-		runs       = flag.Int("runs", 20, "randomized networks for fig14 (paper: 20)")
-		seed       = flag.Int64("seed", 2019, "seed for fig14 permutations")
-		outDir     = flag.String("out", "", "directory for CSV output (optional)")
-		benchClust = flag.Bool("bench-cluster", false, "run the cluster ingest/scatter-gather benchmark instead of paper experiments")
-		benchOut   = flag.String("bench-out", "BENCH_cluster.json", "output path for -bench-cluster (JSON)")
-		benchShard = flag.Int("bench-shards", 4, "shard count for -bench-cluster")
-		benchEvs   = flag.Int("bench-events", 60000, "stream length for -bench-cluster")
-		benchBase  = flag.String("bench-baseline", "", "baseline BENCH_cluster.json to compare against (CI regression gate)")
-		benchTol   = flag.Float64("bench-max-regress", 0.30, "fail when a tracked metric regresses by more than this fraction vs -bench-baseline")
-
-		benchStream    = flag.Bool("bench-stream", false, "run the many-subscription streaming ingest benchmark (shared-evaluation planner vs per-subscription baseline)")
-		benchStreamOut = flag.String("bench-stream-out", "BENCH_stream.json", "output path for -bench-stream (JSON)")
-		benchStreamMin = flag.Float64("bench-stream-min-speedup", 0, "fail unless the shared planner beats the per-sub baseline by at least this factor at 100 shared-shape subscriptions (0: no gate)")
-		benchObsMax    = flag.Float64("bench-obs-max-overhead", 0, "fail when metric collection slows ingest by more than this fraction vs the same run with Config.DisableObs (0: no gate)")
-		benchTrcMax    = flag.Float64("bench-trace-max-overhead", 0, "fail when flight-recorder span tracing slows ingest by more than this fraction vs the same run with Config.DisableTrace (0: no gate)")
-		benchAttMax    = flag.Float64("bench-attrib-max-overhead", 0, "fail when per-subscription cost attribution slows ingest by more than this fraction vs the same run with Config.DisableCostAttribution (0: no gate)")
-		benchWireMin   = flag.Float64("bench-wire-min-speedup", 0, "fail unless binary wire ingest beats JSON ingest by at least this factor at batch 512, same run (0: no gate)")
+		scale   = flag.String("scale", "small", "tiny | small | medium | large")
+		exps    = flag.String("exp", "all", "comma list: table3,table4,fig8,fig9,fig10,fig11,fig12,fig13,fig14")
+		workers = flag.Int("workers", 8, "parallel workers for sweep counting and significance")
+		runs    = flag.Int("runs", 20, "randomized networks for fig14 (paper: 20)")
+		seed    = flag.Int64("seed", 2019, "seed for fig14 permutations")
+		outDir  = flag.String("out", "", "directory for CSV output (optional)")
 	)
 	flag.Parse()
-
-	if *benchStream {
-		runStreamBench(*benchStreamOut, *seed, *benchStreamMin, *benchObsMax, *benchTrcMax, *benchAttMax, *benchWireMin)
-		return
-	}
-	if *benchClust {
-		runClusterBench(*benchShard, *benchEvs, *seed, *benchOut, *benchBase, *benchTol)
-		return
-	}
 
 	sc, err := harness.ParseScale(*scale)
 	if err != nil {
@@ -165,212 +127,6 @@ func run(name string, f func()) {
 	t0 := time.Now()
 	f()
 	fmt.Printf("[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
-}
-
-// runStreamBench measures many-subscription streaming ingest (the
-// shared-evaluation planner of DESIGN.md §11 against the per-subscription
-// baseline), writes BENCH_stream.json, and optionally gates on the 100-sub
-// shared-shape speedup. The speedup is a same-run ratio, so the gate is
-// stable across machines (unlike absolute events/sec).
-func runStreamBench(out string, seed int64, minSpeedup, maxObsOverhead, maxTraceOverhead, maxAttribOverhead, minWireSpeedup float64) {
-	fmt.Println("stream bench: subscription sweep, shared vs distinct shapes, planner vs per-sub baseline...")
-	t0 := time.Now()
-	rep, err := stream.RunBench(stream.BenchConfig{Seed: seed})
-	if err != nil {
-		fatal(err.Error())
-	}
-	fmt.Println("wire bench: JSON transport vs binary wire protocol, same stream, batch 512...")
-	rep.Wire, err = server.RunWireBench(0, seed, 0)
-	if err != nil {
-		fatal(err.Error())
-	}
-	payload, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err.Error())
-	}
-	payload = append(payload, '\n')
-	if err := os.WriteFile(out, payload, 0o644); err != nil {
-		fatal(err.Error())
-	}
-	for _, r := range rep.Rows {
-		fmt.Printf("  %4d subs  %-8s  %-7s  %10.0f events/sec  reuse %5.1f  shared-matches %d\n",
-			r.Subs, r.Shapes, r.Planner, r.EventsPerSec, r.SnapshotReuse, r.MatchesShared)
-	}
-	for _, n := range []string{"1", "10", "100", "1000"} {
-		if s, ok := rep.SharedSpeedup[n]; ok {
-			fmt.Printf("  shared-shape speedup at %4s subs: %.1fx (planner vs per-sub rebuild)\n", n, s)
-		}
-	}
-	fmt.Printf("wrote %s in %v\n", out, time.Since(t0).Round(time.Millisecond))
-	if minSpeedup > 0 {
-		s, ok := rep.SharedSpeedup["100"]
-		if !ok {
-			fatal("bench gate: no 100-subscription shared-shape measurement in the report")
-		}
-		if s < minSpeedup {
-			fatal(fmt.Sprintf("bench regression: shared planner speedup at 100 shared-shape subs is %.2fx, want >= %.2fx", s, minSpeedup))
-		}
-		fmt.Printf("bench gate ok: %.1fx >= %.1fx at 100 shared-shape subs\n", s, minSpeedup)
-	}
-	fmt.Printf("obs overhead: %.2f%% (metric collection vs DisableObs, best of %d interleaved runs)\n",
-		rep.ObsOverhead*100, rep.ObsOverheadRuns)
-	if maxObsOverhead > 0 {
-		if rep.ObsOverhead > maxObsOverhead {
-			fatal(fmt.Sprintf("obs gate: metric collection costs %.2f%% of ingest throughput, want <= %.2f%%",
-				rep.ObsOverhead*100, maxObsOverhead*100))
-		}
-		fmt.Printf("obs gate ok: %.2f%% <= %.2f%%\n", rep.ObsOverhead*100, maxObsOverhead*100)
-	}
-	fmt.Printf("trace overhead: %.2f%% (span recording vs DisableTrace, best of %d interleaved runs)\n",
-		rep.TraceOverhead*100, rep.TraceOverheadRuns)
-	if maxTraceOverhead > 0 {
-		if rep.TraceOverhead > maxTraceOverhead {
-			fatal(fmt.Sprintf("trace gate: span recording costs %.2f%% of ingest throughput, want <= %.2f%%",
-				rep.TraceOverhead*100, maxTraceOverhead*100))
-		}
-		fmt.Printf("trace gate ok: %.2f%% <= %.2f%%\n", rep.TraceOverhead*100, maxTraceOverhead*100)
-	}
-	fmt.Printf("attribution overhead: %.2f%% (cost metering vs DisableCostAttribution, best of %d interleaved runs)\n",
-		rep.AttribOverhead*100, rep.AttribOverheadRuns)
-	if maxAttribOverhead > 0 {
-		if rep.AttribOverhead > maxAttribOverhead {
-			fatal(fmt.Sprintf("attribution gate: cost metering costs %.2f%% of ingest throughput, want <= %.2f%%",
-				rep.AttribOverhead*100, maxAttribOverhead*100))
-		}
-		fmt.Printf("attribution gate ok: %.2f%% <= %.2f%%\n", rep.AttribOverhead*100, maxAttribOverhead*100)
-	}
-	fmt.Printf("wire transport: json %.0f events/sec, binary %.0f events/sec — %.1fx (batch %d, best of %d interleaved runs)\n",
-		rep.Wire.JSONEventsPerSec, rep.Wire.WireEventsPerSec, rep.Wire.Speedup, rep.Wire.BatchSize, rep.Wire.Runs)
-	if minWireSpeedup > 0 {
-		if rep.Wire.Speedup < minWireSpeedup {
-			fatal(fmt.Sprintf("wire gate: binary ingest is %.2fx JSON at batch %d, want >= %.2fx",
-				rep.Wire.Speedup, rep.Wire.BatchSize, minWireSpeedup))
-		}
-		fmt.Printf("wire gate ok: %.1fx >= %.1fx\n", rep.Wire.Speedup, minWireSpeedup)
-	}
-}
-
-// runClusterBench measures the cluster layer, writes the JSON report, and
-// (with a baseline) gates on throughput/latency regressions.
-func runClusterBench(shards, events int, seed int64, out, baseline string, maxRegress float64) {
-	fmt.Printf("cluster bench: %d shards, %d events (seed %d)...\n", shards, events, seed)
-	t0 := time.Now()
-	rep, err := cluster.RunBench(cluster.BenchConfig{
-		Shards: shards,
-		Events: events,
-		Seed:   seed,
-	})
-	if err != nil {
-		fatal(err.Error())
-	}
-	fmt.Println("wire replication bench: JSON vs binary delivery to a daemon shard set...")
-	rep.WireReplication, err = server.RunWireReplicationBench(shards, 0, seed, 0)
-	if err != nil {
-		fatal(err.Error())
-	}
-	payload, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err.Error())
-	}
-	payload = append(payload, '\n')
-	if err := os.WriteFile(out, payload, 0o644); err != nil {
-		fatal(err.Error())
-	}
-	fmt.Printf("ingest (acked): %.0f events/sec over %d batches (%d detections)\n",
-		rep.Ingest.EventsPerSec, rep.Ingest.Batches, rep.Ingest.Detections)
-	fmt.Printf("ingest (sustained, incl. drain): %.0f events/sec\n", rep.Ingest.SustainedEventsPerSec)
-	fmt.Printf("scatter-gather topk: avg %.0fµs p50 %.0fµs p99 %.0fµs\n",
-		rep.TopK.AvgUS, rep.TopK.P50US, rep.TopK.P99US)
-	fmt.Printf("scatter-gather instances: avg %.0fµs\n", rep.Instances.AvgUS)
-	if w := rep.WireReplication; w != nil {
-		fmt.Printf("replication transport: json %.0f events/sec, binary %.0f events/sec — %.1fx sustained\n",
-			w.JSONEventsPerSec, w.WireEventsPerSec, w.Speedup)
-	}
-	if q := rep.Replication.Lag; q != nil {
-		fmt.Printf("replication lag (append→ack): p50 %.2fms p95 %.2fms p99 %.2fms\n",
-			q.P50*1000, q.P95*1000, q.P99*1000)
-	}
-	if q := rep.DetectionLag; q != nil {
-		fmt.Printf("detection lag (ingest→emit, merged across shards): p50 %.2fms p95 %.2fms p99 %.2fms\n",
-			q.P50*1000, q.P95*1000, q.P99*1000)
-	}
-	fmt.Printf("wrote %s in %v\n", out, time.Since(t0).Round(time.Millisecond))
-	if baseline != "" {
-		if err := compareClusterBench(baseline, rep, maxRegress); err != nil {
-			fatal(err.Error())
-		}
-	}
-}
-
-// compareClusterBench fails (non-nil) when a tracked metric regressed by
-// more than maxRegress vs the baseline report. Throughput metrics gate on
-// a drop, latency metrics on a rise; metrics absent from the baseline
-// (older report shapes) are skipped, so the gate survives schema growth.
-func compareClusterBench(path string, rep *cluster.BenchReport, maxRegress float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("bench baseline: %v", err)
-	}
-	var base cluster.BenchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("bench baseline %s: %v", path, err)
-	}
-	// The acked-ingest figure is a sub-millisecond wall-clock measurement
-	// that swings wildly across machines, so it is NOT compared against
-	// the baseline. Its architectural property — pipelined acks decouple
-	// from member apply — is checked within this run instead: acked
-	// throughput must clearly exceed sustained (a synchronous write path
-	// would make them equal).
-	if base.Ingest.SustainedEventsPerSec > 0 && rep.Ingest.SustainedEventsPerSec > 0 {
-		ratio := rep.Ingest.EventsPerSec / rep.Ingest.SustainedEventsPerSec
-		fmt.Printf("bench-compare ingest acked/sustained ratio: %.1fx (want >= 2x: pipelined acks)\n", ratio)
-		if ratio < 2 {
-			return fmt.Errorf("bench regression: acked ingest (%.4g ev/s) no longer decoupled from sustained apply (%.4g ev/s) — write path gone synchronous?",
-				rep.Ingest.EventsPerSec, rep.Ingest.SustainedEventsPerSec)
-		}
-	}
-	type metric struct {
-		name       string
-		base, got  float64
-		higherGood bool
-	}
-	checks := []metric{
-		{"ingest.sustained_events_per_sec", base.Ingest.SustainedEventsPerSec, rep.Ingest.SustainedEventsPerSec, true},
-		{"scatter_gather_topk.p99_us", base.TopK.P99US, rep.TopK.P99US, false},
-		{"scatter_gather_instances.avg_us", base.Instances.AvgUS, rep.Instances.AvgUS, false},
-	}
-	var failures []string
-	for _, m := range checks {
-		if m.base <= 0 {
-			continue // metric absent from the baseline
-		}
-		var regress float64
-		tol := maxRegress
-		if m.higherGood {
-			regress = (m.base - m.got) / m.base
-		} else {
-			// Micro-latency percentiles jitter hard on shared CI runners;
-			// gate them only on a 2x blowup (or the configured tolerance
-			// if the operator set it wider).
-			regress = (m.got - m.base) / m.base
-			if tol < 1.0 {
-				tol = 1.0
-			}
-		}
-		status := "ok"
-		if regress > tol {
-			status = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s: %.4g -> %.4g (%.0f%% worse)",
-				m.name, m.base, m.got, regress*100))
-		}
-		fmt.Printf("bench-compare %-34s baseline %12.4g  now %12.4g  [%s]\n", m.name, m.base, m.got, status)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench regression vs %s (tolerance %.0f%%):\n  %s",
-			path, maxRegress*100, strings.Join(failures, "\n  "))
-	}
-	fmt.Printf("bench-compare: within %.0f%% tolerance of %s\n", maxRegress*100, path)
-	return nil
 }
 
 func fatal(msg string) {

@@ -20,7 +20,9 @@
 //
 // Cluster roles (see internal/cluster and DESIGN.md §9–10): -member starts
 // an empty shard whose subscriptions a coordinator places at runtime over
-// POST /cluster/add-sub and /cluster/remove-sub. -cluster-coordinator
+// POST /cluster/add-sub and /cluster/remove-sub, and which receives
+// replicated batches on a binary wire listener (-wire-addr, or a free port;
+// advertised as "wirePort" on /healthz). -cluster-coordinator
 // starts a coordinator that shards the -sub set across its members by
 // rendezvous hashing, replicates ingest to all of them through an
 // asynchronous sequence-numbered pipeline (acks on log append; -queue-depth
@@ -175,7 +177,7 @@ func main() {
 	var joins joinFlags
 	var (
 		addr     = flag.String("addr", ":8089", "listen address")
-		wireAddr = flag.String("wire-addr", "", "also serve the binary wire-protocol ingest listener on this TCP address (e.g. :9089); advertised on /healthz so coordinators upgrade replication automatically (empty disables)")
+		wireAddr = flag.String("wire-addr", "", "also serve the binary wire-protocol ingest listener on this TCP address (e.g. :9089), advertised on /healthz; empty disables, except that -member always serves one (coordinators replicate over it only) and picks a free port")
 		workers  = flag.Int("workers", 1, "per-band enumeration parallelism")
 		recent   = flag.Int("recent", 4096, "recent-detection ring capacity (GET /instances)")
 		topk     = flag.Int("topk", 50, "retained best detections per subscription (GET /topk)")
@@ -195,7 +197,6 @@ func main() {
 		logFmt   = flag.String("log-format", "text", "structured log format: text or json")
 		slowRnd  = flag.Duration("slow-round", 0, "warn when one finalize round exceeds this duration, with a per-stage breakdown (0 disables)")
 		slowReq  = flag.Duration("slow-request", 0, "tail-sample HTTP requests slower than this: retain the trace in the flight recorder and warn with its trace ID (0 disables)")
-		noAttrib = flag.Bool("no-cost-attribution", false, "disable per-subscription cost attribution (/debug/top and the *_cost_seconds_total counters go dark)")
 		lagSLO   = flag.Duration("lag-slo", 0, "detection-lag SLO threshold: run the burn-rate watchdog, alert and degrade /healthz when lag past this burns the error budget too fast (0 disables)")
 		sloTgt   = flag.Float64("lag-slo-target", 0.99, "SLO target good fraction for the burn-rate watchdog (with -lag-slo)")
 		burnWarn = flag.Float64("slo-burn-warn", 2, "burn-rate multiple that trips the SLO watchdog when both the fast and slow windows exceed it (with -lag-slo)")
@@ -266,8 +267,6 @@ func main() {
 		SlowRound:     *slowRnd,
 		SlowRequest:   *slowReq,
 
-		DisableCostAttribution: *noAttrib,
-
 		SLO: server.SLOConfig{
 			LagSLO:    *lagSLO,
 			LagTarget: *sloTgt,
@@ -294,6 +293,11 @@ func main() {
 			logger.Info("recovered", "snapshot_seq", rec.SnapshotSeq,
 				"snapshot_used", rec.FromSnapshot, "wal_events_replayed", rec.Replayed)
 		}
+	}
+	if *member && *wireAddr == "" {
+		// Replication reaches members over the wire protocol only; the
+		// coordinator discovers the port from /healthz.
+		*wireAddr = ":0"
 	}
 	if *wireAddr != "" {
 		bound, err := srv.StartWire(*wireAddr)

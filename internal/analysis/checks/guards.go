@@ -26,7 +26,7 @@ const (
 	// obsgateMarker tags a field, variable, or type whose truthiness /
 	// non-nilness means "an observability consumer is armed":
 	// `//flowmotif:obsgate`. Conditions built from such gates (and from
-	// the Disable* config flags and nil-checks of internal/obs
+	// the DisableObs config flag and nil-checks of internal/obs
 	// instrument pointers) dominate clock reads and formatter calls on
 	// the hot path.
 	obsgateMarker = "flowmotif:obsgate"
@@ -109,17 +109,13 @@ func hasGateComment(cg *ast.CommentGroup) bool {
 	return ok
 }
 
-// disableFlagNames are the engine Config switches whose mention in a
-// condition makes it a gate: with the flag set the guarded code must
-// not run, which is exactly the invariant hotpathclock enforces.
-var disableFlagNames = map[string]bool{
-	"DisableObs":             true,
-	"DisableTrace":           true,
-	"DisableCostAttribution": true,
-}
+// disableFlagName is the one Config switch (stream and server) whose
+// mention in a condition makes it a gate: with the flag set the guarded
+// code must not run, which is exactly the invariant hotpathclock enforces.
+const disableFlagName = "DisableObs"
 
 // gateExpr reports whether e denotes an observability gate value: a
-// Disable* flag, an obsgate-annotated object, or a value whose type is
+// DisableObs flag, an obsgate-annotated object, or a value whose type is
 // (a pointer to) an internal/obs type or an obsgate-annotated type.
 func (g *gateSet) gateExpr(info *types.Info, e ast.Expr) bool {
 	e = ast.Unparen(e)
@@ -143,7 +139,7 @@ func (g *gateSet) gateExpr(info *types.Info, e ast.Expr) bool {
 	default:
 		return g.gateType(info.TypeOf(e))
 	}
-	if disableFlagNames[name] {
+	if name == disableFlagName {
 		return true
 	}
 	if obj != nil && g.objs[obj] {
@@ -185,7 +181,7 @@ func (g *gateSet) gateType(t types.Type) bool {
 //   - bare boolean gate expressions (rc.on, !e.costOn),
 //   - comparisons of a gate expression against a literal
 //     (e.slowRound <= 0),
-//   - mentions of the Disable* config flags.
+//   - mentions of the DisableObs config flag.
 //
 // A pure-gate condition — or its negation — tells the analyzer the
 // controlled code runs only when some observability consumer asked for

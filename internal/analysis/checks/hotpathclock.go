@@ -13,7 +13,7 @@ import (
 // function statically reachable from a `//flowmotif:hotpath` root, a
 // clock read (time.Now, time.Since, timer construction) or an
 // allocating formatter call (fmt.Sprintf, strconv.Itoa, strings.Join,
-// ...) must be dominated by an observability gate — a Disable* config
+// ...) must be dominated by an observability gate — the DisableObs config
 // flag, a nil-check of an obs instrument, or an `//flowmotif:obsgate`
 // annotated field. With observability off, the hot path performs zero
 // clock reads and zero formatting allocations; this analyzer is what

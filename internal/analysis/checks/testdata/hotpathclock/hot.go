@@ -9,10 +9,12 @@ import (
 	"time"
 )
 
-// Config mirrors the engine's observability switches: mentioning a
-// Disable* flag in a condition makes it a gate.
+// Config mirrors the engine's one observability switch: mentioning
+// DisableObs in a condition makes it a gate. Any other Disable* field is
+// an ordinary bool.
 type Config struct {
-	DisableObs bool
+	DisableObs   bool
+	DisableAudit bool
 }
 
 // Metrics stands in for the engine's histogram bundle.
@@ -34,6 +36,9 @@ func (e *Engine) Ingest(events []int) {
 	t0 := time.Now() // want `clock read time.Now in hot path`
 	_ = t0
 	e.last = strconv.Itoa(len(events)) // want `allocating call strconv.Itoa in hot path`
+	if !e.cfg.DisableAudit {
+		_ = time.Now() // want `clock read time.Now in hot path`
+	}
 
 	// NEGATIVE CASES: everything below is dominated by a recognized
 	// observability gate and must NOT be reported.

@@ -2,11 +2,47 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
+	"flowmotif/internal/gen"
+	"flowmotif/internal/motif"
 	"flowmotif/internal/stream"
 	"flowmotif/internal/temporal"
 )
+
+// benchStream builds the synthetic benchmark stream, time-ordered.
+func benchStream(b *testing.B, events int) []temporal.Event {
+	b.Helper()
+	evs, err := gen.Bitcoin(gen.BitcoinConfig{
+		Nodes:    2000,
+		SeedTxns: events / 4,
+		Duration: 500000,
+		Seed:     2019,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+	if len(evs) > events {
+		evs = evs[:events]
+	}
+	return evs
+}
+
+// benchSubs is the benchmark workload: the full catalog at one (δ, φ).
+func benchSubs() []stream.Subscription {
+	var subs []stream.Subscription
+	for _, mo := range motif.Catalog() {
+		subs = append(subs, stream.Subscription{
+			ID:    mo.Name() + "/bench",
+			Motif: mo,
+			Delta: 600,
+			Phi:   2,
+		})
+	}
+	return subs
+}
 
 // benchCluster builds an N-shard cluster over the full catalog and
 // pre-ingests (and drains) the synthetic stream.
@@ -108,10 +144,7 @@ func benchFeed(b *testing.B, c *Coordinator, evs []temporal.Event, drainEvery in
 // queue. See BenchmarkClusterIngestSustained for the end-to-end apply
 // rate.
 func BenchmarkClusterIngest(b *testing.B) {
-	evs, err := benchStream(BenchConfig{Events: 1 << 17, Seed: 2019}.withDefaults())
-	if err != nil {
-		b.Fatal(err)
-	}
+	evs := benchStream(b, 1<<17)
 	// Queue deep enough that the inter-drain burst (2048 batches) never
 	// backpressures: the timed region measures log appends only.
 	c := benchCluster(b, 4, nil, 4096)
@@ -123,10 +156,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 // slowest member's apply rate — what a stream longer than the queue depth
 // sustains under backpressure.
 func BenchmarkClusterIngestSustained(b *testing.B) {
-	evs, err := benchStream(BenchConfig{Events: 1 << 17, Seed: 2019}.withDefaults())
-	if err != nil {
-		b.Fatal(err)
-	}
+	evs := benchStream(b, 1<<17)
 	c := benchCluster(b, 4, nil, 0)
 	benchFeed(b, c, evs, 0)
 }
@@ -134,10 +164,7 @@ func BenchmarkClusterIngestSustained(b *testing.B) {
 // BenchmarkScatterGatherTopK measures the global top-k gather (all shards,
 // merged) on a warm 4-shard cluster.
 func BenchmarkScatterGatherTopK(b *testing.B) {
-	evs, err := benchStream(BenchConfig{Events: 1 << 15, Seed: 2019}.withDefaults())
-	if err != nil {
-		b.Fatal(err)
-	}
+	evs := benchStream(b, 1<<15)
 	c := benchCluster(b, 4, evs, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

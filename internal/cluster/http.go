@@ -14,27 +14,27 @@ import (
 
 	"flowmotif/internal/obs"
 	"flowmotif/internal/stream"
-	"flowmotif/internal/temporal"
 	"flowmotif/internal/wire"
 )
 
 // HTTPMember drives a remote flowmotifd member daemon (started with
-// -member) over its HTTP/JSON API. Transport failures and 5xx responses
-// are wrapped in ErrMemberDown so the coordinator retries and eventually
-// fails the member over; 4xx responses surface as semantic errors (409
-// maps to stream.ErrBehindFrontier, matching the in-process engine).
+// -member): replicated batches over the binary wire protocol
+// (wiretransport.go), everything else over its HTTP/JSON API. Transport
+// failures and 5xx responses are wrapped in ErrMemberDown so the
+// coordinator retries and eventually fails the member over; 4xx responses
+// surface as semantic errors (409 maps to stream.ErrBehindFrontier,
+// matching the in-process engine).
 type HTTPMember struct {
 	id     string
 	base   string
 	client *http.Client
 
-	// Binary wire-transport state (wiretransport.go): lazily probed from
-	// the member's /healthz advertisement, then a persistent connection.
-	wireMu       sync.Mutex
-	wireProbed   bool
-	wireDisabled bool
-	wireAddr     string
-	wireCli      *wire.Client
+	// Ingest transport state (wiretransport.go): the wire listener's
+	// address, discovered from the member's /healthz ("" until a probe
+	// succeeds), then one persistent connection.
+	wireMu   sync.Mutex
+	wireAddr string
+	wireCli  *wire.Client
 }
 
 // NewHTTPMember builds a member client for the daemon at baseURL (e.g.
@@ -51,14 +51,6 @@ func (m *HTTPMember) ID() string { return m.id }
 
 // URL returns the member's base URL.
 func (m *HTTPMember) URL() string { return m.base }
-
-// wireEvent matches the serving API's event shape (internal/server).
-type wireEvent struct {
-	From temporal.NodeID `json:"from"`
-	To   temporal.NodeID `json:"to"`
-	T    int64           `json:"t"`
-	F    float64         `json:"f"`
-}
 
 func (m *HTTPMember) do(method, path string, body, out interface{}) error {
 	return m.doTraced(method, path, body, out, "")
@@ -126,31 +118,6 @@ func errBody(raw []byte) string {
 		s = s[:200]
 	}
 	return s
-}
-
-// Ingest implements Member. The replication sequence tag travels as the
-// request's "seq" field (JSON) or the batch frame's seq trailer (binary);
-// the member daemon deduplicates resends by it (answering with its
-// recorded ack, dup=true), which is what makes retry after a lost ack
-// safe over either transport. When the member daemon advertises a binary
-// wire listener on /healthz, Ingest upgrades to it automatically — the
-// replicator then stops re-marshalling JSON per delivery (see
-// wiretransport.go); members without one keep getting JSON.
-func (m *HTTPMember) Ingest(b Batch) (IngestAck, error) {
-	if ack, handled, err := m.wireIngest(b); handled {
-		return ack, err
-	}
-	evs := make([]wireEvent, len(b.Events))
-	for i, e := range b.Events {
-		evs[i] = wireEvent{From: e.From, To: e.To, T: e.T, F: e.F}
-	}
-	body := map[string]interface{}{"events": evs}
-	if b.Seq != 0 {
-		body["seq"] = b.Seq
-	}
-	var ack IngestAck
-	err := m.doTraced(http.MethodPost, "/ingest", body, &ack, b.Traceparent)
-	return ack, err
 }
 
 // Flush implements Member.

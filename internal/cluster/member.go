@@ -27,9 +27,12 @@
 // — the equivalence oracle in cluster_test.go — including across member
 // adds, graceful drains, and failovers.
 //
-// Two transports implement Member: LocalMember (in-process, used by tests,
-// examples and flowmotifd -shards) and HTTPMember (a remote flowmotifd
-// -member daemon).
+// Two implementations of Member exist: LocalMember (in-process, used by
+// tests, examples and flowmotifd -shards) and HTTPMember (a remote
+// flowmotifd -member daemon). To a remote member, replicated batches travel
+// over the binary wire protocol only (internal/wire; the member advertises
+// its listener on /healthz) and control-plane calls over HTTP/JSON; JSON
+// ingest exists at the client-facing front door alone.
 package cluster
 
 import (

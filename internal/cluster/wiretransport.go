@@ -13,36 +13,35 @@ import (
 	"flowmotif/internal/wire"
 )
 
-// This file is HTTPMember's binary ingest transport: when the member
-// daemon advertises a wire listener ("wirePort" on /healthz, set by
-// flowmotifd -wire-addr), replication deliveries switch from JSON POSTs
-// to binary batch frames over one persistent connection — same seq/
-// traceparent idempotency and tracing contract, none of the per-event
-// marshalling. Everything else (flush, handoffs, queries, stats) stays
-// on HTTP: those are rare control-plane calls, not the hot path.
+// This file is HTTPMember's ingest transport: replication deliveries
+// travel as binary batch frames over one persistent connection to the
+// member daemon's wire listener, whose port the member advertises as
+// "wirePort" on /healthz (flowmotifd -member always arms one). Everything
+// else (flush, handoffs, queries, stats) stays on HTTP: those are rare
+// control-plane calls, not the hot path.
 
-// wireIngest attempts the delivery over the binary transport. handled is
-// false when the member has no wire listener (or the one-time probe
-// could not run) — the caller then falls back to JSON. Transport
-// failures wrap ErrMemberDown (retryable: the replicator redials through
-// a fresh connection on the next attempt), server error frames map onto
-// the same error taxonomy as HTTP responses.
-func (m *HTTPMember) wireIngest(b Batch) (IngestAck, bool, error) {
+// Ingest implements Member. The replication sequence tag travels as the
+// batch frame's seq trailer; the member daemon deduplicates resends by it
+// (answering with its recorded ack, dup=true), which is what makes retry
+// after a lost ack safe. Transport failures wrap ErrMemberDown
+// (retryable: the replicator re-probes and redials on the next attempt),
+// server error frames map onto the same error taxonomy as HTTP responses.
+func (m *HTTPMember) Ingest(b Batch) (IngestAck, error) {
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()
-	if !m.wireProbed {
-		m.probeWireLocked()
-	}
-	if !m.wireProbed || m.wireDisabled {
-		return IngestAck{}, false, nil
+	if m.wireAddr == "" {
+		if err := m.probeWireLocked(); err != nil {
+			return IngestAck{}, err
+		}
 	}
 	if m.wireCli == nil {
 		cli, err := wire.Dial(m.wireAddr, m.client.Timeout)
 		if err != nil {
-			// The member advertised a listener but is not answering on it:
-			// treat like any transport failure so the coordinator retries
-			// and eventually fails the member over.
-			return IngestAck{}, true, fmt.Errorf("%w: %s: wire dial %s: %v", ErrMemberDown, m.id, m.wireAddr, err)
+			// The advertised listener is not answering: forget the address
+			// so the retry probes again.
+			addr := m.wireAddr
+			m.wireAddr = ""
+			return IngestAck{}, fmt.Errorf("%w: %s: wire dial %s: %v", ErrMemberDown, m.id, addr, err)
 		}
 		m.wireCli = cli
 	}
@@ -55,20 +54,22 @@ func (m *HTTPMember) wireIngest(b Batch) (IngestAck, bool, error) {
 			}
 			switch re.Code {
 			case wire.CodeBehindFrontier:
-				return IngestAck{}, true, fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, re.Msg)
+				return IngestAck{}, fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, re.Msg)
 			case wire.CodeInternal:
 				// 5xx equivalent: retryable, mirrors doTraced's >=500 case.
-				return IngestAck{}, true, fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, re)
+				return IngestAck{}, fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, re)
 			default:
 				// Semantic rejection (400 equivalent): terminal for the
 				// replicator, the member has diverged from admission rules.
-				return IngestAck{}, true, fmt.Errorf("cluster: member %s: %v", m.id, re)
+				return IngestAck{}, fmt.Errorf("cluster: member %s: %v", m.id, re)
 			}
 		}
-		// Transport failure: the client has retired the connection; redial
-		// on the next delivery attempt.
+		// Transport failure: the client has retired the connection. The
+		// member may have restarted onto another port, so the next
+		// delivery attempt probes again before it redials.
 		m.wireCli = nil
-		return IngestAck{}, true, fmt.Errorf("%w: %s: wire: %v", ErrMemberDown, m.id, err)
+		m.wireAddr = ""
+		return IngestAck{}, fmt.Errorf("%w: %s: wire: %v", ErrMemberDown, m.id, err)
 	}
 	return IngestAck{
 		Ingested:   int(ack.Ingested),
@@ -77,84 +78,48 @@ func (m *HTTPMember) wireIngest(b Batch) (IngestAck, bool, error) {
 		Seq:        ack.Seq,
 		Dup:        ack.Dup,
 		Trace:      ack.Trace,
-	}, true, nil
+	}, nil
 }
 
-// probeWireLocked asks the member's /healthz once whether it serves the
-// binary protocol. A reachable member without a "wirePort" field
-// permanently disables the upgrade (this daemon predates or did not arm
-// the listener); an unreachable member leaves the probe unresolved so a
-// later delivery retries it — the member may just be restarting.
-func (m *HTTPMember) probeWireLocked() {
+// probeWireLocked discovers the member's wire listener from its /healthz.
+// An unreachable member yields ErrMemberDown and leaves the address
+// unresolved, so a later delivery probes again — the member may just be
+// restarting. A reachable member that advertises no "wirePort" cannot
+// receive replication at all: that is a deployment error, terminal for
+// the replicator.
+func (m *HTTPMember) probeWireLocked() error {
 	resp, err := m.client.Get(m.base + "/healthz")
 	if err != nil {
-		return
+		return fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, err)
 	}
 	defer resp.Body.Close()
 	var h struct {
 		WirePort int `json:"wirePort"`
 	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil {
-		return
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%w: %s: GET /healthz: %s", ErrMemberDown, m.id, resp.Status)
 	}
-	m.wireProbed = true
-	if h.WirePort <= 0 {
-		m.wireDisabled = true
-		return
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return fmt.Errorf("%w: %s: decode /healthz: %v", ErrMemberDown, m.id, err)
 	}
 	u, err := url.Parse(m.base)
 	if err != nil || u.Hostname() == "" {
-		m.wireDisabled = true
-		return
+		return fmt.Errorf("cluster: member %s: no host in base URL %q", m.id, m.base)
+	}
+	if h.WirePort <= 0 {
+		return fmt.Errorf("cluster: member %s advertises no wirePort on /healthz: replication needs the binary wire listener (start the daemon with flowmotifd -member, or give it -wire-addr)", m.id)
 	}
 	m.wireAddr = net.JoinHostPort(u.Hostname(), strconv.Itoa(h.WirePort))
-}
-
-// SetWireAddr pins the binary transport to host:port, skipping the
-// /healthz probe. An empty addr re-enables probing.
-func (m *HTTPMember) SetWireAddr(addr string) {
-	m.wireMu.Lock()
-	defer m.wireMu.Unlock()
-	m.closeWireLocked()
-	if addr == "" {
-		m.wireProbed = false
-		m.wireDisabled = false
-		return
-	}
-	m.wireProbed = true
-	m.wireDisabled = false
-	m.wireAddr = addr
-}
-
-// DisableWire pins deliveries to the JSON transport (benchmark and test
-// control; also an operational escape hatch).
-func (m *HTTPMember) DisableWire() {
-	m.wireMu.Lock()
-	defer m.wireMu.Unlock()
-	m.closeWireLocked()
-	m.wireProbed = true
-	m.wireDisabled = true
+	return nil
 }
 
 // CloseWire drops the persistent wire connection (if any); a later
-// delivery redials. The probe result is kept.
+// delivery redials.
 func (m *HTTPMember) CloseWire() {
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()
-	m.closeWireLocked()
-}
-
-func (m *HTTPMember) closeWireLocked() {
 	if m.wireCli != nil {
 		_ = m.wireCli.Close()
 		m.wireCli = nil
 	}
-}
-
-// UsingWire reports whether the last probe selected the binary transport
-// (testing aid).
-func (m *HTTPMember) UsingWire() bool {
-	m.wireMu.Lock()
-	defer m.wireMu.Unlock()
-	return m.wireProbed && !m.wireDisabled
 }

@@ -18,18 +18,27 @@ import (
 	"flowmotif/internal/temporal"
 )
 
-// memberDaemon spins up one cluster-member flowmotifd (httptest server)
-// and returns its HTTPMember client.
+// memberDaemon spins up one cluster-member flowmotifd (httptest server
+// plus the wire listener replication arrives on, as flowmotifd -member
+// arms it) and returns its HTTPMember client.
 func memberDaemon(t *testing.T, id string) (*cluster.HTTPMember, *httptest.Server) {
 	t.Helper()
 	srv, err := New(Config{Member: true, Recent: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := srv.StartWire("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	kill := func() {
+		ts.Close()
+		srv.StopWire()
+	}
+	t.Cleanup(kill)
 	m := cluster.NewHTTPMember(id, ts.URL, ts.Client())
-	memberServers[m] = ts
+	t.Cleanup(m.CloseWire)
+	memberKills[m] = kill
 	return m, ts
 }
 
@@ -101,9 +110,10 @@ func TestClusterOverHTTP(t *testing.T) {
 	}
 	feed(third, 2*third)
 
-	// Kill m2's daemon entirely: closing its httptest server turns every
-	// later call into a transport error, so the next broadcast marks it
-	// down and re-places its subscriptions from coordinator history.
+	// Kill m2's daemon entirely: closing its HTTP server and wire listener
+	// turns every later call into a transport error, so the next broadcast
+	// marks it down and re-places its subscriptions from coordinator
+	// history.
 	_ = ts1 // m1 already drained above
 	owned := 0
 	for _, owner := range c.Placement() {
@@ -114,7 +124,7 @@ func TestClusterOverHTTP(t *testing.T) {
 	if owned == 0 {
 		t.Fatal("test premise broken: m2 owns no subscriptions before the kill")
 	}
-	findServerByMember(t, m2).Close()
+	killMember(t, m2)
 	feed(2*third, len(evs))
 	if resp, body := postJSON(t, client, front.URL+"/flush", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("flush: %d: %s", resp.StatusCode, body)
@@ -200,16 +210,16 @@ func TestClusterOverHTTP(t *testing.T) {
 	}
 }
 
-// memberServers tracks httptest servers by member for kill tests.
-var memberServers = map[*cluster.HTTPMember]*httptest.Server{}
+// memberKills tracks each member daemon's kill switch for kill tests.
+var memberKills = map[*cluster.HTTPMember]func(){}
 
-func findServerByMember(t *testing.T, m *cluster.HTTPMember) *httptest.Server {
+func killMember(t *testing.T, m *cluster.HTTPMember) {
 	t.Helper()
-	ts, ok := memberServers[m]
+	kill, ok := memberKills[m]
 	if !ok {
-		t.Fatalf("no server tracked for member %s", m.ID())
+		t.Fatalf("no daemon tracked for member %s", m.ID())
 	}
-	return ts
+	kill()
 }
 
 func keysOf(m map[string]interface{}) []string {

@@ -128,8 +128,9 @@ func TestDebugTopSingleServer(t *testing.T) {
 		t.Fatalf("by=vibes: %d, want 400", resp.StatusCode)
 	}
 
-	// Attribution off: /debug/top answers 404, not zeros.
-	off, err := New(Config{Subs: skewedSubs()[:1], DisableCostAttribution: true})
+	// Observability (and with it attribution) off: /debug/top answers 404,
+	// not zeros.
+	off, err := New(Config{Subs: skewedSubs()[:1], DisableObs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,10 @@ func TestPrometheusScrapeEndToEnd(t *testing.T) {
 		}
 	}
 	req := requireHistogram(t, mf, "flowmotif_http_request_seconds")
-	if eps := labelValues(req, "endpoint"); !eps["ingest"] {
-		t.Fatalf("member request histogram: endpoint \"ingest\" missing (have %v)", eps)
+	// Replicated batches arrive over the wire listener; the coordinator's
+	// flush is the member's HTTP traffic.
+	if eps := labelValues(req, "endpoint"); !eps["flush"] {
+		t.Fatalf("member request histogram: endpoint \"flush\" missing (have %v)", eps)
 	}
 	if codes := labelValues(req, "code"); !codes["2xx"] {
 		t.Fatalf("member request histogram: code class \"2xx\" missing (have %v)", codes)

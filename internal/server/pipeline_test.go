@@ -230,9 +230,14 @@ func TestServerClusterPipelineStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := durable.StartWire("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer durable.StopWire()
 	ts := httptest.NewServer(durable.Handler())
 	defer ts.Close()
 	httpMember := cluster.NewHTTPMember("h0", ts.URL, ts.Client())
+	defer httpMember.CloseWire()
 
 	l0, err := cluster.NewLocalMember("l0", cluster.LocalOptions{})
 	if err != nil {

@@ -126,10 +126,6 @@ type Config struct {
 	// lag and HTTP error rates, exports flowmotif_slo_burn_rate gauges, and
 	// degrades /healthz when both burn windows run hot.
 	SLO SLOConfig
-	// DisableCostAttribution turns off the engine's per-subscription cost
-	// metering (attribution is on by default whenever observability is on);
-	// see stream.Config.DisableCostAttribution.
-	DisableCostAttribution bool
 	// WireMaxFrameBytes bounds binary wire-protocol frame payloads
 	// (default wire.DefaultMaxFrameBytes, matching MaxBodyBytes' default);
 	// oversized frames are rejected with a typed error frame, mirroring
@@ -281,15 +277,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.wireIntern = temporal.NewInterner()
 	eng, err := stream.NewEngine(stream.Config{
-		Subs:                   cfg.Subs,
-		Workers:                cfg.Workers,
-		Slack:                  cfg.Slack,
-		Obs:                    reg,
-		DisableObs:             cfg.DisableObs,
-		DisableCostAttribution: cfg.DisableCostAttribution,
-		Logger:                 cfg.Logger,
-		SlowRound:              cfg.SlowRound,
-		Tracer:                 tracer,
+		Subs:       cfg.Subs,
+		Workers:    cfg.Workers,
+		Slack:      cfg.Slack,
+		Obs:        reg,
+		DisableObs: cfg.DisableObs,
+		Logger:     cfg.Logger,
+		SlowRound:  cfg.SlowRound,
+		Tracer:     tracer,
 	}, stream.MultiSink{s.recent, s.topk})
 	if err != nil {
 		return nil, err

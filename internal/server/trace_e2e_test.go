@@ -170,9 +170,10 @@ func TestClusterTraceE2E(t *testing.T) {
 	for _, s := range detail.Spans {
 		counts[s.Name]++
 	}
-	if counts["http.ingest"] < 3 {
-		// Coordinator front door + each member daemon's /ingest request.
-		t.Errorf("http.ingest spans = %d, want >= 3 (coordinator + 2 members): %v", counts["http.ingest"], counts)
+	if counts["http.ingest"] != 1 || counts["wire.ingest"] != 2 {
+		// Coordinator front door + each member daemon's replicated frame.
+		t.Errorf("http.ingest spans = %d, wire.ingest spans = %d, want 1 (coordinator) + 2 (members): %v",
+			counts["http.ingest"], counts["wire.ingest"], counts)
 	}
 	if counts["ingest.append"] != 1 {
 		t.Errorf("ingest.append spans = %d, want exactly 1: %v", counts["ingest.append"], counts)

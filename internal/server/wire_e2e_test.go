@@ -367,10 +367,9 @@ func TestWireMetricsAndHealthz(t *testing.T) {
 
 // TestMixedTransportClusterE2E is the mixed-transport cluster oracle:
 // clients speak JSON to the coordinator's front door while replication
-// to the member daemons runs over the binary wire protocol (negotiated
-// automatically from the members' /healthz advertisements) — and the
-// served detection set still equals the batch search. One member stays
-// JSON-only to prove both transports coexist in one replication pipeline.
+// to every member daemon runs over the binary wire protocol (the port
+// discovered from the members' /healthz advertisements) — and the served
+// detection set still equals the batch search.
 func TestMixedTransportClusterE2E(t *testing.T) {
 	evs, err := gen.Bitcoin(gen.BitcoinConfig{Nodes: 100, SeedTxns: 240, Duration: 12000, Seed: 5})
 	if err != nil {
@@ -383,13 +382,9 @@ func TestMixedTransportClusterE2E(t *testing.T) {
 	}
 	subs := wireTestSubs()
 
-	// Two member daemons with wire listeners armed, one without — the
-	// coordinator must speak binary to the first two and JSON to the
-	// third, from the same replication pipeline.
 	var members []cluster.Member
-	var wired []*cluster.HTTPMember
 	var daemons []*Server
-	for i, arm := range []bool{true, true, false} {
+	for i := 0; i < 3; i++ {
 		srv, err := New(Config{Member: true, Recent: 1 << 16})
 		if err != nil {
 			t.Fatal(err)
@@ -398,16 +393,10 @@ func TestMixedTransportClusterE2E(t *testing.T) {
 		daemons = append(daemons, srv)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		if arm {
-			if _, err := srv.StartWire("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := srv.StartWire("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
 		}
-		m := cluster.NewHTTPMember(fmt.Sprintf("m%d", i), ts.URL, ts.Client())
-		members = append(members, m)
-		if arm {
-			wired = append(wired, m)
-		}
+		members = append(members, cluster.NewHTTPMember(fmt.Sprintf("m%d", i), ts.URL, ts.Client()))
 	}
 	c, err := cluster.New(cluster.Config{Members: members, Subs: subs, RetryDelay: time.Millisecond})
 	if err != nil {
@@ -439,22 +428,17 @@ func TestMixedTransportClusterE2E(t *testing.T) {
 		t.Fatalf("flush: %d: %s", resp.StatusCode, body)
 	}
 
-	// The armed members really negotiated and used the binary transport.
-	for i, m := range wired {
-		if !m.UsingWire() {
-			t.Errorf("member %d did not negotiate the wire transport", i)
-		}
-	}
-	wireFed := 0
-	for _, srv := range daemons {
+	// Every member really ingested over the binary transport.
+	for i, srv := range daemons {
+		fed := false
 		for _, m := range srv.Obs().Snapshot() {
 			if m.Name == "flowmotif_wire_events_total" && m.Value > 0 {
-				wireFed++
+				fed = true
 			}
 		}
-	}
-	if wireFed != 2 {
-		t.Fatalf("%d members ingested over the wire protocol, want 2", wireFed)
+		if !fed {
+			t.Errorf("member %d ingested nothing over the wire protocol", i)
+		}
 	}
 
 	// Oracle: served instances == batch search, per subscription.
@@ -486,5 +470,76 @@ func TestMixedTransportClusterE2E(t *testing.T) {
 				t.Fatalf("sub %s: batch instance %s missing from mixed-transport serve", sub.ID, k)
 			}
 		}
+	}
+}
+
+// downTransport fails every request while down is set — an unreachable
+// member, as the HTTPMember's client sees it.
+type downTransport struct {
+	down *bool
+	rt   http.RoundTripper
+}
+
+func (d downTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if *d.down {
+		return nil, errors.New("connection refused (injected)")
+	}
+	return d.rt.RoundTrip(r)
+}
+
+// TestHTTPMemberWireDiscovery pins the one replication transport's
+// discovery contract: a reachable member without a wire listener is a
+// terminal (non-retried) delivery error that names the fix, while an
+// unreachable member is a retryable ErrMemberDown that leaves the probe
+// unresolved, so the delivery goes through once the member answers.
+func TestHTTPMemberWireDiscovery(t *testing.T) {
+	batch := cluster.Batch{Seq: 1, Events: []temporal.Event{{From: 0, To: 1, T: 10, F: 1}}}
+
+	unarmed, err := New(Config{Member: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uts := httptest.NewServer(unarmed.Handler())
+	defer uts.Close()
+	_, err = cluster.NewHTTPMember("u0", uts.URL, uts.Client()).Ingest(batch)
+	if err == nil || errors.Is(err, cluster.ErrMemberDown) {
+		t.Fatalf("unarmed member: err = %v, want a terminal (non-ErrMemberDown) error", err)
+	}
+	if !strings.Contains(err.Error(), "wirePort") || !strings.Contains(err.Error(), "-wire-addr") {
+		t.Fatalf("unarmed member: error does not name the fix: %v", err)
+	}
+	if unarmed.Engine().Stats().EventsIngested != 0 {
+		t.Fatal("unarmed member ingested a replicated batch")
+	}
+
+	armed, ats, _ := startWireServer(t, Config{Member: true})
+	down := true
+	m := cluster.NewHTTPMember("a0", ats.URL, &http.Client{Transport: downTransport{&down, http.DefaultTransport}})
+	defer m.CloseWire()
+	if _, err := m.Ingest(batch); !errors.Is(err, cluster.ErrMemberDown) {
+		t.Fatalf("unreachable member: err = %v, want ErrMemberDown", err)
+	}
+	down = false
+	ack, err := m.Ingest(batch)
+	if err != nil {
+		t.Fatalf("delivery after the member came back: %v", err)
+	}
+	if ack.Ingested != 1 || ack.Seq != 1 || armed.Engine().Stats().EventsIngested != 1 {
+		t.Fatalf("delivery after the member came back: ack %+v", ack)
+	}
+
+	// A member that restarts its listener on another port (the -member
+	// default binds a free one) costs one failed attempt, then the retry
+	// rediscovers it.
+	armed.StopWire()
+	if _, err := armed.StartWire("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	batch = cluster.Batch{Seq: 2, Events: []temporal.Event{{From: 1, To: 2, T: 20, F: 1}}}
+	if _, err := m.Ingest(batch); !errors.Is(err, cluster.ErrMemberDown) {
+		t.Fatalf("delivery onto the closed listener: err = %v, want ErrMemberDown", err)
+	}
+	if ack, err := m.Ingest(batch); err != nil || ack.Seq != 2 {
+		t.Fatalf("delivery after the listener moved: ack %+v, err %v", ack, err)
 	}
 }

@@ -153,24 +153,6 @@ func (e *Engine) finalize(terminal bool) {
 	tr.begin(e)
 	var rc roundCost
 	rc.begin(e)
-	if e.perSub {
-		// Ablation / comparison baseline: the pre-planner per-subscription
-		// path (one graph and one match walk per subscription). The fused
-		// build+walk is not stage-attributable; it lands in fanout.
-		for _, db := range due {
-			rc.shape()
-			for _, s := range db.subs {
-				ct := rc.now()
-				d0 := s.detections
-				e.finalizeSubStandalone(s, w, db.hi)
-				rc.sample(db.group, s, ct, s.detections-d0)
-			}
-		}
-		tr.mark(&tr.fanout)
-		tr.end(e, w, len(due))
-		e.applyCostLocked(&rc)
-		return
-	}
 
 	// One snapshot per round over the union extent of every due band;
 	// every group reads the same arena-backed graph through its own anchor
@@ -336,23 +318,4 @@ func (e *Engine) enumerateBand(g *temporal.Graph, s *subState, matches []match.M
 	s.bands++
 	e.bandsTotal++
 	s.emitted = hi
-}
-
-// finalizeSubStandalone evaluates one subscription's band the pre-planner
-// way: a fresh graph over exactly its band extent and its own fused
-// phase-P1 walk. Kept behind Config.DisableSharedPlanner so benchmarks can
-// measure the planner against the per-subscription rebuild and the oracle
-// can cross-check both paths. The caller holds mu.
-func (e *Engine) finalizeSubStandalone(s *subState, w, hi int64) {
-	lo := satAdd(s.emitted, 1)
-	// The band sub-graph needs the windows' events [lo, hi+δ] plus the
-	// preceding δ for the maximality skip rule (core.EnumerateRange).
-	g, err := e.log.BuildGraph(satSub(lo, s.sub.Delta), satAdd(hi, s.sub.Delta))
-	if err != nil {
-		// Unreachable: the log only holds validated events.
-		panic(fmt.Sprintf("stream: band graph: %v", err))
-	}
-	e.snapshotBuilds++
-	e.matchRuns++
-	e.enumerateBand(g, s, nil, hi, w, false)
 }

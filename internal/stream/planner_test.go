@@ -20,8 +20,7 @@ import (
 // bleed. The stream additionally churns membership mid-flight: one
 // shared-shape subscription is removed and re-added through the handoff
 // protocol, and a fresh subscription joins unprimed ("from now on"). The
-// whole scenario runs under the shared planner (serial and parallel
-// workers) and the per-subscription baseline, which must agree.
+// whole scenario runs with serial and parallel workers.
 func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 	evs := streamEvents(t, 21)
 	g, err := temporal.NewGraph(evs)
@@ -48,12 +47,10 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 
 	for _, mode := range []struct {
 		name    string
-		disable bool
 		workers int
 	}{
-		{"shared", false, 1},
-		{"shared-parallel", false, 4},
-		{"per-sub-baseline", true, 1},
+		{"shared", 1},
+		{"shared-parallel", 4},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			got := map[string]map[string]bool{}
@@ -69,11 +66,7 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 				}
 				set[k] = true
 			})
-			eng, err := NewEngine(Config{
-				Subs:                 subs,
-				Workers:              mode.workers,
-				DisableSharedPlanner: mode.disable,
-			}, sink)
+			eng, err := NewEngine(Config{Subs: subs, Workers: mode.workers}, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,24 +166,20 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 			if st.SnapshotBuilds == 0 {
 				t.Error("SnapshotBuilds = 0: no snapshot accounting")
 			}
-			if !mode.disable {
-				// The whole point of the planner: one snapshot serves many
-				// bands and one match walk serves many subscriptions.
-				if st.SnapshotReuse < 2 {
-					t.Errorf("SnapshotReuse = %.2f under the shared planner, want >= 2", st.SnapshotReuse)
-				}
-				if st.MatchesShared == 0 {
-					t.Error("MatchesShared = 0: shared-shape subscriptions did not share phase P1")
-				}
-				var bands int64
-				for _, s := range st.Subs {
-					bands += s.Bands
-				}
-				if st.MatchRuns >= bands {
-					t.Errorf("MatchRuns = %d not below bands = %d: phase P1 is not shared", st.MatchRuns, bands)
-				}
-			} else if st.SnapshotReuse > 1 {
-				t.Errorf("SnapshotReuse = %.2f under the per-sub baseline, want 1", st.SnapshotReuse)
+			// The whole point of the planner: one snapshot serves many
+			// bands and one match walk serves many subscriptions.
+			if st.SnapshotReuse < 2 {
+				t.Errorf("SnapshotReuse = %.2f under the shared planner, want >= 2", st.SnapshotReuse)
+			}
+			if st.MatchesShared == 0 {
+				t.Error("MatchesShared = 0: shared-shape subscriptions did not share phase P1")
+			}
+			var bands int64
+			for _, s := range st.Subs {
+				bands += s.Bands
+			}
+			if st.MatchRuns >= bands {
+				t.Errorf("MatchRuns = %d not below bands = %d: phase P1 is not shared", st.MatchRuns, bands)
 			}
 		})
 	}

@@ -61,19 +61,13 @@ type Config struct {
 	// (max δ behind the finalization frontier), e.g. for debugging sinks
 	// that want to look events up after the fact.
 	Slack int64
-	// DisableSharedPlanner reverts to the pre-planner per-subscription
-	// evaluation (one band graph and one match walk per subscription per
-	// finalize round) instead of the shared-evaluation planner of DESIGN.md
-	// §11. Results are identical either way; the switch exists as the
-	// benchmark baseline and for ablation.
-	DisableSharedPlanner bool
 	// Obs is the metrics registry the engine's stage and detection-lag
 	// histograms register into; nil creates a private registry (readable
 	// via Engine.Obs) unless DisableObs is set.
 	Obs *obs.Registry
-	// DisableObs turns engine instrumentation off entirely — no histogram
-	// updates and no clock reads on the ingest path (the benchmark
-	// overhead gate compares against this).
+	// DisableObs turns engine instrumentation off entirely — no metrics, no
+	// spans, no cost attribution, and no clock reads on the ingest path
+	// (bench/e2e's obs.stack_overhead_frac compares against this).
 	DisableObs bool
 	// Logger receives structured engine logs (currently slow-round
 	// warnings); nil disables logging.
@@ -84,18 +78,8 @@ type Config struct {
 	SlowRound time.Duration
 	// Tracer is the flight recorder every ingest batch's span tree records
 	// into; nil creates a private tracer (readable via Engine.Tracer)
-	// unless tracing is off. See DESIGN.md §13.
+	// unless DisableObs is set. See DESIGN.md §13.
 	Tracer *obs.Tracer
-	// DisableTrace turns span creation off — no trace IDs, no span clock
-	// reads — while keeping metrics; the tracing overhead gate compares
-	// against this. DisableObs implies it.
-	DisableTrace bool
-	// DisableCostAttribution turns per-subscription cost attribution
-	// (cost.go, DESIGN.md §14) off — no per-stage clock reads and no
-	// SubCost/group-cost accounting — while keeping the rest of the
-	// metrics; the attribution overhead gate compares against this.
-	// DisableObs implies it.
-	DisableCostAttribution bool
 }
 
 // Detection is one finalized maximal motif instance, self-contained (it
@@ -196,12 +180,10 @@ type Engine struct {
 
 	// Shared-evaluation planner state (planner.go): subscriptions grouped
 	// by (shape, δ), the arena recycling snapshot buffers across finalize
-	// rounds, and the sharing counters surfaced through Stats. perSub
-	// reverts to the pre-planner per-subscription path (ablation).
+	// rounds, and the sharing counters surfaced through Stats.
 	groups         []*planGroup
 	groupIdx       map[planKey]*planGroup
 	arena          temporal.GraphArena
-	perSub         bool
 	snapshotBuilds int64
 	matchRuns      int64
 	matchesShared  int64
@@ -266,7 +248,6 @@ func NewEngine(cfg Config, sink Sink) (*Engine, error) {
 		sink:      sink,
 		workers:   cfg.Workers,
 		slack:     cfg.Slack,
-		perSub:    cfg.DisableSharedPlanner,
 		groupIdx:  map[planKey]*planGroup{},
 		minNextT:  math.MinInt64,
 		logger:    cfg.Logger,
@@ -278,12 +259,10 @@ func NewEngine(cfg Config, sink Sink) (*Engine, error) {
 			e.obsReg = obs.NewRegistry()
 		}
 		e.mx = newEngineMetrics(e.obsReg)
-		e.costOn = !cfg.DisableCostAttribution
-		if !cfg.DisableTrace {
-			e.tracer = cfg.Tracer
-			if e.tracer == nil {
-				e.tracer = obs.NewTracer(0)
-			}
+		e.costOn = true
+		e.tracer = cfg.Tracer
+		if e.tracer == nil {
+			e.tracer = obs.NewTracer(0)
 		}
 	}
 	for i, s := range cfg.Subs {
@@ -641,7 +620,7 @@ func (e *Engine) Obs() *obs.Registry {
 
 // Tracer returns the engine's flight recorder: the one from
 // Config.Tracer, or the private tracer created when none was given. Nil
-// when tracing is off (Config.DisableObs or Config.DisableTrace).
+// when tracing is off (Config.DisableObs).
 func (e *Engine) Tracer() *obs.Tracer {
 	return e.tracer
 }

@@ -130,14 +130,14 @@ func TestSlowRoundRetainsTrace(t *testing.T) {
 	}
 }
 
-// TestDisableTraceNoSpans: DisableTrace (and DisableObs) leaves acks
-// without trace IDs and records nothing.
-func TestDisableTraceNoSpans(t *testing.T) {
+// TestDisableObsNoSpans: DisableObs leaves acks without trace IDs and
+// records nothing, even into a tracer the caller supplied.
+func TestDisableObsNoSpans(t *testing.T) {
 	tracer := obs.NewTracer(0)
 	eng, err := NewEngine(Config{
-		Subs:         []Subscription{{ID: "chain", Motif: motif.MustPath(0, 1, 2), Delta: 50}},
-		Tracer:       tracer,
-		DisableTrace: true,
+		Subs:       []Subscription{{ID: "chain", Motif: motif.MustPath(0, 1, 2), Delta: 50}},
+		Tracer:     tracer,
+		DisableObs: true,
 	}, FuncSink(func(d *Detection) {}))
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +148,9 @@ func TestDisableTraceNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ack.Trace != "" {
-		t.Fatalf("DisableTrace ack carries trace %q", ack.Trace)
+		t.Fatalf("DisableObs ack carries trace %q", ack.Trace)
 	}
 	if tracer.Total() != 0 {
-		t.Fatalf("DisableTrace recorded %d spans", tracer.Total())
+		t.Fatalf("DisableObs recorded %d spans", tracer.Total())
 	}
 }
