@@ -21,9 +21,9 @@ func Enumerate(g *temporal.Graph, mo *motif.Motif, p Params, visit Visitor) (Enu
 	}
 	pass := func(f float64) bool { return f >= p.Phi }
 	if p.Workers > 1 {
-		return enumerateParallel(g, mo, p, pass, math.MinInt64, math.MaxInt64, visit)
+		return enumerateParallel(g, mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit))
 	}
-	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, math.MinInt64, math.MaxInt64, visit), nil
+	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
 }
 
 // EnumerateMatches runs phase P2 only, over pre-collected structural
@@ -34,7 +34,7 @@ func EnumerateMatches(g *temporal.Graph, mo *motif.Motif, matches []match.Match,
 		return EnumStats{}, err
 	}
 	pass := func(f float64) bool { return f >= p.Phi }
-	return enumerate(g, sliceSource(matches), mo, p, pass, math.MinInt64, math.MaxInt64, visit), nil
+	return enumerate(g, sliceSource(matches), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
 }
 
 // Count returns the number of maximal instances of mo in g under p.
@@ -56,7 +56,7 @@ func Collect(g *temporal.Graph, mo *motif.Motif, p Params, limit int) ([]*Instan
 // enumerate drives phase P2 serially over a match source, with window
 // anchors restricted to [anchorLo, anchorHi] (pass the full int64 range
 // for an unrestricted search).
-func enumerate(g *temporal.Graph, src matchSource, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit Visitor) EnumStats {
+func enumerate(g *temporal.Graph, src matchSource, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) EnumStats {
 	e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
 	src(func(m *match.Match) bool {
 		e.stats.Matches++
@@ -66,7 +66,7 @@ func enumerate(g *temporal.Graph, src matchSource, mo *motif.Motif, p Params, pa
 	return e.stats
 }
 
-func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit Visitor) (EnumStats, error) {
+func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) (EnumStats, error) {
 	var (
 		total   EnumStats
 		mu      sync.Mutex
@@ -106,13 +106,30 @@ func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFu
 // admissible (>= φ for plain search; beats the current k-th flow for top-k).
 type passFunc func(flow float64) bool
 
+// boundVisitor is the internal visitor: besides the instance it receives
+// bound, the smallest value Algorithm 1 compared against the threshold on
+// the way to it (availability prunes, running prefix sums, the final
+// edge-set's FlowRange). The instance is emitted at threshold φ iff pass
+// held for every one of those values, so bound >= φ' decides — on exactly
+// the comparisons a separate run at φ' >= φ would make — whether that run
+// would emit it too (SweepMatchesRange, plan.go).
+type boundVisitor func(in *Instance, bound float64) bool
+
+// plain adapts a Visitor (nil stays nil: count only).
+func plain(visit Visitor) boundVisitor {
+	if visit == nil {
+		return nil
+	}
+	return func(in *Instance, _ float64) bool { return visit(in) }
+}
+
 // matchEnum is the per-goroutine state of Algorithm 1.
 type matchEnum struct {
 	g     *temporal.Graph
 	delta int64
 	prune bool // availability pruning enabled
 	pass  passFunc
-	visit Visitor
+	visit boundVisitor
 	stats EnumStats
 
 	m      int // number of motif edges
@@ -135,7 +152,7 @@ type matchEnum struct {
 	stopped bool
 }
 
-func newMatchEnum(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit Visitor) *matchEnum {
+func newMatchEnum(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) *matchEnum {
 	m := mo.NumEdges()
 	return &matchEnum{
 		g:        g,
@@ -246,10 +263,14 @@ func (e *matchEnum) run(mt *match.Match) {
 
 		// Availability pruning: every motif edge must be able to reach the
 		// admission threshold using all of its in-window events.
+		bound := math.Inf(1)
 		if e.prune {
-			feasible := e.pass(e.flowRange(0, a, e.ub[0]))
+			bound = e.flowRange(0, a, e.ub[0])
+			feasible := e.pass(bound)
 			for j := 1; feasible && j < m; j++ {
-				feasible = e.pass(e.flowRange(j, e.lb[j], e.ub[j]))
+				f := e.flowRange(j, e.lb[j], e.ub[j])
+				feasible = e.pass(f)
+				bound = min(bound, f)
 			}
 			if !feasible {
 				e.stats.AvailPruned++
@@ -258,7 +279,7 @@ func (e *matchEnum) run(mt *match.Match) {
 		}
 
 		e.stats.WindowsProcessed++
-		e.findInstances(0, a)
+		e.findInstances(0, a, bound)
 	}
 }
 
@@ -269,8 +290,9 @@ func (e *matchEnum) flowRange(edge, i, j int) float64 {
 
 // findInstances is the recursive FindInstances procedure of Algorithm 1:
 // level is the motif-edge index, startIdx the first event of its edge-set
-// (the first series event after the previous level's split).
-func (e *matchEnum) findInstances(level, startIdx int) {
+// (the first series event after the previous level's split), bound the
+// smallest flow compared on the path so far (see boundVisitor).
+func (e *matchEnum) findInstances(level, startIdx int, bound float64) {
 	s := e.series[level]
 	ub := e.ub[level]
 	if startIdx >= ub {
@@ -278,10 +300,12 @@ func (e *matchEnum) findInstances(level, startIdx int) {
 	}
 	if e.prune && level > 0 {
 		// The whole remaining sub-window cannot reach the threshold.
-		if !e.pass(e.flowRange(level, startIdx, ub)) {
+		f := e.flowRange(level, startIdx, ub)
+		if !e.pass(f) {
 			e.stats.AvailPruned++
 			return
 		}
+		bound = min(bound, f)
 	}
 	if level == e.m-1 {
 		// Final edge: the maximal edge-set takes every event up to the
@@ -289,7 +313,7 @@ func (e *matchEnum) findInstances(level, startIdx int) {
 		flow := e.flowRange(level, startIdx, ub)
 		if e.pass(flow) {
 			e.spans[level] = Span{Start: int32(startIdx), End: int32(ub)}
-			e.emit()
+			e.emit(min(bound, flow))
 		}
 		return
 	}
@@ -323,14 +347,14 @@ func (e *matchEnum) findInstances(level, startIdx int) {
 			continue
 		}
 		e.spans[level] = Span{Start: int32(startIdx), End: int32(p + 1)}
-		e.findInstances(level+1, fIdx)
+		e.findInstances(level+1, fIdx, min(bound, flow))
 		if e.stopped {
 			return
 		}
 	}
 }
 
-func (e *matchEnum) emit() {
+func (e *matchEnum) emit(bound float64) {
 	e.stats.Instances++
 	if e.visit == nil {
 		return
@@ -353,7 +377,7 @@ func (e *matchEnum) emit() {
 	inst.Flow = minFlow
 	inst.Start = e.series[0][e.spans[0].Start].T
 	inst.End = e.series[m-1][e.spans[m-1].End-1].T
-	if !e.visit(inst) {
+	if !e.visit(inst, bound) {
 		e.stopped = true
 	}
 }

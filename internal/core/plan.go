@@ -6,6 +6,8 @@ package core
 // per-subscription (δ, φ, anchor band) parameters.
 
 import (
+	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,11 +39,46 @@ func CollectMatches(g *temporal.Graph, mo *motif.Motif, delta int64) ([]match.Ma
 // EnumerateMatchesRange runs phase P2 over a pre-collected match list with
 // window anchors restricted to [anchorLo, anchorHi] (see EnumerateRange
 // for the band semantics). With p.Workers > 1 the matches are sharded over
-// that many goroutines and visit must be safe for concurrent use. This is
-// the fan-out half of the shared-evaluation planner: many subscriptions
-// sharing a motif shape each call it with their own (δ, φ, band) over one
-// CollectMatches list and one shared graph snapshot.
+// that many goroutines and visit must be safe for concurrent use. It is
+// SweepMatchesRange with the single threshold p.Phi.
 func EnumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, anchorLo, anchorHi int64, visit Visitor) (EnumStats, error) {
+	return enumerateMatchesRange(g, mo, matches, p, anchorLo, anchorHi, plain(visit))
+}
+
+// SweepVisitor receives each instance of a threshold sweep with admitted,
+// the number of leading thresholds (>= 1) whose own search would report it.
+type SweepVisitor func(in *Instance, admitted int) bool
+
+// SweepMatchesRange is the fan-out half of the shared-evaluation planner:
+// one phase-P2 run over a CollectMatches list that answers, for every φ in
+// phis (ascending, at least one; p.Phi is ignored) at once, what
+// EnumerateMatchesRange would report at that φ. Algorithm 1 consults φ
+// only to reject edge-sets — forced splits, the window-skip rule and δ
+// never see it — so the searches are nested: the run at phis[0] visits
+// every instance, and the instance belongs to the search at φ iff every
+// flow the walk compared on the way to it reaches φ. admitted counts those
+// searches from the very values compared (not from Instance.Flow summed
+// again afterwards), so the per-φ sets are bit-identical to len(phis)
+// separate runs over g even for an edge-set within an ulp of a threshold.
+func SweepMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, phis []float64, anchorLo, anchorHi int64, visit SweepVisitor) (EnumStats, error) {
+	if len(phis) == 0 || !sort.Float64sAreSorted(phis) {
+		return EnumStats{}, errors.New("core: sweep thresholds must be non-empty and ascending")
+	}
+	p.Phi = phis[0]
+	var bv boundVisitor
+	if visit != nil {
+		bv = func(in *Instance, bound float64) bool {
+			n := 1
+			for n < len(phis) && phis[n] <= bound {
+				n++
+			}
+			return visit(in, n)
+		}
+	}
+	return enumerateMatchesRange(g, mo, matches, p, anchorLo, anchorHi, bv)
+}
+
+func enumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, anchorLo, anchorHi int64, visit boundVisitor) (EnumStats, error) {
 	if err := p.validate(); err != nil {
 		return EnumStats{}, err
 	}
@@ -57,7 +94,7 @@ func EnumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.M
 
 // enumerateMatchesParallel shards a match slice over p.Workers goroutines,
 // each running its own Algorithm-1 state.
-func enumerateMatchesParallel(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, pass passFunc, anchorLo, anchorHi int64, visit Visitor) EnumStats {
+func enumerateMatchesParallel(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) EnumStats {
 	var (
 		total   EnumStats
 		mu      sync.Mutex

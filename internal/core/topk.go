@@ -49,7 +49,7 @@ func topK(g *temporal.Graph, mo *motif.Motif, src matchSource, delta int64, k in
 		}
 		return true
 	}
-	visit := func(in *Instance) bool {
+	visit := func(in *Instance, _ float64) bool {
 		h.mu.Lock()
 		h.push(in)
 		h.mu.Unlock()

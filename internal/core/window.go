@@ -26,9 +26,9 @@ func EnumerateRange(g *temporal.Graph, mo *motif.Motif, p Params, anchorLo, anch
 	}
 	pass := func(f float64) bool { return f >= p.Phi }
 	if p.Workers > 1 {
-		return enumerateParallel(g, mo, p, pass, anchorLo, anchorHi, visit)
+		return enumerateParallel(g, mo, p, pass, anchorLo, anchorHi, plain(visit))
 	}
-	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, anchorLo, anchorHi, visit), nil
+	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, anchorLo, anchorHi, plain(visit)), nil
 }
 
 // CollectRange materializes the instances EnumerateRange streams.

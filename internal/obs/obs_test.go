@@ -89,6 +89,39 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN pins ObserveN(v, n) against n single Observes: same
+// buckets, same count, same sum (to rounding: n·v is one multiplication,
+// n additions round n times), a no-op at n = 0 and on a nil histogram.
+func TestHistogramObserveN(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1, 2, 4}
+	one := r.Histogram("flowmotif_test_one_seconds", "", bounds)
+	many := r.Histogram("flowmotif_test_many_seconds", "", bounds)
+	for _, c := range []struct {
+		v float64
+		n uint64
+	}{{0.3, 7}, {1, 3}, {1.7, 1}, {4, 20}, {9.1, 5}, {2.5, 0}} {
+		for i := uint64(0); i < c.n; i++ {
+			one.Observe(c.v)
+		}
+		many.ObserveN(c.v, c.n)
+	}
+	a, b := one.Snapshot(), many.Snapshot()
+	if a.Count != b.Count || a.Count != 36 {
+		t.Fatalf("count: n×Observe %d, ObserveN %d, want 36", a.Count, b.Count)
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			t.Fatalf("bucket %d: n×Observe %d, ObserveN %d", i, a.Counts[i], b.Counts[i])
+		}
+	}
+	if math.Abs(a.Sum-b.Sum) > 1e-12*a.Sum {
+		t.Fatalf("sum: n×Observe %v, ObserveN %v", a.Sum, b.Sum)
+	}
+	var nilH *Histogram
+	nilH.ObserveN(1, 3)
+}
+
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1e-6, 10, 4)
 	if b[0] != 1e-6 {

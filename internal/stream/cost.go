@@ -5,10 +5,10 @@ package stream
 // phase-P1 match run serve a whole plan group, so a subscription's real
 // cost is invisible to per-call accounting. This file meters each finalize
 // round's actual work — union snapshot build, per-shape private graphs and
-// match runs, every per-subscription fan-out walk — and splits the shared
-// stage costs back onto member subscriptions proportionally to their own
-// fan-out time (the one per-subscription signal the round measures
-// directly; equal split when a round's fan-outs are all under the clock
+// match runs, every plan group's phase-P2 sweep — splits each sweep across
+// its members by the detections they received, and splits the shared stage
+// costs back onto member subscriptions proportionally to that fan-out time
+// (equal split when a round's fan-outs are all under the clock
 // resolution). The attributed totals surface as SubCost/GroupCostStats in
 // Stats, as flowmotif_sub_cost_seconds_total{shape,sub} and
 // flowmotif_group_cost_seconds_total{delta,shape} counters, and feed
@@ -129,8 +129,8 @@ type shapeCost struct {
 	samples []costSample
 }
 
-// costSample is one fan-out walk: which subscription and group, its own
-// wall time, and the instances it emitted.
+// costSample is one subscription's part of a sweep: its group, its share
+// of the walk's wall time, and the instances it received.
 type costSample struct {
 	g        *planGroup
 	s        *subState
@@ -184,12 +184,26 @@ func (rc *roundCost) addMatch(t0 time.Time, matches int) {
 	}
 }
 
-// sample records one fan-out walk. emits is the subscription's detection
-// delta across the walk.
-func (rc *roundCost) sample(g *planGroup, s *subState, t0 time.Time, emits int64) {
-	if rc.on {
-		rc.cur.samples = append(rc.cur.samples,
-			costSample{g: g, s: s, fanoutNs: time.Since(t0).Nanoseconds(), emits: emits})
+// sample records one sweep: a single clock read for the whole walk, split
+// across the members by the detections each received (equally when the
+// band emitted none), so the per-subscription samples applyCostLocked
+// weighs still sum to the measured fan-out time.
+func (rc *roundCost) sample(g *planGroup, subs []*subState, t0 time.Time) {
+	if !rc.on {
+		return
+	}
+	ns := time.Since(t0).Nanoseconds()
+	var emits int64
+	for _, s := range subs {
+		emits += s.bandEmits
+	}
+	g.cost.matches += int64(rc.cur.matches) // the sweep replayed the list once, whoever paid
+	for _, s := range subs {
+		share := ns / int64(len(subs))
+		if emits > 0 {
+			share = int64(float64(ns) * float64(s.bandEmits) / float64(emits))
+		}
+		rc.cur.samples = append(rc.cur.samples, costSample{g: g, s: s, fanoutNs: share, emits: s.bandEmits})
 	}
 }
 
@@ -257,7 +271,6 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 			gc.fanoutNs += sm.fanoutNs
 			gc.matchNs += matchShare
 			gc.snapNs += shapeSnapShare + unionSnapShare
-			gc.matches += int64(sc.matches)
 			gc.emits += sm.emits
 			gc.ctr.Add(sec)
 

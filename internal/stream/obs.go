@@ -2,7 +2,7 @@ package stream
 
 // Engine instrumentation (internal/obs). The engine records, per finalize
 // round, a stage breakdown histogram — snapshot build, phase-P1 match
-// run, per-subscription fan-out, sink emit — plus the end-to-end
+// run, per-group phase-P2 sweeps, sink emit — plus the end-to-end
 // detection lag (batch arrival wall-clock → detection emit), the number a
 // latency SLO is written against. All instruments are nil-safe, so a
 // Config.DisableObs engine carries a nil *engineMetrics and pays nothing
@@ -28,7 +28,7 @@ type engineMetrics struct {
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram("flowmotif_finalize_stage_seconds",
-			"Per-finalize-round stage wall-clock: snapshot build, phase-P1 match run, per-subscription fan-out, sink emit.",
+			"Per-finalize-round stage wall-clock: snapshot build, phase-P1 match run, phase-P2 sweeps, sink emit.",
 			obs.LatencyBuckets, obs.L("stage", name))
 	}
 	return &engineMetrics{

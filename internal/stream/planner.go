@@ -13,23 +13,28 @@ package stream
 //     [band lo − δ, band hi + δ] — see core.EnumerateRange);
 //   - one phase-P1 run per motif shape: structural matches depend only on
 //     the shape, so the match list is collected once (fused-pruned at the
-//     shape's largest due δ, a superset for every smaller δ) and fanned
-//     out to every consumer through core.EnumerateMatchesRange;
-//   - plan groups keyed by (shape, δ): members share identical band
-//     bounds, so group bookkeeping is one hi computation per group.
+//     shape's largest due δ, a superset for every smaller δ);
+//   - one phase-P2 run per plan group (shape, δ): Algorithm 1 looks at φ
+//     only to reject edge-sets, so members that differ in φ alone ask for
+//     nested subsets of one instance list. The group sweeps the match list
+//     once at its smallest φ (core.SweepMatchesRange) and each instance
+//     goes to exactly the members whose φ it meets, all of them pointing
+//     at one detection payload.
 //
-// Per-subscription (δ, φ) semantics are untouched — phase P2 runs once per
-// subscription with its own parameters — so the batch-equivalence oracle
-// holds verbatim for subscriptions sharing a shape under different (δ, φ).
+// Per-subscription (δ, φ) semantics are untouched — the sweep admits an
+// instance for a member on the very comparisons that member's own run
+// would make — so the batch-equivalence oracle holds verbatim for
+// subscriptions sharing a shape under different (δ, φ).
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 
 	"flowmotif/internal/core"
-	"flowmotif/internal/match"
 	"flowmotif/internal/obs"
 	"flowmotif/internal/temporal"
 )
@@ -41,9 +46,11 @@ type planKey struct {
 	delta int64
 }
 
-// planGroup is the set of live subscriptions under one plan key, in
-// subscription-add order (finalization order is deterministic with
-// Workers <= 1).
+// planGroup is the set of live subscriptions under one plan key, kept
+// φ-ascending (add order among equal φ) so a sweep's fan-out is a prefix
+// of it. With Workers <= 1 finalization order is deterministic: groups in
+// creation order, instances in enumeration order, and each instance's
+// detections in member order.
 type planGroup struct {
 	key  planKey
 	subs []*subState
@@ -65,7 +72,8 @@ func (e *Engine) enterGroupLocked(s *subState) {
 		e.groupIdx[k] = g
 		e.groups = append(e.groups, g)
 	}
-	g.subs = append(g.subs, s)
+	i := sort.Search(len(g.subs), func(i int) bool { return g.subs[i].sub.Phi > s.sub.Phi })
+	g.subs = slices.Insert(g.subs, i, s)
 	e.attachCostLocked(s, g)
 }
 
@@ -95,8 +103,9 @@ func (e *Engine) leaveGroupLocked(s *subState) {
 }
 
 // dueBand is one plan group's work for a finalize round: the members whose
-// emitted bound trails the newly closed anchor bound hi, and the graph
-// extent their bands need ([lo−δ, hi+δ], see core.EnumerateRange).
+// emitted bound trails the newly closed anchor bound hi (φ-ascending, like
+// the group), and the graph extent their bands need ([lo−δ, hi+δ], see
+// core.EnumerateRange).
 type dueBand struct {
 	group    *planGroup
 	subs     []*subState
@@ -235,46 +244,51 @@ func (e *Engine) finalize(terminal bool) {
 			g = sg
 			tr.mark(&tr.snap)
 		}
-		if sp.nsubs == 1 {
-			// Single consumer: stream fused matches straight into phase P2
-			// without materializing them (the pre-planner fast path). The
-			// fused P1+P2 walk is not stage-separable; it lands in fanout.
-			db := due[sp.bands[0]]
-			e.matchRuns++
-			fanSpan := e.startPlanSpan("finalize.fanout", planSpan)
-			ct := rc.now()
-			d0 := db.subs[0].detections
-			e.enumerateBand(g, db.subs[0], nil, db.hi, w, false)
-			rc.sample(db.group, db.subs[0], ct, db.subs[0].detections-d0)
-			fanSpan.End()
-			planSpan.End()
-			tr.mark(&tr.fanout)
-			continue
-		}
+		// A shape with a single consumer streams fused matches straight
+		// into phase P2 without materializing them (the pre-planner fast
+		// path; the fused P1+P2 walk is not stage-separable, it lands in
+		// fanout). Any other shape collects its match list once and every
+		// due group sweeps it.
 		mo := due[sp.bands[0]].subs[0].sub.Motif
-		matchSpan := e.startPlanSpan("finalize.match", planSpan)
-		ct = rc.now()
-		matches, err := core.CollectMatches(g, mo, sp.maxDelta)
-		if err != nil {
-			// Unreachable: δ was validated when the subscription was added.
-			panic(fmt.Sprintf("stream: collect matches: %v", err))
+		var walk p2Walk
+		if sp.nsubs == 1 {
+			walk = func(p core.Params, _ []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error) {
+				return core.EnumerateRange(g, mo, p, lo, hi, func(in *core.Instance) bool { return visit(in, 1) })
+			}
+		} else {
+			matchSpan := e.startPlanSpan("finalize.match", planSpan)
+			ct = rc.now()
+			matches, err := core.CollectMatches(g, mo, sp.maxDelta)
+			if err != nil {
+				// Unreachable: δ was validated when the subscription was added.
+				panic(fmt.Sprintf("stream: collect matches: %v", err))
+			}
+			rc.addMatch(ct, len(matches))
+			e.matchesShared += int64(len(matches)) * int64(sp.nsubs-1)
+			if matchSpan != nil {
+				matchSpan.Annotate(obs.L("matches", strconv.Itoa(len(matches))))
+			}
+			matchSpan.End()
+			tr.mark(&tr.match)
+			walk = func(p core.Params, phis []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error) {
+				return core.SweepMatchesRange(g, mo, matches, p, phis, lo, hi, visit)
+			}
 		}
-		rc.addMatch(ct, len(matches))
 		e.matchRuns++
-		e.matchesShared += int64(len(matches)) * int64(sp.nsubs-1)
-		if matchSpan != nil {
-			matchSpan.Annotate(obs.L("matches", strconv.Itoa(len(matches))))
-		}
-		matchSpan.End()
-		tr.mark(&tr.match)
 		fanSpan := e.startPlanSpan("finalize.fanout", planSpan)
 		for _, bi := range sp.bands {
 			db := due[bi]
-			for _, s := range db.subs {
+			// One sweep per run of members sharing an emitted bound — the
+			// whole band, except in the round a late joiner catches up.
+			for rest := db.subs; len(rest) > 0; {
+				n := 1
+				for n < len(rest) && rest[n].emitted == rest[0].emitted {
+					n++
+				}
 				ct := rc.now()
-				d0 := s.detections
-				e.enumerateBand(g, s, matches, db.hi, w, true)
-				rc.sample(db.group, s, ct, s.detections-d0)
+				e.sweepBand(g, rest[:n], db.hi, w, walk)
+				rc.sample(db.group, rest[:n], ct)
+				rest = rest[n:]
 			}
 		}
 		fanSpan.End()
@@ -285,37 +299,50 @@ func (e *Engine) finalize(terminal bool) {
 	e.applyCostLocked(&rc)
 }
 
-// enumerateBand advances one subscription's emitted bound to hi,
-// enumerating its newly closed anchor band (emitted, hi] over g and
-// collecting detections into e.pending. With shared set the band replays
-// the shape's collected match list (planner fan-out); otherwise it streams
-// the fused phase-P1 walk itself. The caller holds mu.
-func (e *Engine) enumerateBand(g *temporal.Graph, s *subState, matches []match.Match, hi, w int64, shared bool) {
-	lo := satAdd(s.emitted, 1)
-	p := core.Params{Delta: s.sub.Delta, Phi: s.sub.Phi, Workers: e.workers}
+// p2Walk is the phase-P2 run a sweep drives: the fused walk for a shape's
+// only consumer, core.SweepMatchesRange over the shape's match list
+// otherwise.
+type p2Walk func(p core.Params, phis []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error)
+
+// sweepBand advances subs — due members of one plan group that share an
+// emitted bound, φ-ascending — to hi with a single phase-P2 run over their
+// newly closed anchor band (emitted, hi] at the smallest φ, collecting
+// detections into e.pending: an instance's payload is built once, and the
+// members whose φ it meets (a prefix of subs) each get a header of their
+// own over it. The caller holds mu.
+//
+//flowmotif:hotpath
+func (e *Engine) sweepBand(g *temporal.Graph, subs []*subState, hi, w int64, walk p2Walk) {
+	phis := make([]float64, len(subs))
+	for i, s := range subs {
+		phis[i] = s.sub.Phi
+		s.bandEmits = 0
+	}
+	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0], Workers: e.workers}
 	// With Workers > 1 the visitor runs concurrently; bandMu guards the
 	// pending list and counters (mu is held but not by the workers).
 	var bandMu sync.Mutex
-	visit := func(in *core.Instance) bool {
-		d := e.detection(g, s, in, w)
+	_, err := walk(p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
+		payload := detectionPayload(g, in, w)
 		bandMu.Lock()
-		s.detections++
-		e.detections++
-		e.pending = append(e.pending, d)
+		for _, s := range subs[:admitted] {
+			d := payload
+			d.Sub, d.Motif = s.sub.ID, s.sub.Motif.Name()
+			s.bandEmits++
+			e.pending = append(e.pending, &d)
+		}
 		bandMu.Unlock()
 		return true
-	}
-	var err error
-	if shared {
-		_, err = core.EnumerateMatchesRange(g, s.sub.Motif, matches, p, lo, hi, visit)
-	} else {
-		_, err = core.EnumerateRange(g, s.sub.Motif, p, lo, hi, visit)
-	}
+	})
 	if err != nil {
 		// Unreachable: params were validated when the subscription was added.
 		panic(fmt.Sprintf("stream: enumerate: %v", err))
 	}
-	s.bands++
-	e.bandsTotal++
-	s.emitted = hi
+	for _, s := range subs {
+		s.detections += s.bandEmits
+		e.detections += s.bandEmits
+		s.bands++
+		e.bandsTotal++
+		s.emitted = hi
+	}
 }

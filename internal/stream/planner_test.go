@@ -20,7 +20,12 @@ import (
 // bleed. The stream additionally churns membership mid-flight: one
 // shared-shape subscription is removed and re-added through the handoff
 // protocol, and a fresh subscription joins unprimed ("from now on"). The
-// whole scenario runs with serial and parallel workers.
+// δ=500 triangles form one sweep group of five thresholds (six with the
+// late joiner): the member that leaves and comes back is its smallest φ —
+// the threshold the sweep runs at — resuming from an Emitted behind its
+// group-mates, and the late joiner's bound sits ahead of theirs, so for one
+// round the group's due band holds two emitted bounds. The whole scenario
+// runs with serial and parallel workers.
 func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 	evs := streamEvents(t, 21)
 	g, err := temporal.NewGraph(evs)
@@ -35,6 +40,7 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 		phi   float64
 	}{
 		{200, 0}, {200, 3}, {500, 0}, {500, 5}, {900, 2}, {900, 0},
+		{500, 2}, {500, 5}, {500, 3.5},
 	}
 	var subs []Subscription
 	for i, c := range combos {
@@ -98,6 +104,9 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if rem.Sub.Delta != 500 || rem.Sub.Phi != 0 {
+				t.Fatalf("tri2 is (δ=%d, φ=%v), want its group's smallest φ", rem.Sub.Delta, rem.Sub.Phi)
+			}
 			// Stream on for a bounded stretch (< the survivors' retention
 			// horizon) so the handoff's catch-up still meets the engine's
 			// retained suffix when the subscription comes back.
@@ -124,6 +133,11 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 			}
 			if err := eng.AddSubscription(late, AddOptions{}); err != nil {
 				t.Fatal(err)
+			}
+			for _, s := range eng.Stats().Subs {
+				if s.ID == "tri3" && s.EmittedThrough >= wJoin {
+					t.Fatalf("late joiner's bound %d is not ahead of its group-mates' %d", wJoin, s.EmittedThrough)
+				}
 			}
 			feed(evs[twoThirds:], 10)
 			eng.Flush()

@@ -25,10 +25,12 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,7 +85,10 @@ type Config struct {
 }
 
 // Detection is one finalized maximal motif instance, self-contained (it
-// embeds the matched events, not indices into some graph snapshot).
+// embeds the matched events, not indices into some graph snapshot). The
+// struct itself belongs to whoever receives it; Nodes, Edges and EdgeFlows
+// are read-only: an instance that several subscriptions of a plan group
+// admit is built once, and their detections point at the same arrays.
 type Detection struct {
 	Sub        string             `json:"sub"`
 	Motif      string             `json:"motif"`
@@ -97,10 +102,13 @@ type Detection struct {
 }
 
 // Sink receives detections. Emit is called with a freshly allocated
-// Detection that the sink may retain. The engine serializes Emit calls,
-// in finalization order, outside its ingestion lock: a sink may query the
-// engine (Stats, Watermark, Subscriptions) from within Emit, but must not
-// call Ingest or Flush there (self-deadlock).
+// Detection that the sink may retain and whose scalar fields it may set,
+// but whose Nodes, Edges and EdgeFlows it must not write through — they
+// may be shared with detections of other subscriptions (see Detection).
+// The engine serializes Emit calls, in finalization order, outside its
+// ingestion lock: a sink may query the engine (Stats, Watermark,
+// Subscriptions) from within Emit, but must not call Ingest or Flush there
+// (self-deadlock).
 type Sink interface {
 	Emit(d *Detection)
 }
@@ -166,6 +174,7 @@ type subState struct {
 	primed     bool
 	detections int64
 	bands      int64
+	bandEmits  int64        // detections of its latest band (sweepBand scratch)
 	cost       subCostState // attribution account (cost.go)
 }
 
@@ -222,7 +231,7 @@ type Engine struct {
 	curSpan *obs.TraceSpan
 
 	scratch []temporal.Event // reused per-batch sort buffer
-	pending []*Detection     // finalized this call, emitted after mu release
+	pending []*Detection     // finalized this call, emitted after mu release; array reused (ingestMu)
 
 	// appendHook, when set (tests only), runs before the i-th event of a
 	// batch is appended; an error simulates a mid-batch append failure.
@@ -375,7 +384,7 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 	// batch is only read — the log copies events on append). Unordered
 	// batches take the sort path through the reusable scratch buffer.
 	batch := events
-	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].T < events[j].T }) {
+	if !slices.IsSortedFunc(events, func(a, b temporal.Event) int { return cmp.Compare(a.T, b.T) }) {
 		e.scratch = append(e.scratch[:0], events...)
 		batch = e.scratch
 		sort.SliceStable(batch, func(i, j int) bool { return batch[i].T < batch[j].T })
@@ -494,8 +503,11 @@ func (e *Engine) FlushTraced(parent obs.SpanContext) Ack {
 // (sinks may read engine state) while the surrounding ingestMu preserves
 // finalization order across concurrent callers.
 func (e *Engine) emitPending() {
+	// The backing array is kept for the next call: only finalize appends to
+	// it, under ingestMu like this drain, and the drained pointers are
+	// cleared below so the array pins no emitted detection.
 	pend := e.pending
-	e.pending = nil
+	e.pending = pend[:0]
 	arrived := e.arrivedAt
 	root := e.curSpan
 	e.curSpan = nil
@@ -520,18 +532,18 @@ func (e *Engine) emitPending() {
 	}
 	sp.End()
 	es.End()
+	n := len(pend)
+	clear(pend)
 	if lagH := e.mx.lagHist(); lagH != nil && !arrived.IsZero() {
 		// All of the batch's detections reach the sink in this one drain;
 		// they share the batch's arrival → emit lag. The first observation
 		// offers the batch's trace as the histogram exemplar.
 		lag := time.Since(arrived).Seconds()
 		lagH.ObserveExemplar(lag, root.Context().Trace)
-		for i := 1; i < len(pend); i++ {
-			lagH.Observe(lag)
-		}
+		lagH.ObserveN(lag, uint64(n-1))
 	}
 	if root != nil {
-		root.Annotate(obs.L("detections", strconv.Itoa(len(pend))))
+		root.Annotate(obs.L("detections", strconv.Itoa(n)))
 	}
 	root.End()
 }
@@ -566,19 +578,26 @@ func (e *Engine) appendEvent(ev temporal.Event, i int) error {
 	return e.log.Append(ev)
 }
 
-// detection converts a band-graph instance into a self-contained Detection.
-func (e *Engine) detection(g *temporal.Graph, s *subState, in *core.Instance, watermark int64) *Detection {
+// detectionPayload converts a band-graph instance into a self-contained
+// Detection with Sub and Motif left for the receiving subscription to fill
+// in: every subscriber of the instance copies the header and shares the
+// slices (in's own Nodes and EdgeFlows, and one events array cut per edge).
+func detectionPayload(g *temporal.Graph, in *core.Instance, watermark int64) Detection {
+	n := 0
+	for _, sp := range in.Spans {
+		n += int(sp.End - sp.Start)
+	}
+	events := make([]temporal.Point, 0, n)
 	edges := make([][]temporal.Point, len(in.Arcs))
 	for i, a := range in.Arcs {
 		sp := in.Spans[i]
-		edges[i] = append([]temporal.Point(nil), g.Series(a)[sp.Start:sp.End]...)
+		events = append(events, g.Series(a)[sp.Start:sp.End]...)
+		edges[i] = events[len(events)-int(sp.End-sp.Start) : len(events) : len(events)]
 	}
-	return &Detection{
-		Sub:        s.sub.ID,
-		Motif:      s.sub.Motif.Name(),
-		Nodes:      append([]temporal.NodeID(nil), in.Nodes...),
+	return Detection{
+		Nodes:      in.Nodes,
 		Edges:      edges,
-		EdgeFlows:  append([]float64(nil), in.EdgeFlows...),
+		EdgeFlows:  in.EdgeFlows,
 		Flow:       in.Flow,
 		Start:      in.Start,
 		End:        in.End,
