@@ -130,7 +130,7 @@ func (s *EnumStats) add(o *EnumStats) {
 }
 
 // matchSource abstracts where structural matches come from: streamed from
-// the temporally pruned phase-P1 walk (fusedSource) or replayed from a
+// the temporally pruned phase-P1 walk (walkSource) or replayed from a
 // pre-collected slice (instrumented two-step mode).
 type matchSource func(fn match.Visitor)
 

@@ -14,7 +14,7 @@ import (
 // faithfully implementing the O(τ²·m)-per-window recurrence of Equation 2.
 // It returns 0 when the motif has no instance.
 func TopOneDP(g *temporal.Graph, mo *motif.Motif, delta int64) (float64, EnumStats, error) {
-	return topOneDP(g, mo, fusedSource(g, mo, delta), delta, false, nil)
+	return topOneDP(g, mo, fullWalk(g, mo, delta), delta, false, nil)
 }
 
 // TopOneDPFast is TopOneDP with an optimized inner maximization: for fixed
@@ -23,7 +23,7 @@ func TopOneDP(g *temporal.Graph, mo *motif.Motif, delta int64) (float64, EnumSta
 // O(τ log τ · m) per window. Results are identical to TopOneDP; the pair is
 // benchmarked as an ablation (see DESIGN.md §6).
 func TopOneDPFast(g *temporal.Graph, mo *motif.Motif, delta int64) (float64, EnumStats, error) {
-	return topOneDP(g, mo, fusedSource(g, mo, delta), delta, true, nil)
+	return topOneDP(g, mo, fullWalk(g, mo, delta), delta, true, nil)
 }
 
 // TopOneDPMatches runs the DP module over pre-collected structural matches
@@ -39,7 +39,7 @@ func TopOneDPMatches(g *temporal.Graph, mo *motif.Motif, matches []match.Match, 
 // instance when the motif has no instance.
 func TopOneDPInstance(g *temporal.Graph, mo *motif.Motif, delta int64) (float64, *Instance, error) {
 	var best *Instance
-	flow, _, err := topOneDP(g, mo, fusedSource(g, mo, delta), delta, false, func(in *Instance) {
+	flow, _, err := topOneDP(g, mo, fullWalk(g, mo, delta), delta, false, func(in *Instance) {
 		best = in
 	})
 	return flow, best, err
@@ -171,7 +171,7 @@ func (r *dpRunner) run(mt *match.Match, report func(windowStart int64, flow floa
 			}
 			tprev = s[idx].T
 		}
-		aStart = sort.Search(len(s0), func(k int) bool { return s0[k].T+r.delta >= tprev })
+		aStart = sort.Search(len(s0), func(k int) bool { return temporal.SatAdd(s0[k].T, r.delta) >= tprev })
 		if aStart == len(s0) {
 			return
 		}
@@ -182,7 +182,7 @@ func (r *dpRunner) run(mt *match.Match, report func(windowStart int64, flow floa
 			break
 		}
 		ts := s0[a].T
-		te := ts + r.delta
+		te := temporal.SatAdd(ts, r.delta)
 		r.stats.Anchors++
 		for j := 1; j < m; j++ {
 			s := r.series[j]
@@ -205,7 +205,7 @@ func (r *dpRunner) run(mt *match.Match, report func(windowStart int64, flow floa
 		}
 		// Same maximality skip rule as enumeration: any instance here has a
 		// superset (with at least the flow) in an earlier window.
-		if a > 0 && last[r.ub[m-1]-1].T <= s0[a-1].T+r.delta {
+		if a > 0 && last[r.ub[m-1]-1].T <= temporal.SatAdd(s0[a-1].T, r.delta) {
 			r.stats.WindowsSkipped++
 			continue
 		}

@@ -23,7 +23,7 @@ func Enumerate(g *temporal.Graph, mo *motif.Motif, p Params, visit Visitor) (Enu
 	if p.Workers > 1 {
 		return enumerateParallel(g, mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit))
 	}
-	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
+	return enumerate(g, fullWalk(g, mo, p.Delta), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
 }
 
 // EnumerateMatches runs phase P2 only, over pre-collected structural
@@ -79,19 +79,21 @@ func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFu
 		go func() {
 			defer wg.Done()
 			e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
+			// One walker per worker; start nodes are the sharding unit.
+			w := newPathWalker(g, mo, p.Delta, anchorLo, anchorHi, func(m *match.Match) bool {
+				e.stats.Matches++
+				e.run(m)
+				if e.stopped {
+					stopped.Store(true)
+				}
+				return !stopped.Load()
+			})
 			for !stopped.Load() {
 				u := next.Add(1) - 1
 				if u >= int64(g.NumNodes()) {
 					break
 				}
-				fusedFrom(g, mo, p.Delta, temporal.NodeID(u), func(m *match.Match) bool {
-					e.stats.Matches++
-					e.run(m)
-					if e.stopped {
-						stopped.Store(true)
-					}
-					return !stopped.Load()
-				})
+				w.from(temporal.NodeID(u))
 			}
 			mu.Lock()
 			total.add(&e.stats)
@@ -202,7 +204,7 @@ func (e *matchEnum) run(mt *match.Match) {
 		}
 		// Windows ending before the chain's minimal completion time are
 		// dead; jump straight to the first anchor that can reach it.
-		aStart = sort.Search(len(s0), func(k int) bool { return s0[k].T+e.delta >= tprev })
+		aStart = sort.Search(len(s0), func(k int) bool { return temporal.SatAdd(s0[k].T, e.delta) >= tprev })
 		if aStart == len(s0) {
 			return
 		}
@@ -228,7 +230,7 @@ func (e *matchEnum) run(mt *match.Match) {
 			break // no final-edge event can follow this anchor
 		}
 		ts := s0[a].T
-		te := ts + e.delta
+		te := temporal.SatAdd(ts, e.delta)
 		e.stats.Anchors++
 
 		// Advance the monotone window bounds.
@@ -256,7 +258,7 @@ func (e *matchEnum) run(mt *match.Match) {
 		// ...and, for maximality, one beyond the previous anchor's reach
 		// (window skip rule): otherwise every combo of this window extends
 		// backwards with the previous first-edge event.
-		if a > 0 && last[e.ub[m-1]-1].T <= s0[a-1].T+e.delta {
+		if a > 0 && last[e.ub[m-1]-1].T <= temporal.SatAdd(s0[a-1].T, e.delta) {
 			e.stats.WindowsSkipped++
 			continue
 		}

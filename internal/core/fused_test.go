@@ -32,7 +32,7 @@ func TestFusedSourceSubsetOfMatches(t *testing.T) {
 					return true
 				})
 				var fusedKeys []string
-				fusedSource(g, mo, delta)(func(m *match.Match) bool {
+				fullWalk(g, mo, delta)(func(m *match.Match) bool {
 					fusedKeys = append(fusedKeys, fmt.Sprint(m.Arcs))
 					return true
 				})
@@ -86,7 +86,7 @@ func TestFusedAnchorRestoration(t *testing.T) {
 	}
 	mo := motif.MustPath(0, 1, 2)
 	var got []string
-	fusedSource(g, mo, 20)(func(m *match.Match) bool {
+	fullWalk(g, mo, 20)(func(m *match.Match) bool {
 		got = append(got, fmt.Sprint(m.Nodes))
 		return true
 	})
@@ -99,7 +99,7 @@ func TestFusedAnchorRestoration(t *testing.T) {
 	// temporally feasible... both chains span 2-5 units, so both survive a
 	// tiny δ; with δ=1 neither does.
 	got = nil
-	fusedSource(g, mo, 1)(func(m *match.Match) bool {
+	fullWalk(g, mo, 1)(func(m *match.Match) bool {
 		got = append(got, fmt.Sprint(m.Nodes))
 		return true
 	})

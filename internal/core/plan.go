@@ -1,9 +1,10 @@
 package core
 
 // This file holds the shared-evaluation entry points for the streaming
-// planner (internal/stream, DESIGN.md §11): phase P1 is run once per motif
-// shape and its match list fanned out to many phase-P2 enumerations with
-// per-subscription (δ, φ, anchor band) parameters.
+// planner (internal/stream, DESIGN.md §11): phase P1 is one walk per
+// finalize round (WalkMatches, walk.go) and each shape's match list is
+// fanned out to many phase-P2 enumerations with per-subscription (δ, φ,
+// anchor band) parameters.
 
 import (
 	"errors"
@@ -17,23 +18,20 @@ import (
 )
 
 // CollectMatches materializes the structural matches of mo in g that
-// survive temporal-feasibility pruning at duration delta (the fused
-// phase-P1 walk, fused.go). A match is kept iff some anchored strictly
-// increasing event chain fits inside a delta window — a necessary
-// condition for any instance under any δ' <= delta — so one list collected
-// at the largest δ of a shape's plan groups serves every group of that
-// shape: EnumerateMatchesRange with a smaller Delta over the list yields
-// exactly what a fresh search at that Delta would.
+// survive temporal-feasibility pruning at duration delta, over every
+// anchor (WalkMatches with one target and the full range). A match is kept
+// iff some anchored strictly increasing event chain fits inside a delta
+// window — a necessary condition for any instance under any δ' <= delta —
+// so a list collected at the largest δ of a shape's plan groups serves
+// every group of that shape: EnumerateMatchesRange with a smaller Delta
+// over the list yields exactly what a fresh search at that Delta would.
 func CollectMatches(g *temporal.Graph, mo *motif.Motif, delta int64) ([]match.Match, error) {
 	if err := (Params{Delta: delta}).validate(); err != nil {
 		return nil, err
 	}
-	var out []match.Match
-	fusedSource(g, mo, delta)(func(m *match.Match) bool {
-		out = append(out, m.Clone())
-		return true
-	})
-	return out, nil
+	var slab MatchSlab
+	fullWalk(g, mo, delta)(slab.Add)
+	return slab.Matches(), nil
 }
 
 // EnumerateMatchesRange runs phase P2 over a pre-collected match list with

@@ -20,7 +20,7 @@ import (
 // flow descending (ties broken by start time, then node binding, for
 // determinism). Fewer than k instances are returned if the graph has fewer.
 func TopK(g *temporal.Graph, mo *motif.Motif, delta int64, k int, workers int) ([]*Instance, EnumStats, error) {
-	return topK(g, mo, fusedSource(g, mo, delta), delta, k, workers)
+	return topK(g, mo, fullWalk(g, mo, delta), delta, k, workers)
 }
 
 // TopKMatches is TopK over pre-collected structural matches (instrumented

@@ -28,7 +28,7 @@ func EnumerateRange(g *temporal.Graph, mo *motif.Motif, p Params, anchorLo, anch
 	if p.Workers > 1 {
 		return enumerateParallel(g, mo, p, pass, anchorLo, anchorHi, plain(visit))
 	}
-	return enumerate(g, fusedSource(g, mo, p.Delta), mo, p, pass, anchorLo, anchorHi, plain(visit)), nil
+	return enumerate(g, walkSource(g, mo, p.Delta, anchorLo, anchorHi), mo, p, pass, anchorLo, anchorHi, plain(visit)), nil
 }
 
 // CollectRange materializes the instances EnumerateRange streams.

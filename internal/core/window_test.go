@@ -200,3 +200,66 @@ func collectParallelKeys(t *testing.T, g *temporal.Graph, mo *motif.Motif, p Par
 	}
 	return keys
 }
+
+// TestWindowArithmeticSaturates: anchor+δ saturates instead of wrapping, so
+// a triangle sitting at either end of the int64 timeline is found like the
+// same triangle anywhere else — by the enumerator (serial and sharded),
+// top-k and the DP module.
+func TestWindowArithmeticSaturates(t *testing.T) {
+	mo := motif.MustPath(0, 1, 2, 0)
+	for _, base := range []int64{1000, math.MaxInt64 - 8, math.MinInt64} {
+		g, err := temporal.NewGraph([]temporal.Event{
+			{From: 0, To: 1, T: base, F: 2},
+			{From: 1, To: 2, T: base + 2, F: 3},
+			{From: 2, To: 0, T: base + 4, F: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			n, _, err := Count(g, mo, Params{Delta: 10, Phi: 1, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 1 {
+				t.Errorf("base %d workers %d: Count = %d, want 1", base, workers, n)
+			}
+		}
+		if ins, err := CollectRange(g, mo, Params{Delta: 10}, base, base); err != nil || len(ins) != 1 {
+			t.Errorf("base %d: CollectRange over the anchor = %d instances (err %v), want 1", base, len(ins), err)
+		}
+		if top, _, err := TopK(g, mo, 10, 1, 1); err != nil || len(top) != 1 || top[0].Flow != 2 {
+			t.Errorf("base %d: TopK = %v (err %v), want the flow-2 triangle", base, top, err)
+		}
+		if flow, _, err := TopOneDPFast(g, mo, 10); err != nil || flow != 2 {
+			t.Errorf("base %d: TopOneDPFast = %v (err %v), want 2", base, flow, err)
+		}
+	}
+}
+
+// TestMaximalityIsDeltaRelative is the counter-example that rules out
+// answering a small-δ subscription from a large-δ enumeration filtered
+// down: an instance maximal at δ=300 is a proper sub-instance of the one
+// the same events form at δ=900, whose window the skip rule then drops, so
+// the δ=900 enumeration does not contain it.
+func TestMaximalityIsDeltaRelative(t *testing.T) {
+	g, err := temporal.NewGraph([]temporal.Event{
+		{From: 0, To: 1, T: 0, F: 1},
+		{From: 0, To: 1, T: 400, F: 1},
+		{From: 1, To: 2, T: 500, F: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := motif.MustPath(0, 1, 2)
+	full := int64(math.MaxInt64)
+	small := collectKeys(t, g, mo, Params{Delta: 300}, math.MinInt64, full)
+	large := collectKeys(t, g, mo, Params{Delta: 900}, math.MinInt64, full)
+	const atSmall, atLarge = "N[0 1 2]|e0;400:1|e1;500:1", "N[0 1 2]|e0;0:1;400:1|e1;500:1"
+	if len(small) != 1 || !small[atSmall] {
+		t.Fatalf("δ=300 instances = %v, want only %s", small, atSmall)
+	}
+	if len(large) != 1 || !large[atLarge] {
+		t.Fatalf("δ=900 instances = %v, want only %s", large, atLarge)
+	}
+}

@@ -2,16 +2,16 @@ package stream
 
 // Per-subscription cost attribution (DESIGN.md §14). The shared-evaluation
 // planner deliberately blurs who pays for what: one snapshot and one
-// phase-P1 match run serve a whole plan group, so a subscription's real
+// phase-P1 walk serve every due subscription, so a subscription's real
 // cost is invisible to per-call accounting. This file meters each finalize
-// round's actual work — union snapshot build, per-shape private graphs and
-// match runs, every plan group's phase-P2 sweep — splits each sweep across
-// its members by the detections they received, and splits the shared stage
-// costs back onto member subscriptions proportionally to that fan-out time
-// (equal split when a round's fan-outs are all under the clock
-// resolution). The attributed totals surface as SubCost/GroupCostStats in
-// Stats, as flowmotif_sub_cost_seconds_total{shape,sub} and
-// flowmotif_group_cost_seconds_total{delta,shape} counters, and feed
+// round's actual work — snapshot build, the phase-P1 walk, every plan
+// group's phase-P2 sweep — splits the walk across shapes by the matches it
+// delivered to each and each sweep across its members by the detections
+// they received, and splits the shared stage costs back onto member
+// subscriptions proportionally to their fan-out time (equal split when the
+// weights are all zero). The attributed totals surface as SubCost and
+// GroupCostStats in Stats, as flowmotif_sub_cost_seconds_total{shape,sub}
+// and flowmotif_group_cost_seconds_total{delta,shape} counters, and feed
 // GET /debug/top.
 
 import (
@@ -114,18 +114,17 @@ func (e *Engine) attachCostLocked(s *subState, g *planGroup) {
 type roundCost struct {
 	on     bool //flowmotif:obsgate
 	t0     time.Time
-	snapNs int64 // union snapshot build
+	snapNs int64 // snapshot build
+	walkNs int64 // the round's phase-P1 walk, all shapes
 	shapes []shapeCost
 	cur    *shapeCost
 }
 
-// shapeCost is one shape's shared work in a round: a private sliver graph
-// (if any), the phase-P1 match run, and the per-subscription fan-outs the
-// shared cost is split across.
+// shapeCost is one shape's part of a round: the matches the walk delivered
+// to it (its weight in the walk's time) and the per-subscription fan-outs
+// its share is split across.
 type shapeCost struct {
-	snapNs  int64
-	matchNs int64
-	matches int // shared match-list length (0: fused single-consumer walk)
+	matches int
 	samples []costSample
 }
 
@@ -161,27 +160,20 @@ func (rc *roundCost) addSnap(t0 time.Time) {
 	}
 }
 
-// shape opens a new per-shape account; later addShapeSnap/addMatch/sample
-// calls land in it.
-func (rc *roundCost) shape() {
+func (rc *roundCost) addWalk(t0 time.Time) {
+	if rc.on {
+		rc.walkNs += time.Since(t0).Nanoseconds()
+	}
+}
+
+// shape opens the account of the next shape, to which the walk delivered
+// the given number of matches; later sample calls land in it.
+func (rc *roundCost) shape(matches int) {
 	if !rc.on {
 		return
 	}
-	rc.shapes = append(rc.shapes, shapeCost{})
+	rc.shapes = append(rc.shapes, shapeCost{matches: matches})
 	rc.cur = &rc.shapes[len(rc.shapes)-1]
-}
-
-func (rc *roundCost) addShapeSnap(t0 time.Time) {
-	if rc.on {
-		rc.cur.snapNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-func (rc *roundCost) addMatch(t0 time.Time, matches int) {
-	if rc.on {
-		rc.cur.matchNs += time.Since(t0).Nanoseconds()
-		rc.cur.matches = matches
-	}
 }
 
 // sample records one sweep: a single clock read for the whole walk, split
@@ -209,10 +201,11 @@ func (rc *roundCost) sample(g *planGroup, subs []*subState, t0 time.Time) {
 
 // applyCostLocked performs the round's proportional split and folds it
 // into the per-subscription, per-group, and engine accounts plus the cost
-// counters. Shared stage costs split by fan-out time: a shape's private
-// graph and match run across that shape's fan-outs, the union snapshot
-// across every fan-out of the round; a round whose fan-outs are all under
-// the clock resolution splits equally. The caller holds mu.
+// counters. The walk's time splits across shapes by matches delivered,
+// then each shape's share across that shape's fan-outs by fan-out time;
+// the snapshot splits across every fan-out of the round. Weights that are
+// all zero (no matches; fan-outs under the clock resolution) split
+// equally. The caller holds mu.
 func (e *Engine) applyCostLocked(rc *roundCost) {
 	if !rc.on {
 		return
@@ -220,9 +213,10 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 	roundNs := time.Since(rc.t0).Nanoseconds()
 	now := time.Now()
 
-	var roundFan int64
+	var roundFan, roundMatches int64
 	var nSamples int
 	for i := range rc.shapes {
+		roundMatches += int64(rc.shapes[i].matches)
 		for _, sm := range rc.shapes[i].samples {
 			roundFan += sm.fanoutNs
 			nSamples++
@@ -231,10 +225,10 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 	if nSamples == 0 {
 		return
 	}
-	// weight returns sample share of a pool given the pool's fan-out total.
-	weight := func(fanNs int64, totalFan int64, n int) float64 {
-		if totalFan > 0 {
-			return float64(fanNs) / float64(totalFan)
+	// weight returns one part's share of a pool of n parts weighing total.
+	weight := func(part, total int64, n int) float64 {
+		if total > 0 {
+			return float64(part) / float64(total)
 		}
 		return 1 / float64(n)
 	}
@@ -243,17 +237,15 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 	var touched []*planGroup
 	for i := range rc.shapes {
 		sc := &rc.shapes[i]
+		matchNs := float64(rc.walkNs) * weight(int64(sc.matches), roundMatches, len(rc.shapes))
 		var shapeFan int64
 		for _, sm := range sc.samples {
 			shapeFan += sm.fanoutNs
 		}
 		for _, sm := range sc.samples {
-			ws := weight(sm.fanoutNs, shapeFan, len(sc.samples))
-			wr := weight(sm.fanoutNs, roundFan, nSamples)
-			matchShare := int64(float64(sc.matchNs) * ws)
-			shapeSnapShare := int64(float64(sc.snapNs) * ws)
-			unionSnapShare := int64(float64(rc.snapNs) * wr)
-			total := sm.fanoutNs + matchShare + shapeSnapShare + unionSnapShare
+			matchShare := int64(matchNs * weight(sm.fanoutNs, shapeFan, len(sc.samples)))
+			snapShare := int64(float64(rc.snapNs) * weight(sm.fanoutNs, roundFan, nSamples))
+			total := sm.fanoutNs + matchShare + snapShare
 
 			st := &sm.s.cost
 			st.attribNs += total
@@ -270,7 +262,7 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 			gc.attribNs += total
 			gc.fanoutNs += sm.fanoutNs
 			gc.matchNs += matchShare
-			gc.snapNs += shapeSnapShare + unionSnapShare
+			gc.snapNs += snapShare
 			gc.emits += sm.emits
 			gc.ctr.Add(sec)
 

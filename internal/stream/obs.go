@@ -69,13 +69,12 @@ func (e *Engine) startPlanSpan(name string, parent *obs.TraceSpan, attrs ...obs.
 	return e.tracer.StartSpan(name, parent.Context(), attrs...)
 }
 
-// roundTrace accumulates one finalize round's stage durations. The
-// stages interleave per shape (a sliver shape builds a private graph
-// mid-round), so each stage is a sum of marks, recorded once at round
-// end. It stays off — zero clock reads — unless metrics, tracing, or
-// slow-round logging want it. With tracing on it also carries the
-// round's real span ("finalize.round", child of the batch's root span),
-// the parent of the planner's stage spans.
+// roundTrace accumulates one finalize round's stage durations — snapshot
+// build, the phase-P1 walk, and the fan-out summed over shapes — recorded
+// once at round end. It stays off — zero clock reads — unless metrics,
+// tracing, or slow-round logging want it. With tracing on it also carries
+// the round's real span ("finalize.round", child of the batch's root
+// span), the parent of the planner's stage spans.
 type roundTrace struct {
 	on                  bool //flowmotif:obsgate
 	t0, last            time.Time

@@ -1,25 +1,25 @@
 package stream
 
-// The shared-evaluation planner (DESIGN.md §11). The engine's finalize
-// path used to evaluate each subscription in isolation: one band graph
-// built and one phase-P1 match walk run per subscription per round, O(subs
-// × window) even when thousands of subscriptions watch the same motif
-// shape. The planner replaces that with three levels of sharing:
+// The shared-evaluation planner (DESIGN.md §11). A finalize round evaluates
+// all due subscriptions together instead of one by one, sharing at every
+// level a round has:
 //
-//   - one snapshot per finalize round: a single arena-backed CSR graph
-//     over the union extent of every due anchor band (all groups read the
-//     same arena; each enumeration is narrowed to its own band by the
-//     anchor-range restriction, which is exact as long as the graph covers
-//     [band lo − δ, band hi + δ] — see core.EnumerateRange);
-//   - one phase-P1 run per motif shape: structural matches depend only on
-//     the shape, so the match list is collected once (fused-pruned at the
-//     shape's largest due δ, a superset for every smaller δ);
+//   - one snapshot per round: a single arena-backed CSR graph over the
+//     union extent of every due anchor band (every enumeration is narrowed
+//     to its own band by the anchor-range restriction, which is exact as
+//     long as the graph covers [band lo − δ, band hi + δ] — see
+//     core.EnumerateRange);
+//   - one phase-P1 walk per round (core.WalkMatches): the due shapes'
+//     spanning paths form a trie the walk descends once, anchored in the
+//     due bands only, delivering each shape its structural matches —
+//     pruned at the shape's largest due δ over the hull of its bands, a
+//     superset for every group of the shape;
 //   - one phase-P2 run per plan group (shape, δ): Algorithm 1 looks at φ
 //     only to reject edge-sets, so members that differ in φ alone ask for
-//     nested subsets of one instance list. The group sweeps the match list
-//     once at its smallest φ (core.SweepMatchesRange) and each instance
-//     goes to exactly the members whose φ it meets, all of them pointing
-//     at one detection payload.
+//     nested subsets of one instance list. The group sweeps its shape's
+//     match list once at its smallest φ (core.SweepMatchesRange) and each
+//     instance goes to exactly the members whose φ it meets, all of them
+//     pointing at one detection payload.
 //
 // Per-subscription (δ, φ) semantics are untouched — the sweep admits an
 // instance for a member on the very comparisons that member's own run
@@ -35,6 +35,8 @@ import (
 	"sync"
 
 	"flowmotif/internal/core"
+	"flowmotif/internal/match"
+	"flowmotif/internal/motif"
 	"flowmotif/internal/obs"
 	"flowmotif/internal/temporal"
 )
@@ -104,13 +106,23 @@ func (e *Engine) leaveGroupLocked(s *subState) {
 
 // dueBand is one plan group's work for a finalize round: the members whose
 // emitted bound trails the newly closed anchor bound hi (φ-ascending, like
-// the group), and the graph extent their bands need ([lo−δ, hi+δ], see
-// core.EnumerateRange).
+// the group) and the anchor range [lo, hi] they close between them.
 type dueBand struct {
-	group    *planGroup
-	subs     []*subState
-	hi       int64
-	gLo, gHi int64 // band graph extent
+	group  *planGroup
+	subs   []*subState
+	lo, hi int64
+}
+
+// shapePlan is one shape's part of a round: the due bands watching it and
+// what phase P1 must cover for them — their largest δ and the hull of
+// their anchor ranges, a superset condition for each.
+type shapePlan struct {
+	shape    string
+	mo       *motif.Motif
+	bands    []int // indices into the round's due bands
+	nsubs    int
+	maxDelta int64
+	lo, hi   int64
 }
 
 // finalize enumerates, for every subscription, the anchor band of newly
@@ -124,8 +136,11 @@ func (e *Engine) finalize(terminal bool) {
 		return
 	}
 
-	// Collect the round's due bands and the union snapshot extent.
+	// Collect the round's due bands, bucketed by shape (first-seen order,
+	// so finalization order is deterministic), and the union snapshot
+	// extent: each band needs the events of [lo−δ, hi+δ] (DESIGN.md §7).
 	var due []dueBand
+	var plans []shapePlan
 	snapLo, snapHi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, g := range e.groups {
 		hi := w
@@ -139,21 +154,25 @@ func (e *Engine) finalize(terminal bool) {
 				continue
 			}
 			members = append(members, s)
-			if l := satAdd(s.emitted, 1); l < lo {
-				lo = l
-			}
+			lo = min(lo, satAdd(s.emitted, 1))
 		}
 		if len(members) == 0 {
 			continue
 		}
-		gLo, gHi := satSub(lo, g.key.delta), satAdd(hi, g.key.delta)
-		due = append(due, dueBand{group: g, subs: members, hi: hi, gLo: gLo, gHi: gHi})
-		if gLo < snapLo {
-			snapLo = gLo
+		due = append(due, dueBand{group: g, subs: members, lo: lo, hi: hi})
+		snapLo = min(snapLo, satSub(lo, g.key.delta))
+		snapHi = max(snapHi, satAdd(hi, g.key.delta))
+
+		i := slices.IndexFunc(plans, func(sp shapePlan) bool { return sp.shape == g.key.shape })
+		if i < 0 {
+			i = len(plans)
+			plans = append(plans, shapePlan{shape: g.key.shape, mo: members[0].sub.Motif, lo: lo, hi: hi})
 		}
-		if gHi > snapHi {
-			snapHi = gHi
-		}
+		sp := &plans[i]
+		sp.bands = append(sp.bands, len(due)-1)
+		sp.nsubs += len(members)
+		sp.maxDelta = max(sp.maxDelta, g.key.delta)
+		sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
 	}
 	if len(due) == 0 {
 		return
@@ -181,100 +200,53 @@ func (e *Engine) finalize(terminal bool) {
 	snapSpan.End()
 	tr.mark(&tr.snap)
 
-	// Bucket the due groups by shape (first-seen order, so finalization
-	// order is deterministic) and run phase P1 once per shape.
-	type shapePlan struct {
-		maxDelta int64
-		bands    []int // indices into due
-		nsubs    int
-		lo, hi   int64 // union graph extent of the shape's bands
+	// Phase P1, one walk per round: every due shape's matches, band-
+	// anchored, into that shape's slab (storage recycled like the arena's).
+	matchSpan := e.startPlanSpan("finalize.match", tr.span)
+	ct = rc.now()
+	for len(e.slabs) < len(plans) {
+		e.slabs = append(e.slabs, new(core.MatchSlab))
 	}
-	var order []string
-	plans := map[string]*shapePlan{}
-	for i := range due {
-		k := due[i].group.key
-		sp := plans[k.shape]
-		if sp == nil {
-			sp = &shapePlan{lo: due[i].gLo, hi: due[i].gHi}
-			plans[k.shape] = sp
-			order = append(order, k.shape)
-		}
-		sp.bands = append(sp.bands, i)
-		sp.nsubs += len(due[i].subs)
-		if k.delta > sp.maxDelta {
-			sp.maxDelta = k.delta
-		}
-		if due[i].gLo < sp.lo {
-			sp.lo = due[i].gLo
-		}
-		if due[i].gHi > sp.hi {
-			sp.hi = due[i].gHi
-		}
+	targets := make([]core.WalkTarget, len(plans))
+	for i := range plans {
+		sp := &plans[i]
+		e.slabs[i].Reset()
+		targets[i] = core.WalkTarget{Motif: sp.mo, Delta: sp.maxDelta, AnchorLo: sp.lo, AnchorHi: sp.hi, Visit: e.slabs[i].Add}
 	}
-	for _, shape := range order {
-		sp := plans[shape]
-		// One span per plan-group run: which shape, at what δ, for how many
-		// consumers — the unit a slow round decomposes into.
+	if err := core.WalkMatches(snap, targets); err != nil {
+		// Unreachable: δ was validated when the subscription was added.
+		panic(fmt.Sprintf("stream: walk matches: %v", err))
+	}
+	e.matchRuns++
+	rc.addWalk(ct)
+	total := 0
+	for i := range plans {
+		n := e.slabs[i].Len()
+		total += n
+		e.matchesShared += int64(n) * int64(plans[i].nsubs-1)
+	}
+	if matchSpan != nil {
+		matchSpan.Annotate(obs.L("shapes", strconv.Itoa(len(plans))), obs.L("matches", strconv.Itoa(total)))
+	}
+	matchSpan.End()
+	tr.mark(&tr.match)
+
+	// Phase P2: every due group sweeps its shape's list over its own band.
+	for i := range plans {
+		sp := &plans[i]
+		matches := e.slabs[i].Matches()
+		rc.shape(len(matches))
+		// One span per shape: at what δ, for how many consumers — the unit
+		// a slow round decomposes into.
 		var planSpan *obs.TraceSpan
 		if tr.span != nil {
 			planSpan = e.startPlanSpan("finalize.plan", tr.span,
-				obs.L("shape", shape),
+				obs.L("shape", sp.shape),
 				obs.L("delta", strconv.FormatInt(sp.maxDelta, 10)),
 				obs.L("subs", strconv.Itoa(sp.nsubs)),
-				obs.L("bands", strconv.Itoa(len(sp.bands))))
+				obs.L("bands", strconv.Itoa(len(sp.bands))),
+				obs.L("matches", strconv.Itoa(len(matches))))
 		}
-		// A shape whose own extent is a sliver of the union snapshot (a
-		// small-δ shape sharing the round with a much larger δ) would pay
-		// the big window's phase-P1 cost for nothing: give it a private
-		// band graph instead. The cutoff is measured in retained events
-		// (two binary searches), and both paths are exact — the
-		// equivalence oracle runs them all — so this is purely a cost
-		// policy.
-		rc.shape()
-		g := snap
-		if 4*len(e.log.Range(sp.lo, sp.hi)) < snap.NumEvents() {
-			ct := rc.now()
-			sg, err := e.log.BuildGraph(sp.lo, sp.hi)
-			if err != nil {
-				// Unreachable: the log only holds validated events.
-				panic(fmt.Sprintf("stream: shape snapshot: %v", err))
-			}
-			rc.addShapeSnap(ct)
-			e.snapshotBuilds++
-			g = sg
-			tr.mark(&tr.snap)
-		}
-		// A shape with a single consumer streams fused matches straight
-		// into phase P2 without materializing them (the pre-planner fast
-		// path; the fused P1+P2 walk is not stage-separable, it lands in
-		// fanout). Any other shape collects its match list once and every
-		// due group sweeps it.
-		mo := due[sp.bands[0]].subs[0].sub.Motif
-		var walk p2Walk
-		if sp.nsubs == 1 {
-			walk = func(p core.Params, _ []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error) {
-				return core.EnumerateRange(g, mo, p, lo, hi, func(in *core.Instance) bool { return visit(in, 1) })
-			}
-		} else {
-			matchSpan := e.startPlanSpan("finalize.match", planSpan)
-			ct = rc.now()
-			matches, err := core.CollectMatches(g, mo, sp.maxDelta)
-			if err != nil {
-				// Unreachable: δ was validated when the subscription was added.
-				panic(fmt.Sprintf("stream: collect matches: %v", err))
-			}
-			rc.addMatch(ct, len(matches))
-			e.matchesShared += int64(len(matches)) * int64(sp.nsubs-1)
-			if matchSpan != nil {
-				matchSpan.Annotate(obs.L("matches", strconv.Itoa(len(matches))))
-			}
-			matchSpan.End()
-			tr.mark(&tr.match)
-			walk = func(p core.Params, phis []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error) {
-				return core.SweepMatchesRange(g, mo, matches, p, phis, lo, hi, visit)
-			}
-		}
-		e.matchRuns++
 		fanSpan := e.startPlanSpan("finalize.fanout", planSpan)
 		for _, bi := range sp.bands {
 			db := due[bi]
@@ -286,7 +258,7 @@ func (e *Engine) finalize(terminal bool) {
 					n++
 				}
 				ct := rc.now()
-				e.sweepBand(g, rest[:n], db.hi, w, walk)
+				e.sweepBand(snap, matches, rest[:n], db.hi, w)
 				rc.sample(db.group, rest[:n], ct)
 				rest = rest[n:]
 			}
@@ -299,20 +271,16 @@ func (e *Engine) finalize(terminal bool) {
 	e.applyCostLocked(&rc)
 }
 
-// p2Walk is the phase-P2 run a sweep drives: the fused walk for a shape's
-// only consumer, core.SweepMatchesRange over the shape's match list
-// otherwise.
-type p2Walk func(p core.Params, phis []float64, lo, hi int64, visit core.SweepVisitor) (core.EnumStats, error)
-
 // sweepBand advances subs — due members of one plan group that share an
-// emitted bound, φ-ascending — to hi with a single phase-P2 run over their
-// newly closed anchor band (emitted, hi] at the smallest φ, collecting
-// detections into e.pending: an instance's payload is built once, and the
-// members whose φ it meets (a prefix of subs) each get a header of their
-// own over it. The caller holds mu.
+// emitted bound, φ-ascending — to hi with a single phase-P2 run of their
+// shape's matches over their newly closed anchor band (emitted, hi] at the
+// smallest φ (core.SweepMatchesRange), collecting detections into
+// e.pending: an instance's payload is built once, and the members whose φ
+// it meets (a prefix of subs) each get a header of their own over it. The
+// caller holds mu.
 //
 //flowmotif:hotpath
-func (e *Engine) sweepBand(g *temporal.Graph, subs []*subState, hi, w int64, walk p2Walk) {
+func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*subState, hi, w int64) {
 	phis := make([]float64, len(subs))
 	for i, s := range subs {
 		phis[i] = s.sub.Phi
@@ -322,7 +290,7 @@ func (e *Engine) sweepBand(g *temporal.Graph, subs []*subState, hi, w int64, wal
 	// With Workers > 1 the visitor runs concurrently; bandMu guards the
 	// pending list and counters (mu is held but not by the workers).
 	var bandMu sync.Mutex
-	_, err := walk(p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
+	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
 		payload := detectionPayload(g, in, w)
 		bandMu.Lock()
 		for _, s := range subs[:admitted] {

@@ -8,9 +8,11 @@
 //
 //   - finalize windows in anchor order: each ingest advances a per-
 //     subscription "emitted-through" anchor bound A to W-δ-1 and enumerates
-//     only the newly closed anchor band (A, W-δ-1] via core.EnumerateRange,
-//     over a snapshot restricted to (A-δ, W-1] — the frontier touched by
-//     recent events — rather than re-running batch search;
+//     only the newly closed anchor band (A, W-δ-1] — what
+//     core.EnumerateRange would report for it, computed for all
+//     subscriptions together by the planner (planner.go) — over a snapshot
+//     restricted to (A-δ, W-1], the frontier touched by recent events,
+//     rather than re-running batch search;
 //   - evict events older than A-δ from the retention log (temporal.
 //     WindowLog), bounding memory by the event rate times max δ, not the
 //     stream length.
@@ -153,7 +155,9 @@ type Stats struct {
 	// Shared-evaluation planner gauges (DESIGN.md §11). SnapshotReuse is
 	// anchor bands enumerated per snapshot built — 1.0 means no sharing
 	// (the pre-planner cost), N means one snapshot served N subscription
-	// bands. MatchesShared counts structural matches served from a shared
+	// bands. MatchRuns counts phase-P1 walks run: one per finalize round,
+	// whatever the number of shapes, so it equals SnapshotBuilds.
+	// MatchesShared counts structural matches served from a shared
 	// per-shape list beyond their first consumer — work the pre-planner
 	// engine would have recomputed.
 	PlanGroups     int        `json:"planGroups"`
@@ -188,11 +192,13 @@ type Engine struct {
 	subs    []*subState
 
 	// Shared-evaluation planner state (planner.go): subscriptions grouped
-	// by (shape, δ), the arena recycling snapshot buffers across finalize
-	// rounds, and the sharing counters surfaced through Stats.
+	// by (shape, δ), the arena and per-shape match slabs recycling snapshot
+	// and phase-P1 buffers across finalize rounds, and the sharing counters
+	// surfaced through Stats.
 	groups         []*planGroup
 	groupIdx       map[planKey]*planGroup
 	arena          temporal.GraphArena
+	slabs          []*core.MatchSlab
 	snapshotBuilds int64
 	matchRuns      int64
 	matchesShared  int64
