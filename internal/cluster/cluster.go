@@ -270,20 +270,14 @@ func (c *Coordinator) retry(fn func() error) error {
 // member applies identical rules to the identical stream). The returned
 // slice is a sorted copy.
 func (c *Coordinator) validateBatch(events []temporal.Event) ([]temporal.Event, error) {
-	batch := append([]temporal.Event(nil), events...)
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].T < batch[j].T })
+	batch := append([]temporal.Event(nil), events...) // the log keeps it
+	batch = temporal.InTimeOrder(batch, &batch)
 	if batch[0].T < c.minNextT {
 		return nil, fmt.Errorf("%w: batch reaches back to t=%d, cluster frontier is %d",
 			stream.ErrBehindFrontier, batch[0].T, c.minNextT)
 	}
-	for i := range batch {
-		ev := &batch[i]
-		if ev.From < 0 || ev.To < 0 {
-			return nil, fmt.Errorf("cluster: batch event %d: negative node id", i)
-		}
-		if ev.F <= 0 || math.IsNaN(ev.F) || math.IsInf(ev.F, 0) {
-			return nil, fmt.Errorf("cluster: batch event %d: flow must be positive and finite (got %v)", i, ev.F)
-		}
+	if err := temporal.CheckEvents(batch); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return batch, nil
 }

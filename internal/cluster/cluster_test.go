@@ -12,6 +12,7 @@ import (
 	"flowmotif/internal/core"
 	"flowmotif/internal/gen"
 	"flowmotif/internal/motif"
+	"flowmotif/internal/store"
 	"flowmotif/internal/stream"
 	"flowmotif/internal/temporal"
 )
@@ -665,5 +666,103 @@ func TestLocalMemberDurableRestart(t *testing.T) {
 	// restart watermark (documented member-durability semantics).
 	if len(ds) != 1 || ds[0].Start != 30 {
 		t.Fatalf("post-restart detections = %v, want exactly the post-restart instance", ds)
+	}
+}
+
+// TestLocalMemberDurableCheckpoints pins what the in-process durable shard
+// gained by running the one shard core: Flush and Close checkpoint. It also
+// pins both recovery paths that core has: a LocalMember always opens with
+// no subscriptions, so the checkpoint (taken with one placed) does not fit
+// and the whole WAL is replayed, while the same core built over an engine
+// that already holds the subscription — what server.New does with
+// Config.Subs — restores the checkpoint and replays only the tail.
+func TestLocalMemberDurableCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	spec := SubSpec{ID: "s", Motif: "0-1", Delta: 5}
+	snapshotSeq := func(m *LocalMember) int64 {
+		seq, _, ok := m.Store().SnapshotInfo()
+		if !ok {
+			return -1
+		}
+		return seq
+	}
+
+	m1, err := NewLocalMember("d", LocalOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.AddSubscription(Handoff{Sub: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Ingest(Batch{Seq: 1, Events: []temporal.Event{
+		{From: 0, To: 1, T: 10, F: 1}, {From: 0, To: 1, T: 20, F: 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotSeq(m1); got != -1 {
+		t.Fatalf("snapshot at seq %d before any flush", got)
+	}
+	if _, err := m1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotSeq(m1); got != 2 {
+		t.Fatalf("snapshot seq after Flush = %d, want 2 (the flushed frontier)", got)
+	}
+	if _, err := m1.Ingest(Batch{Seq: 2, Events: []temporal.Event{{From: 0, To: 1, T: 100, F: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotSeq(m1); got != 3 {
+		t.Fatalf("snapshot seq after Close = %d, want 3", got)
+	}
+
+	// Reopened empty: full replay, then one more event as the WAL tail.
+	m2, err := NewLocalMember("d", LocalOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := m2.Recovery(); rec.FromSnapshot || rec.Replayed != 3 {
+		t.Fatalf("empty reopen recovered %+v, want a full replay of 3 events", rec)
+	}
+	if _, err := m2.Ingest(Batch{Seq: 1, Events: []temporal.Event{{From: 0, To: 1, T: 200, F: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	// Kill it (store only, no final checkpoint): the newest snapshot is
+	// still m1's, taken with the subscription placed.
+	if err := m2.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sub, err := spec.Subscription()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recent, topk := stream.NewMemorySink(16), stream.NewTopKSink(4)
+	eng, err := stream.NewEngine(stream.Config{Subs: []stream.Subscription{sub}}, stream.MultiSink{recent, topk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShard(eng, recent, topk, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	if rec := sh.Recovery(); !rec.FromSnapshot || rec.SnapshotSeq != 3 || rec.Replayed != 1 {
+		t.Fatalf("reopen with the subscription recovered %+v, want snapshot 3 plus a 1-event tail", rec)
+	}
+	// The restored sink holds what the snapshot held: the flushed
+	// instance(s) of the first batch.
+	res, err := sh.Instances("s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Detections) == 0 || res.Watermark != 200 {
+		t.Fatalf("restored shard serves %d detections at watermark %d, want the checkpointed ones at 200", len(res.Detections), res.Watermark)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // (wiretransport.go), everything else over its HTTP/JSON API. Transport
 // failures and 5xx responses are wrapped in ErrMemberDown so the
 // coordinator retries and eventually fails the member over; 4xx responses
-// surface as semantic errors (409 maps to stream.ErrBehindFrontier,
-// matching the in-process engine).
+// surface as semantic errors (statusErr is the one mapping, matching what
+// the in-process shard returns directly).
 type HTTPMember struct {
 	id     string
 	base   string
@@ -89,14 +89,8 @@ func (m *HTTPMember) doTraced(method, path string, body, out interface{}, tracep
 	if err != nil {
 		return fmt.Errorf("%w: %s: read response: %v", ErrMemberDown, m.id, err)
 	}
-	if resp.StatusCode >= 500 {
-		return fmt.Errorf("%w: %s: %s: %s", ErrMemberDown, m.id, resp.Status, errBody(raw))
-	}
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusConflict {
-			return fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, errBody(raw))
-		}
-		return fmt.Errorf("cluster: member %s: %s: %s", m.id, resp.Status, errBody(raw))
+		return m.statusErr(resp.StatusCode, errBody(raw))
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -104,6 +98,25 @@ func (m *HTTPMember) doTraced(method, path string, body, out interface{}, tracep
 		}
 	}
 	return nil
+}
+
+// statusErr is the one inbound error mapping: what a member daemon's
+// non-200 HTTP status — or the wire error code standing for it
+// (wiretransport.go) — means to the coordinator. It inverts the serving
+// layer's outbound mapping: 5xx is a member that is down or fail-stopped
+// (retried, then failed over), 409 an order violation, 404 a subscription
+// the member does not serve, anything else a semantic rejection.
+func (m *HTTPMember) statusErr(status int, msg string) error {
+	switch {
+	case status >= 500:
+		return fmt.Errorf("%w: %s: %d: %s", ErrMemberDown, m.id, status, msg)
+	case status == http.StatusConflict:
+		return fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, msg)
+	case status == http.StatusNotFound:
+		return fmt.Errorf("%w: member %s: %s", ErrUnknownSub, m.id, msg)
+	default:
+		return fmt.Errorf("cluster: member %s: %d: %s", m.id, status, msg)
+	}
 }
 
 func errBody(raw []byte) string {
@@ -191,64 +204,23 @@ func traceparentOf(sc obs.SpanContext) string {
 	return sc.Traceparent()
 }
 
-// statsResponse picks the member-relevant subset of GET /stats.
-type statsResponse struct {
-	Engine struct {
-		EventsIngested int64   `json:"eventsIngested"`
-		EventsRetained int     `json:"eventsRetained"`
-		Watermark      int64   `json:"watermark"`
-		Started        bool    `json:"started"`
-		Detections     int64   `json:"detections"`
-		PlanGroups     int     `json:"planGroups"`
-		SnapshotBuilds int64   `json:"snapshotBuilds"`
-		SnapshotReuse  float64 `json:"snapshotReuse"`
-		MatchesShared  int64   `json:"matchesShared"`
-		Subs           []struct {
-			ID    string         `json:"id"`
-			Shape string         `json:"shape"`
-			Cost  stream.SubCost `json:"cost"`
-		} `json:"subs"`
-		Cost   stream.EngineCostStats  `json:"cost"`
-		Groups []stream.GroupCostStats `json:"groups"`
-	} `json:"engine"`
-	// Metrics is the member server's full metric snapshot (the coordinator
-	// bucket-merges member histograms into its own exposition).
-	Metrics []obs.MetricSnapshot `json:"metrics"`
-}
-
 // Stats implements Member.
 func (m *HTTPMember) Stats() (MemberStats, error) {
 	return m.StatsTraced(obs.SpanContext{})
 }
 
-// StatsTraced implements tracedQuerier.
+// StatsTraced implements tracedQuerier. The member daemon's GET /stats
+// carries its engine's stream.Stats and its full metric snapshot (which
+// the coordinator bucket-merges into its own exposition).
 func (m *HTTPMember) StatsTraced(sc obs.SpanContext) (MemberStats, error) {
-	var resp statsResponse
+	var resp struct {
+		Engine  stream.Stats         `json:"engine"`
+		Metrics []obs.MetricSnapshot `json:"metrics"`
+	}
 	if err := m.doTraced(http.MethodGet, "/stats", nil, &resp, traceparentOf(sc)); err != nil {
 		return MemberStats{}, err
 	}
-	out := MemberStats{
-		ID:             m.id,
-		Watermark:      resp.Engine.Watermark,
-		Started:        resp.Engine.Started,
-		Events:         resp.Engine.EventsIngested,
-		Retained:       resp.Engine.EventsRetained,
-		Detections:     resp.Engine.Detections,
-		PlanGroups:     resp.Engine.PlanGroups,
-		SnapshotBuilds: resp.Engine.SnapshotBuilds,
-		SnapshotReuse:  resp.Engine.SnapshotReuse,
-		MatchesShared:  resp.Engine.MatchesShared,
-	}
-	for _, s := range resp.Engine.Subs {
-		out.Subs = append(out.Subs, s.ID)
-		if s.Cost != (stream.SubCost{}) {
-			out.SubCosts = append(out.SubCosts, SubCostInfo{ID: s.ID, Shape: s.Shape, Cost: s.Cost})
-		}
-	}
-	out.CostSeconds = resp.Engine.Cost.AttributedSeconds
-	out.GroupCosts = resp.Engine.Groups
-	out.Metrics = resp.Metrics
-	return out, nil
+	return memberStatsOf(m.id, resp.Engine, resp.Metrics), nil
 }
 
 // Traces implements Member: the member daemon's flight-recorder spans

@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"flowmotif/internal/obs"
 	"flowmotif/internal/store"
 	"flowmotif/internal/stream"
-	"flowmotif/internal/temporal"
 )
 
 // LocalOptions parameterizes an in-process member.
@@ -22,46 +19,30 @@ type LocalOptions struct {
 	TopK int
 	// DataDir, when non-empty, gives the member its own durable segment
 	// store: every acknowledged broadcast batch is appended to a WAL under
-	// this directory (one data dir per shard).
+	// this directory (one data dir per shard), and Flush and Close
+	// checkpoint the engine and sink state next to it.
 	DataDir string
 	// SyncWrites fsyncs the member WAL after every acknowledged batch.
 	SyncWrites bool
 }
 
-// LocalMember is the in-process Member: a full stream engine with query
-// sinks and optional per-shard durability, driven directly by a
-// coordinator in the same process. flowmotifd -shards N serves N of these
-// behind one coordinator; tests and examples use them for single-process
-// clusters.
+// LocalMember is the in-process Member: a Shard driven directly by a
+// coordinator in the same process, plus an id and a kill switch.
+// flowmotifd -shards N serves N of these behind one coordinator; tests and
+// examples use them for single-process clusters.
 type LocalMember struct {
-	id       string
-	mu       sync.Mutex // serializes ingest/flush/handoff against each other
-	eng      *stream.Engine
-	recent   *stream.MemorySink
-	topk     *stream.TopKSink
-	st       *store.Store // nil when not durable
-	replayed int64        // WAL events replayed at open
-	down     atomic.Bool  // test/ops kill switch
-
-	// lastSeq/lastAck make seq-tagged ingest idempotent: a resend of an
-	// already-applied replication batch (its ack was lost in transit)
-	// answers with the recorded ack instead of a behind-frontier
-	// rejection. Guarded by mu.
-	lastSeq int64
-	lastAck IngestAck
-	// walErr poisons the member after a WAL append failed post-apply:
-	// engine and WAL have diverged, so every later ingest reports
-	// ErrMemberDown (fail-stop) until the shard is recreated from its
-	// WAL. Without it, a retried seq-tagged batch whose first apply
-	// succeeded in the engine but missed the WAL would be re-applied
-	// (the dedup record is only written on full success) — double
-	// detections on single-timestamp batches, spurious divergence
-	// errors otherwise. Guarded by mu.
-	walErr error
+	*Shard
+	id   string
+	down atomic.Bool // test/ops kill switch
 }
 
-// NewLocalMember builds an empty in-process member; the coordinator places
-// subscriptions onto it.
+// NewLocalMember builds an in-process member with no subscriptions; the
+// coordinator places them. A durable member whose last checkpoint was
+// taken with subscriptions placed therefore reopens by replaying its whole
+// WAL (that snapshot does not fit the empty engine): the warmed engine's
+// frontier matches the WAL's, and the coordinator re-seeds subscription
+// state through catch-up placement, which the engine accepts because its
+// log is a (possibly empty) suffix of the same stream.
 func NewLocalMember(id string, opts LocalOptions) (*LocalMember, error) {
 	if id == "" {
 		return nil, fmt.Errorf("cluster: member id required")
@@ -72,70 +53,31 @@ func NewLocalMember(id string, opts LocalOptions) (*LocalMember, error) {
 	if opts.TopK <= 0 {
 		opts.TopK = 50
 	}
-	m := &LocalMember{
-		id:     id,
-		recent: stream.NewMemorySink(opts.Recent),
-		topk:   stream.NewTopKSink(opts.TopK),
-	}
+	recent, topk := stream.NewMemorySink(opts.Recent), stream.NewTopKSink(opts.TopK)
 	// One registry per member: the engine's and store's instruments land
 	// together, and Stats ships the whole snapshot to the coordinator.
 	reg := obs.NewRegistry()
 	eng, err := stream.NewEngine(stream.Config{Workers: opts.Workers, Obs: reg},
-		stream.MultiSink{m.recent, m.topk})
+		stream.MultiSink{recent, topk})
 	if err != nil {
 		return nil, err
 	}
-	m.eng = eng
+	var st *store.Store
 	if opts.DataDir != "" {
-		st, err := store.Open(opts.DataDir, store.Options{Sync: opts.SyncWrites, Obs: reg})
-		if err != nil {
+		if st, err = store.Open(opts.DataDir, store.Options{Sync: opts.SyncWrites, Obs: reg}); err != nil {
 			return nil, err
 		}
-		// Replay the recorded stream so a restarted shard resumes with a
-		// consistent frontier: the engine's watermark matches the WAL's,
-		// so the store never rejects a broadcast the engine accepted (and
-		// vice versa). Subscription state is not persisted here — the
-		// coordinator re-seeds it through catch-up placement, which the
-		// warmed engine accepts because its log is a (possibly empty)
-		// suffix of the same stream.
-		batch := make([]temporal.Event, 0, 4096)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			_, err := eng.Ingest(batch)
-			batch = batch[:0]
-			return err
-		}
-		var ingestErr error
-		err = st.Replay(0, func(_ int64, ev temporal.Event) bool {
-			batch = append(batch, ev)
-			m.replayed++
-			if len(batch) == cap(batch) {
-				if ingestErr = flush(); ingestErr != nil {
-					return false
-				}
-			}
-			return true
-		})
-		if err == nil && ingestErr == nil {
-			ingestErr = flush()
-		}
-		if err == nil {
-			err = ingestErr
-		}
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("cluster: member %s: wal replay: %w", id, err)
-		}
-		m.st = st
 	}
-	return m, nil
+	sh, err := NewShard(eng, recent, topk, st)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: member %s: %w", id, err)
+	}
+	return &LocalMember{Shard: sh, id: id}, nil
 }
 
 // Replayed reports how many WAL events warmed the engine at open (durable
 // members only).
-func (m *LocalMember) Replayed() int64 { return m.replayed }
+func (m *LocalMember) Replayed() int64 { return m.Recovery().Replayed }
 
 // ID implements Member.
 func (m *LocalMember) ID() string { return m.id }
@@ -152,54 +94,13 @@ func (m *LocalMember) check() error {
 	return nil
 }
 
-// Ingest implements Member. A batch tagged with a replication sequence at
-// or below the last applied tag is a duplicate resend (the coordinator
-// never saw the ack): it is answered with the recorded ack, Dup set, and
-// the engine untouched.
+// Ingest implements Member.
 func (m *LocalMember) Ingest(b Batch) (IngestAck, error) {
 	if err := m.check(); err != nil {
 		return IngestAck{}, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.walErr != nil {
-		return IngestAck{}, fmt.Errorf("%w: %s: wal broken: %v", ErrMemberDown, m.id, m.walErr)
-	}
-	if b.Seq != 0 && b.Seq <= m.lastSeq {
-		ack := m.lastAck
-		ack.Dup = true
-		return ack, nil
-	}
 	parent, _ := obs.ParseTraceparent(b.Traceparent)
-	ack, err := m.eng.IngestTraced(b.Events, parent)
-	if err != nil {
-		if errors.Is(err, stream.ErrFailStopped) {
-			// The engine poisoned itself (partial batch append): surface the
-			// shard as down so the coordinator fails it over and regenerates
-			// its subscriptions from history, exactly like the WAL-poison
-			// path below.
-			return IngestAck{}, fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, err)
-		}
-		return IngestAck{}, err
-	}
-	if m.st != nil {
-		if perr := m.st.Append(b.Events); perr != nil {
-			// The engine applied the batch but the WAL did not: poison the
-			// member (fail-stop) so retries and later batches report the
-			// broken shard instead of re-applying or diverging silently.
-			m.walErr = perr
-			if b.Seq != 0 {
-				m.lastSeq = b.Seq
-			}
-			return IngestAck{}, fmt.Errorf("%w: %s: wal append: %v", ErrMemberDown, m.id, perr)
-		}
-	}
-	out := IngestAck{Ingested: ack.Ingested, Watermark: ack.Watermark, Detections: ack.Detections, Seq: b.Seq, Trace: ack.Trace}
-	if b.Seq != 0 {
-		m.lastSeq = b.Seq
-		m.lastAck = out
-	}
-	return out, nil
+	return m.Shard.Ingest(b.Events, b.Seq, parent)
 }
 
 // Flush implements Member.
@@ -207,15 +108,7 @@ func (m *LocalMember) Flush() (IngestAck, error) {
 	if err := m.check(); err != nil {
 		return IngestAck{}, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.eng.Err(); err != nil {
-		// A fail-stopped engine flushes nothing; report the shard down so
-		// the coordinator fails it over instead of trusting an empty ack.
-		return IngestAck{}, fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, err)
-	}
-	ack := m.eng.FlushWithAck()
-	return IngestAck{Watermark: ack.Watermark, Detections: ack.Detections}, nil
+	return m.Shard.Flush(obs.SpanContext{})
 }
 
 // AddSubscription implements Member.
@@ -223,10 +116,7 @@ func (m *LocalMember) AddSubscription(h Handoff) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, err := InstallHandoff(m.eng, m.recent, m.topk, h)
-	return err
+	return m.Shard.AddSubscription(h)
 }
 
 // RemoveSubscription implements Member.
@@ -234,9 +124,7 @@ func (m *LocalMember) RemoveSubscription(id string) (Handoff, error) {
 	if err := m.check(); err != nil {
 		return Handoff{}, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ExtractHandoff(m.eng, m.recent, m.topk, id)
+	return m.Shard.RemoveSubscription(id)
 }
 
 // Instances implements Member.
@@ -244,12 +132,7 @@ func (m *LocalMember) Instances(sub string, limit int) (QueryResult, error) {
 	if err := m.check(); err != nil {
 		return QueryResult{}, err
 	}
-	w, ok := m.eng.Watermark()
-	return QueryResult{
-		Watermark:  w,
-		Started:    ok,
-		Detections: m.recent.Recent(sub, limit),
-	}, nil
+	return m.Shard.Instances(sub, limit)
 }
 
 // TopK implements Member.
@@ -257,21 +140,7 @@ func (m *LocalMember) TopK(sub string, k int) (QueryResult, error) {
 	if err := m.check(); err != nil {
 		return QueryResult{}, err
 	}
-	w, ok := m.eng.Watermark()
-	var ds []*stream.Detection
-	if sub != "" {
-		ds = m.topk.Top(sub)
-		if k > 0 && k < len(ds) {
-			ds = ds[:k]
-		}
-	} else {
-		var lists [][]*stream.Detection
-		for _, s := range m.eng.Subscriptions() {
-			lists = append(lists, m.topk.Top(s.ID))
-		}
-		ds = MergeTopK(lists, k)
-	}
-	return QueryResult{Watermark: w, Started: ok, Detections: ds}, nil
+	return m.Shard.TopK(sub, k)
 }
 
 // Stats implements Member.
@@ -279,29 +148,7 @@ func (m *LocalMember) Stats() (MemberStats, error) {
 	if err := m.check(); err != nil {
 		return MemberStats{}, err
 	}
-	st := m.eng.Stats()
-	out := MemberStats{
-		ID:             m.id,
-		Watermark:      st.Watermark,
-		Started:        st.Started,
-		Events:         st.EventsIngested,
-		Retained:       st.EventsRetained,
-		Detections:     st.Detections,
-		PlanGroups:     st.PlanGroups,
-		SnapshotBuilds: st.SnapshotBuilds,
-		SnapshotReuse:  st.SnapshotReuse,
-		MatchesShared:  st.MatchesShared,
-	}
-	for _, s := range st.Subs {
-		out.Subs = append(out.Subs, s.ID)
-		if s.Cost != (stream.SubCost{}) {
-			out.SubCosts = append(out.SubCosts, SubCostInfo{ID: s.ID, Shape: s.Shape, Cost: s.Cost})
-		}
-	}
-	out.CostSeconds = st.Cost.AttributedSeconds
-	out.GroupCosts = st.Groups
-	out.Metrics = m.eng.Obs().Snapshot()
-	return out, nil
+	return memberStatsOf(m.id, m.Engine().Stats(), m.Engine().Obs().Snapshot()), nil
 }
 
 // Traces implements Member: the member's flight-recorder spans for one
@@ -310,16 +157,5 @@ func (m *LocalMember) Traces(trace string) ([]obs.SpanRecord, error) {
 	if err := m.check(); err != nil {
 		return nil, err
 	}
-	return m.eng.Tracer().Spans(trace), nil
-}
-
-// Engine exposes the member's engine (tests and demos).
-func (m *LocalMember) Engine() *stream.Engine { return m.eng }
-
-// Close releases the member's durable store, if any.
-func (m *LocalMember) Close() error {
-	if m.st == nil {
-		return nil
-	}
-	return m.st.Close()
+	return m.Engine().Tracer().Spans(trace), nil
 }

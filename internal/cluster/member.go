@@ -27,12 +27,18 @@
 // — the equivalence oracle in cluster_test.go — including across member
 // adds, graceful drains, and failovers.
 //
-// Two implementations of Member exist: LocalMember (in-process, used by
-// tests, examples and flowmotifd -shards) and HTTPMember (a remote
-// flowmotifd -member daemon). To a remote member, replicated batches travel
+// A member is one Shard (shard.go): engine, query sinks and optional store,
+// the only place a batch is deduplicated, applied, logged, checkpointed and
+// recovered. The coordinator reaches it through the Member interface in two
+// forms: LocalMember is the shard itself, in process (tests, examples and
+// flowmotifd -shards), and HTTPMember is the client of a flowmotifd -member
+// daemon, whose internal/server puts JSON handlers and a wire listener in
+// front of the same Shard. To a remote member, replicated batches travel
 // over the binary wire protocol only (internal/wire; the member advertises
 // its listener on /healthz) and control-plane calls over HTTP/JSON; JSON
-// ingest exists at the client-facing front door alone.
+// ingest exists at the client-facing front door alone. The daemon maps the
+// shard's errors onto statuses and wire codes, and HTTPMember.statusErr
+// maps them back, so the coordinator sees the same error from either form.
 package cluster
 
 import (
@@ -52,7 +58,7 @@ import (
 var ErrMemberDown = errors.New("cluster: member down")
 
 // ErrUnknownSub is returned for queries naming a subscription no member
-// serves.
+// serves (by the coordinator), or that this shard does not serve.
 var ErrUnknownSub = errors.New("cluster: unknown subscription")
 
 // ErrNoMembers is returned when an operation needs a live member and the
@@ -185,8 +191,8 @@ type SubCostInfo struct {
 	Cost  stream.SubCost `json:"cost"`
 }
 
-// Member is the coordinator's view of one shard engine. Implementations
-// wrap infrastructure failures in ErrMemberDown; every other error is
+// Member is the coordinator's view of one shard. Implementations wrap
+// infrastructure failures in ErrMemberDown; every other error is
 // semantic and deterministic across members (all members apply identical
 // validation to the identical broadcast stream).
 type Member interface {

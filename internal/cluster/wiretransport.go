@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"flowmotif/internal/stream"
 	"flowmotif/internal/wire"
 )
 
@@ -25,7 +24,8 @@ import (
 // (answering with its recorded ack, dup=true), which is what makes retry
 // after a lost ack safe. Transport failures wrap ErrMemberDown
 // (retryable: the replicator re-probes and redials on the next attempt),
-// server error frames map onto the same error taxonomy as HTTP responses.
+// server error frames map onto the same error taxonomy as HTTP responses
+// (statusErr).
 func (m *HTTPMember) Ingest(b Batch) (IngestAck, error) {
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()
@@ -52,17 +52,18 @@ func (m *HTTPMember) Ingest(b Batch) (IngestAck, error) {
 			if m.wireCli.Broken() {
 				m.wireCli = nil
 			}
+			// An error frame's code stands for the HTTP status the member
+			// mapped its shard error to; anything but 409 and 5xx is a
+			// semantic rejection (400), terminal for the replicator — the
+			// member has diverged from admission rules.
+			status := http.StatusBadRequest
 			switch re.Code {
 			case wire.CodeBehindFrontier:
-				return IngestAck{}, fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, re.Msg)
+				status = http.StatusConflict
 			case wire.CodeInternal:
-				// 5xx equivalent: retryable, mirrors doTraced's >=500 case.
-				return IngestAck{}, fmt.Errorf("%w: %s: %v", ErrMemberDown, m.id, re)
-			default:
-				// Semantic rejection (400 equivalent): terminal for the
-				// replicator, the member has diverged from admission rules.
-				return IngestAck{}, fmt.Errorf("cluster: member %s: %v", m.id, re)
+				status = http.StatusInternalServerError
 			}
+			return IngestAck{}, m.statusErr(status, re.Msg)
 		}
 		// Transport failure: the client has retired the connection. The
 		// member may have restarted onto another port, so the next
@@ -114,7 +115,8 @@ func (m *HTTPMember) probeWireLocked() error {
 }
 
 // CloseWire drops the persistent wire connection (if any); a later
-// delivery redials.
+// delivery redials. Its only caller is bench/e2e/deploy.go: the next
+// benchmark PR (bench/ changes in no other) drops both.
 func (m *HTTPMember) CloseWire() {
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()

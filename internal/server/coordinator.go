@@ -10,7 +10,6 @@ import (
 
 	"flowmotif/internal/cluster"
 	"flowmotif/internal/obs"
-	"flowmotif/internal/stream"
 	"flowmotif/internal/temporal"
 )
 
@@ -42,8 +41,6 @@ type Coordinator struct {
 	reqs    atomic.Int64
 	runtime *obs.RuntimeStats
 	ro      requestObs
-	// query latency accounting for GET /metrics, keyed by endpoint.
-	eps map[string]*endpointMetrics
 }
 
 // CoordinatorConfig parameterizes the HTTP serving wrapper around a
@@ -77,7 +74,6 @@ func NewCoordinatorWith(c *cluster.Coordinator, cfg CoordinatorConfig) *Coordina
 		maxBody: cfg.MaxBodyBytes,
 		started: time.Now(),
 		ro:      requestObs{reg: c.Obs(), tracer: c.Tracer(), slow: cfg.SlowRequest, logger: cfg.Logger},
-		eps:     map[string]*endpointMetrics{},
 	}
 	if c.Obs() != nil {
 		cs.runtime = obs.NewRuntimeStats()
@@ -108,11 +104,9 @@ func (cs *Coordinator) Handler() http.Handler {
 }
 
 func (cs *Coordinator) count(name string, h http.HandlerFunc) http.HandlerFunc {
-	m := &endpointMetrics{}
-	cs.eps[name] = m
 	// Request histograms land in the cluster coordinator's registry, next
 	// to the replication-pipeline instruments.
-	return cs.ro.wrap(&cs.reqs, m, name, h)
+	return cs.ro.wrap(&cs.reqs, name, h)
 }
 
 // handleTraces serves GET /debug/traces. The per-trace fetch goes through
@@ -123,18 +117,11 @@ func (cs *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
 	serveTraces(w, r, cs.c.Tracer(), cs.c.Traces)
 }
 
-// writeClusterErr maps coordinator errors onto the API's status codes.
-func writeClusterErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, stream.ErrBehindFrontier):
-		writeErr(w, http.StatusConflict, err)
-	case errors.Is(err, cluster.ErrUnknownSub):
-		writeErr(w, http.StatusNotFound, err)
-	case errors.Is(err, cluster.ErrNoMembers), errors.Is(err, cluster.ErrMemberDown):
-		writeErr(w, http.StatusServiceUnavailable, err)
-	default:
-		writeErr(w, http.StatusBadRequest, err)
-	}
+// ingestResponse is the coordinator's pipelined ingest ack (a single
+// server answers with the shard's cluster.IngestAck as is).
+type ingestResponse struct {
+	cluster.IngestAck
+	Pipelined bool `json:"pipelined"` // applied asynchronously
 }
 
 func (cs *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -152,7 +139,7 @@ func (cs *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	ack, err := cs.c.IngestTraced(evs, requestSpan(r).Context())
 	if err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	// Pipelined ack: the batch is appended to the replication log and
@@ -160,14 +147,7 @@ func (cs *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// position and detections finalize later (GET /stats, /metrics).
 	// trace keys the batch's stitched span tree in GET /debug/traces once
 	// the shards apply it.
-	writeJSON(w, http.StatusOK, ingestResponse{
-		Ingested:   ack.Ingested,
-		Watermark:  ack.Watermark,
-		Detections: ack.Detections,
-		Seq:        ack.Seq,
-		Pipelined:  true,
-		Trace:      ack.Trace,
-	})
+	writeJSON(w, http.StatusOK, ingestResponse{IngestAck: ack, Pipelined: true})
 }
 
 func (cs *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
@@ -177,13 +157,10 @@ func (cs *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	ack, err := cs.c.Flush()
 	if err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{
-		Watermark:  ack.Watermark,
-		Detections: ack.Detections,
-	})
+	writeJSON(w, http.StatusOK, ack)
 }
 
 func (cs *Coordinator) handleInstances(w http.ResponseWriter, r *http.Request) {
@@ -198,7 +175,7 @@ func (cs *Coordinator) handleInstances(w http.ResponseWriter, r *http.Request) {
 	}
 	ds, g, err := cs.c.InstancesTraced(r.URL.Query().Get("sub"), limit, requestSpan(r).Context())
 	if err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -223,7 +200,7 @@ func (cs *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	sub := r.URL.Query().Get("sub")
 	ds, g, err := cs.c.TopKTraced(sub, k, requestSpan(r).Context())
 	if err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -335,7 +312,7 @@ func (cs *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out[p+"snapshot_reuse_ratio"] = m.SnapshotReuse
 		out[p+"matches_shared"] = m.MatchesShared
 	}
-	flatEndpointMetrics(out, cs.eps, cs.c.Obs())
+	flatEndpointMetrics(out, cs.c.Obs())
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -424,7 +401,7 @@ func (cs *Coordinator) handleMemberAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := cs.c.AddMember(cluster.NewHTTPMember(req.ID, req.URL, nil)); err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "id": req.ID})
@@ -454,7 +431,7 @@ func (cs *Coordinator) memberOp(w http.ResponseWriter, r *http.Request, op func(
 		return
 	}
 	if err := op(req.ID); err != nil {
-		writeClusterErr(w, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "id": req.ID})

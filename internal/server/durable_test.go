@@ -163,7 +163,7 @@ func TestDurableKillRestartEquivalence(t *testing.T) {
 	// fidelity is intact because every acknowledged batch was already
 	// flushed (the torn-WAL test below covers an unflushed tail).
 	ts1.Close()
-	srv1.st.Close()
+	srv1.shard.Store().Close()
 
 	srv2, err := New(catalogConfig(dir))
 	if err != nil {
@@ -212,8 +212,8 @@ func TestDurableTruncatedWALRecovery(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	cut := len(evs) * 3 / 5
 	ingestRange(t, ts1, evs, 0, cut, 100)
-	ts1.Close()     // crash, no snapshot ever taken
-	srv1.st.Close() // release the flock only; the torn tail comes next
+	ts1.Close()                // crash, no snapshot ever taken
+	srv1.shard.Store().Close() // release the flock only; the torn tail comes next
 
 	// Tear the final WAL record (13 bytes of a 32-byte record lost).
 	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))

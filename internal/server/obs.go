@@ -65,19 +65,6 @@ func codeClass(code int) string {
 	}
 }
 
-// endpointMetrics accumulates request counts per endpoint, split by
-// response class. Latency distribution lives in the registry's
-// flowmotif_http_request_seconds histograms; totalMicros only backs the
-// legacy avg_us field of the flat metric map.
-type endpointMetrics struct {
-	count       atomic.Int64
-	totalMicros atomic.Int64
-	c2xx        atomic.Int64
-	c4xx        atomic.Int64
-	c5xx        atomic.Int64
-	cOther      atomic.Int64 // 1xx/3xx
-}
-
 const httpHistHelp = "HTTP request latency by endpoint and response class."
 
 // spanKey keys the request's trace span in the request context; handlers
@@ -92,10 +79,10 @@ func requestSpan(r *http.Request) *obs.TraceSpan {
 	return sp
 }
 
-// requestObs bundles what the request-accounting middleware needs beyond
-// the per-endpoint counters: the metrics registry, the trace flight
-// recorder, and the slow-request tail-sampling policy. Shared by the
-// single-engine Server and the cluster Coordinator.
+// requestObs bundles what the request-accounting middleware needs: the
+// metrics registry, the trace flight recorder, and the slow-request
+// tail-sampling policy. Shared by the single-engine Server and the cluster
+// Coordinator.
 type requestObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -103,8 +90,8 @@ type requestObs struct {
 	logger *slog.Logger
 }
 
-// wrap decorates a handler with the shared request accounting: total and
-// per-class counts into m, latency into the registry's per-(endpoint,
+// wrap decorates a handler with the shared request accounting: the total
+// into reqs, count and latency into the registry's per-(endpoint,
 // code-class) histogram (with the request's trace as exemplar), and one
 // "http.<endpoint>" span per request — continuing the caller's
 // traceparent header when present, rooting a fresh trace otherwise. A
@@ -113,7 +100,7 @@ type requestObs struct {
 // /debug/traces and the histogram exemplar. Class histograms register
 // lazily on first use, so an endpoint that never errors never grows
 // 4xx/5xx series.
-func (o requestObs) wrap(reqs *atomic.Int64, m *endpointMetrics, name string, h http.HandlerFunc) http.HandlerFunc {
+func (o requestObs) wrap(reqs *atomic.Int64, name string, h http.HandlerFunc) http.HandlerFunc {
 	// The in-flight gauge registers once per endpoint at wrap time, so a
 	// saturated endpoint is visible (requests entered, none finished)
 	// before its latency histogram moves at all.
@@ -137,23 +124,11 @@ func (o requestObs) wrap(reqs *atomic.Int64, m *endpointMetrics, name string, h 
 		start := time.Now()
 		h(sw, r)
 		d := time.Since(start)
-		m.count.Add(1)
-		m.totalMicros.Add(d.Microseconds())
 		code := sw.status
 		if code == 0 {
 			// The handler wrote nothing at all (e.g. a bare 200 with an
 			// empty body never touches the writer): net/http answers 200.
 			code = http.StatusOK
-		}
-		switch class := codeClass(code); class {
-		case "2xx":
-			m.c2xx.Add(1)
-		case "4xx":
-			m.c4xx.Add(1)
-		case "5xx":
-			m.c5xx.Add(1)
-		default:
-			m.cOther.Add(1)
 		}
 		trace := sp.Context().Trace
 		sp.Annotate(obs.L("code", strconv.Itoa(code)))
@@ -181,63 +156,59 @@ func (o requestObs) wrap(reqs *atomic.Int64, m *endpointMetrics, name string, h 
 }
 
 // flatEndpointMetrics renders the per-endpoint request accounting into the
-// flat metric map: count and class splits from m, the legacy avg_us mean,
-// and latency quantiles from the registry histograms (merged across
-// response classes per endpoint).
-func flatEndpointMetrics(out map[string]interface{}, eps map[string]*endpointMetrics, reg *obs.Registry) {
-	q := endpointQuantiles(reg)
-	for name, m := range eps {
-		n := m.count.Load()
-		p := "requests." + name + "."
-		out[p+"count"] = n
-		avg := int64(0)
-		if n > 0 {
-			avg = m.totalMicros.Load() / n
-		}
-		out[p+"avg_us"] = avg
-		out[p+"2xx"] = m.c2xx.Load()
-		out[p+"4xx"] = m.c4xx.Load()
-		out[p+"5xx"] = m.c5xx.Load()
-		if qs, ok := q[name]; ok {
-			out[p+"p50_us"] = int64(qs.P50 * 1e6)
-			out[p+"p95_us"] = int64(qs.P95 * 1e6)
-			out[p+"p99_us"] = int64(qs.P99 * 1e6)
-		}
-	}
-}
-
-// endpointQuantiles merges each endpoint's per-class request histograms
-// into one distribution and summarizes it.
-func endpointQuantiles(reg *obs.Registry) map[string]obs.Quantiles {
+// flat metric map from the registry alone (so with observability off the
+// section is absent): every endpoint with an in-flight gauge gets count,
+// the avg_us mean and the class splits, summed over its per-class
+// flowmotif_http_request_seconds histograms, plus latency quantiles of
+// their merged distribution once it has served a request.
+func flatEndpointMetrics(out map[string]interface{}, reg *obs.Registry) {
 	if reg == nil {
-		return nil
+		return
 	}
-	merged := map[string]*obs.HistogramSnapshot{}
+	type endpoint struct {
+		class map[string]uint64
+		hist  obs.HistogramSnapshot // merged across response classes
+	}
+	eps := map[string]*endpoint{}
 	for _, m := range reg.Snapshot() {
-		if m.Name != "flowmotif_http_request_seconds" || m.Hist == nil {
+		if m.Name != "flowmotif_http_inflight" && m.Name != "flowmotif_http_request_seconds" {
 			continue
 		}
-		var ep string
+		var name, class string
 		for _, l := range m.Labels {
-			if l.Key == "endpoint" {
-				ep = l.Value
+			switch l.Key {
+			case "endpoint":
+				name = l.Value
+			case "code":
+				class = l.Value
 			}
 		}
-		if ep == "" {
+		ep := eps[name]
+		if ep == nil {
+			ep = &endpoint{class: map[string]uint64{}}
+			eps[name] = ep
+		}
+		if m.Hist != nil {
+			ep.class[class] += m.Hist.Count
+			_ = ep.hist.Merge(*m.Hist) // same bounds by construction
+		}
+	}
+	for name, ep := range eps {
+		p := "requests." + name + "."
+		out[p+"count"] = ep.hist.Count
+		out[p+"2xx"] = ep.class["2xx"]
+		out[p+"4xx"] = ep.class["4xx"]
+		out[p+"5xx"] = ep.class["5xx"]
+		if ep.hist.Count == 0 {
+			out[p+"avg_us"] = int64(0)
 			continue
 		}
-		h := merged[ep]
-		if h == nil {
-			h = &obs.HistogramSnapshot{}
-			merged[ep] = h
-		}
-		_ = h.Merge(*m.Hist) // same bounds by construction
+		out[p+"avg_us"] = int64(ep.hist.Sum / float64(ep.hist.Count) * 1e6)
+		qs := ep.hist.Summary()
+		out[p+"p50_us"] = int64(qs.P50 * 1e6)
+		out[p+"p95_us"] = int64(qs.P95 * 1e6)
+		out[p+"p99_us"] = int64(qs.P99 * 1e6)
 	}
-	out := make(map[string]obs.Quantiles, len(merged))
-	for ep, h := range merged {
-		out[ep] = h.Summary()
-	}
-	return out
 }
 
 // gaugeSnap and counterSnap lift a point-in-time scalar into a metric

@@ -368,7 +368,7 @@ func TestServerClusterPipelineStress(t *testing.T) {
 	}
 	// The never-churned durable HTTP member saw every replicated batch:
 	// its engine and WAL hold the full stream.
-	if seq := durable.st.Seq(); seq != 240 {
+	if seq := durable.shard.Store().Seq(); seq != 240 {
 		t.Fatalf("durable member WAL holds %d events, want 240", seq)
 	}
 	t.Logf("server stress: %d moves, %d downs", st.Moves, st.Downs)

@@ -1,6 +1,10 @@
-// Package server exposes a streaming motif-detection engine
-// (internal/stream) over an HTTP/JSON API — the serving layer behind
-// cmd/flowmotifd.
+// Package server puts transports in front of one shard (cluster.Shard, the
+// admission core an in-process cluster.LocalMember also is): an HTTP/JSON
+// API and the binary wire listener (wire.go), with request accounting,
+// /debug/* and the SLO watchdog — the serving layer behind cmd/flowmotifd.
+// Ingest order, seq dedup, WAL coupling, fail-stop, snapshot and recovery
+// live in the shard; the server decodes requests, calls it, and maps its
+// errors onto statuses (errStatus) and wire codes (wireErrorCode).
 //
 // Endpoints:
 //
@@ -24,10 +28,10 @@
 //	POST /snapshot  checkpoint the engine + sink state to the data dir
 //	                (durable servers only).
 //
-// With Config.DataDir set the server is durable: every acknowledged batch
+// With Config.DataDir set the shard is durable: every acknowledged batch
 // is appended to a segmented write-ahead log (internal/store), POST
-// /snapshot checkpoints the engine, and New recovers the pre-crash state
-// from the newest snapshot plus a replay of the WAL tail.
+// /snapshot and POST /flush checkpoint the engine, and New recovers the
+// pre-crash state from the newest snapshot plus a replay of the WAL tail.
 //
 // With Config.Member set the server is a cluster shard (internal/cluster):
 // it may start with no subscriptions and exposes the handoff endpoints a
@@ -42,7 +46,7 @@
 // Errors are JSON {"error": "..."}: 400 for malformed requests, 404 for
 // unknown subscriptions, 405 for wrong methods, 409 for batches that
 // violate the stream order contract, 413 for request bodies over
-// Config.MaxBodyBytes.
+// Config.MaxBodyBytes, 503 from a fail-stopped shard (restart to recover).
 package server
 
 import (
@@ -53,7 +57,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -105,7 +108,8 @@ type Config struct {
 	// creates one. GET /metrics?format=prometheus serves its contents.
 	Obs *obs.Registry
 	// DisableObs turns metric collection off entirely (no registry, no
-	// per-round histograms); /metrics still serves the flat map.
+	// per-round histograms); /metrics still serves the flat map, without
+	// its per-endpoint requests.* section.
 	DisableObs bool
 	// Logger receives the server's structured logs (slow-round warnings
 	// among them); nil disables logging.
@@ -133,73 +137,18 @@ type Config struct {
 	WireMaxFrameBytes int
 }
 
-// RecoveryStats reports what New rebuilt from a data dir.
-type RecoveryStats struct {
-	// FromSnapshot is true when a snapshot seeded the engine state.
-	FromSnapshot bool `json:"fromSnapshot"`
-	// SnapshotSeq is the WAL position of that snapshot.
-	SnapshotSeq int64 `json:"snapshotSeq"`
-	// Replayed counts the WAL-tail events re-ingested after the snapshot.
-	Replayed int64 `json:"replayed"`
-}
-
-// serverSnapshot is the snapshot payload: the engine state plus the query
-// sinks' contents, so restart resumes with /instances and /topk intact.
-type serverSnapshot struct {
-	Engine *stream.EngineSnapshot `json:"engine"`
-	Recent stream.MemorySinkState `json:"recent"`
-	TopK   stream.TopKSinkState   `json:"topk"`
-}
-
-// Server wires an Engine to query sinks and HTTP handlers.
+// Server puts the HTTP handlers and the wire listener in front of a shard.
 type Server struct {
-	engine    *stream.Engine
-	recent    *stream.MemorySink
-	topk      *stream.TopKSink
-	st        *store.Store // nil when not durable
-	recovered RecoveryStats
-	member    bool
-	maxBody   int64
-	started   time.Time
-	reqs      atomic.Int64
-	obsReg    *obs.Registry     // nil with Config.DisableObs
-	tracer    *obs.Tracer       // nil with Config.DisableObs
-	runtime   *obs.RuntimeStats // nil with Config.DisableObs
-	slo       *sloWatchdog      // nil unless Config.SLO.LagSLO set (and obs on)
-	ro        requestObs
-
-	// subMu guards subIDs, which cluster handoffs mutate at runtime.
-	subMu  sync.RWMutex
-	subIDs map[string]bool
-
-	// epMu guards endpoint latency metrics (GET /metrics).
-	epMu sync.Mutex
-	eps  map[string]*endpointMetrics
-
-	// lastSeq/lastAck deduplicate seq-tagged replicated ingest (see
-	// ingestRequest.Seq); guarded by ingestMu. Not persisted: after a
-	// member restart a resend is rejected as behind-frontier and the
-	// coordinator fails the member over, regenerating from history.
-	lastSeq int64
-	lastAck ingestResponse
-	// walErr poisons ingest after a WAL append failed post-apply: the
-	// engine and WAL have diverged, so the server fail-stops ingest
-	// (every batch answers 500) instead of re-applying a retried batch
-	// or silently recording a WAL with a hole. A restart recovers from
-	// the WAL + snapshot. Guarded by ingestMu.
-	walErr error
-
-	// ingestMu serializes /ingest, /flush and snapshot *capture* so (a)
-	// the per-request "detections finalized by this batch" diff of two
-	// Stats snapshots is not interleaved by a concurrent writer, (b)
-	// engine ingest and WAL append form one atomic unit, and (c) a
-	// snapshot's WAL seq always matches the engine state it captures.
-	ingestMu sync.Mutex
-	// snapMu serializes snapshot persistence (marshal + write + rename),
-	// which deliberately happens *outside* ingestMu so a slow checkpoint
-	// of a large engine state never stalls ingestion. Lock order where
-	// both are needed: snapMu before ingestMu.
-	snapMu sync.Mutex
+	shard   *cluster.Shard
+	member  bool
+	maxBody int64
+	started time.Time
+	reqs    atomic.Int64
+	obsReg  *obs.Registry     // nil with Config.DisableObs
+	tracer  *obs.Tracer       // nil with Config.DisableObs
+	runtime *obs.RuntimeStats // nil with Config.DisableObs
+	slo     *sloWatchdog      // nil unless Config.SLO.LagSLO set (and obs on)
+	ro      requestObs
 
 	// Binary wire-protocol listener state (internal/wire; see wire.go).
 	// wx is nil with Config.DisableObs — the decode loop's clocks gate on
@@ -216,13 +165,9 @@ type Server struct {
 	wireWG       sync.WaitGroup
 }
 
-// New builds a Server (and its engine) from cfg. With cfg.DataDir set it
-// also opens the event store and recovers: the newest usable snapshot is
-// restored into the engine and sinks, then the WAL tail is replayed
-// through normal ingestion, regenerating every detection the crash lost.
-// If no snapshot is usable (none taken, corrupt, or the subscriptions
-// changed), the whole WAL is replayed from scratch — the log, not the
-// snapshot, is the source of truth.
+// New builds a Server from cfg: the engine, its query sinks and — with
+// cfg.DataDir set — the event store, assembled into a shard, which
+// recovers the pre-crash state from the store (cluster.NewShard).
 func New(cfg Config) (*Server, error) {
 	if cfg.Recent <= 0 {
 		cfg.Recent = 1024
@@ -253,16 +198,12 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		recent:  stream.NewMemorySink(cfg.Recent),
-		topk:    stream.NewTopKSink(cfg.TopK),
 		member:  cfg.Member,
 		maxBody: cfg.MaxBodyBytes,
 		started: time.Now(),
 		obsReg:  reg,
 		tracer:  tracer,
 		ro:      requestObs{reg: reg, tracer: tracer, slow: cfg.SlowRequest, logger: cfg.Logger},
-		subIDs:  map[string]bool{},
-		eps:     map[string]*endpointMetrics{},
 	}
 	if !cfg.DisableObs {
 		s.runtime = obs.NewRuntimeStats()
@@ -276,6 +217,7 @@ func New(cfg Config) (*Server, error) {
 		s.wireMaxFrame = wire.DefaultMaxFrameBytes
 	}
 	s.wireIntern = temporal.NewInterner()
+	recent, topk := stream.NewMemorySink(cfg.Recent), stream.NewTopKSink(cfg.TopK)
 	eng, err := stream.NewEngine(stream.Config{
 		Subs:       cfg.Subs,
 		Workers:    cfg.Workers,
@@ -285,16 +227,13 @@ func New(cfg Config) (*Server, error) {
 		Logger:     cfg.Logger,
 		SlowRound:  cfg.SlowRound,
 		Tracer:     tracer,
-	}, stream.MultiSink{s.recent, s.topk})
+	}, stream.MultiSink{recent, topk})
 	if err != nil {
 		return nil, err
 	}
-	s.engine = eng
-	for _, sub := range eng.Subscriptions() {
-		s.subIDs[sub.ID] = true
-	}
+	var st *store.Store
 	if cfg.DataDir != "" {
-		st, err := store.Open(cfg.DataDir, store.Options{
+		st, err = store.Open(cfg.DataDir, store.Options{
 			Sync:          cfg.SyncWrites,
 			SegmentEvents: cfg.SegmentEvents,
 			Obs:           reg,
@@ -302,11 +241,9 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.recover(st); err != nil {
-			st.Close()
-			return nil, err
-		}
-		s.st = st
+	}
+	if s.shard, err = cluster.NewShard(eng, recent, topk, st); err != nil {
+		return nil, err
 	}
 	if cfg.SLO.LagSLO > 0 && reg != nil {
 		s.slo = newSLOWatchdog(cfg.SLO, reg, tracer, cfg.Logger)
@@ -314,134 +251,31 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover restores the newest usable snapshot and replays the WAL tail.
-func (s *Server) recover(st *store.Store) error {
-	from := int64(0)
-	if snap, err := st.LoadSnapshot(); err != nil {
-		return err
-	} else if snap != nil {
-		var ss serverSnapshot
-		if json.Unmarshal(snap.Payload, &ss) == nil && ss.Engine != nil {
-			// A failed restore (e.g. the operator changed the -sub set) is
-			// not fatal: fall through to a full WAL replay.
-			if err := s.engine.Restore(ss.Engine); err == nil {
-				s.recent.Restore(ss.Recent)
-				s.topk.Restore(ss.TopK)
-				s.recovered.FromSnapshot = true
-				s.recovered.SnapshotSeq = snap.Seq
-				from = snap.Seq
-			}
-		}
-	}
-	batch := make([]temporal.Event, 0, 4096)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		_, err := s.engine.Ingest(batch)
-		batch = batch[:0]
-		return err
-	}
-	var ingestErr error
-	err := st.Replay(from, func(_ int64, ev temporal.Event) bool {
-		batch = append(batch, ev)
-		s.recovered.Replayed++
-		if len(batch) == cap(batch) {
-			if ingestErr = flush(); ingestErr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if err == nil && ingestErr == nil {
-		ingestErr = flush()
-	}
-	if err == nil {
-		err = ingestErr
-	}
-	if err != nil {
-		return fmt.Errorf("server: recovery replay: %w", err)
-	}
-	return nil
-}
-
 // Engine returns the underlying stream engine (e.g. for direct feeding in
 // tests and demos).
-func (s *Server) Engine() *stream.Engine { return s.engine }
+func (s *Server) Engine() *stream.Engine { return s.shard.Engine() }
 
 // Durable reports whether the server persists to a data dir.
-func (s *Server) Durable() bool { return s.st != nil }
+func (s *Server) Durable() bool { return s.shard.Store() != nil }
 
 // Recovery reports what New rebuilt from the data dir (zero value for
 // non-durable servers or empty dirs).
-func (s *Server) Recovery() RecoveryStats { return s.recovered }
+func (s *Server) Recovery() cluster.RecoveryStats { return s.shard.Recovery() }
 
-// Snapshot checkpoints the engine and sink state to the data dir,
-// returning the WAL seq it reflects. Recovery after a crash then replays
-// only the WAL tail past this point. Only the in-memory state *capture*
-// blocks ingestion; serialization and disk I/O run outside the ingest
-// lock.
-func (s *Server) Snapshot() (int64, error) {
-	if s.st == nil {
-		return 0, errors.New("server: not durable (no data dir configured)")
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.ingestMu.Lock()
-	seq, snap, err := s.captureSnapshotLocked()
-	s.ingestMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return seq, s.writeSnapshot(seq, snap)
-}
+// Snapshot checkpoints the shard to the data dir, returning the WAL seq
+// the checkpoint reflects.
+func (s *Server) Snapshot() (int64, error) { return s.shard.Snapshot() }
 
-// captureSnapshotLocked must be called with ingestMu held, so the
-// captured WAL seq and engine state agree. The returned state is a
-// consistent point-in-time copy safe to serialize after the lock is
-// released. A fail-stopped engine refuses the capture (see
-// stream.ErrFailStopped) — checkpointing its diverged log would launder
-// the partial batch into the authoritative recovery state.
-func (s *Server) captureSnapshotLocked() (int64, serverSnapshot, error) {
-	eng, err := s.engine.Snapshot()
-	if err != nil {
-		return 0, serverSnapshot{}, err
-	}
-	return s.st.Seq(), serverSnapshot{
-		Engine: eng,
-		Recent: s.recent.Snapshot(),
-		TopK:   s.topk.Snapshot(),
-	}, nil
-}
-
-// writeSnapshot must be called with snapMu held (ordering concurrent
-// checkpoints so an older capture can never overwrite a newer one).
-func (s *Server) writeSnapshot(seq int64, snap serverSnapshot) error {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("server: snapshot marshal: %w", err)
-	}
-	return s.st.WriteSnapshot(seq, payload)
-}
-
-// Close stops the SLO watchdog and the wire listener, flushes a final
-// snapshot (durable servers; best-effort — the WAL alone already suffices
-// for recovery) and closes the store. The server must not serve requests
-// afterwards.
+// Close stops the SLO watchdog and the wire listener, then closes the
+// shard (a durable one flushes a final snapshot first). The server must
+// not serve requests afterwards.
 func (s *Server) Close() error {
 	if s.slo != nil {
 		s.slo.stopWatch()
 		s.slo = nil
 	}
 	s.StopWire()
-	if s.st == nil {
-		return nil
-	}
-	_, snapErr := s.Snapshot()
-	if err := s.st.Close(); err != nil {
-		return err
-	}
-	return snapErr
+	return s.shard.Close()
 }
 
 // Handler returns the HTTP API handler.
@@ -465,19 +299,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) endpoint(name string) *endpointMetrics {
-	s.epMu.Lock()
-	defer s.epMu.Unlock()
-	m := s.eps[name]
-	if m == nil {
-		m = &endpointMetrics{}
-		s.eps[name] = m
-	}
-	return m
-}
-
 func (s *Server) count(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.ro.wrap(&s.reqs, s.endpoint(name), name, h)
+	return s.ro.wrap(&s.reqs, name, h)
 }
 
 // Obs returns the server's metrics registry (nil with Config.DisableObs).
@@ -508,7 +331,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrometheusResponse(w, s.prometheusSnapshots())
 		return
 	}
-	st := s.engine.Stats()
+	st := s.Engine().Stats()
 	out := map[string]interface{}{
 		"engine.watermark":       st.Watermark,
 		"engine.started":         st.Started,
@@ -529,23 +352,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"http.requests":               s.reqs.Load(),
 		"uptime_seconds":              time.Since(s.started).Seconds(),
 	}
-	if s.st != nil {
+	if wal := s.shard.Store(); wal != nil {
 		// wal_seq is the newest WAL sequence number — the count of events
-		// ever appended, not the events currently retained on disk (the old
-		// wal_events name suggested the latter).
-		out["store.wal_seq"] = s.st.Seq()
-		out["store.wal_segments"] = len(s.st.Segments())
-		if _, at, ok := s.st.SnapshotInfo(); ok {
+		// ever appended, not the events currently retained on disk.
+		out["store.wal_seq"] = wal.Seq()
+		out["store.wal_segments"] = len(wal.Segments())
+		if _, at, ok := wal.SnapshotInfo(); ok {
 			out["store.snapshot_age_seconds"] = time.Since(at).Seconds()
 		}
 	}
-	s.epMu.Lock()
-	eps := make(map[string]*endpointMetrics, len(s.eps))
-	for name, m := range s.eps {
-		eps[name] = m
-	}
-	s.epMu.Unlock()
-	flatEndpointMetrics(out, eps, s.obsReg)
+	flatEndpointMetrics(out, s.obsReg)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -560,7 +376,7 @@ func (s *Server) prometheusSnapshots() []obs.MetricSnapshot {
 	if s.runtime != nil {
 		snaps = append(snaps, s.runtime.Collect()...)
 	}
-	st := s.engine.Stats()
+	st := s.Engine().Stats()
 	snaps = append(snaps,
 		gaugeSnap("flowmotif_engine_watermark", "Stream watermark (event time).", float64(st.Watermark)),
 		counterSnap("flowmotif_engine_events_ingested_total", "Events accepted by the engine.", float64(st.EventsIngested)),
@@ -572,50 +388,17 @@ func (s *Server) prometheusSnapshots() []obs.MetricSnapshot {
 		counterSnap("flowmotif_http_requests_total", "HTTP requests served.", float64(s.reqs.Load())),
 		gaugeSnap("flowmotif_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds()),
 	)
-	if s.st != nil {
+	if wal := s.shard.Store(); wal != nil {
 		snaps = append(snaps,
-			gaugeSnap("flowmotif_store_wal_seq", "Newest WAL sequence number (events ever appended).", float64(s.st.Seq())),
-			gaugeSnap("flowmotif_store_wal_segments", "WAL segment files on disk.", float64(len(s.st.Segments()))),
+			gaugeSnap("flowmotif_store_wal_seq", "Newest WAL sequence number (events ever appended).", float64(wal.Seq())),
+			gaugeSnap("flowmotif_store_wal_segments", "WAL segment files on disk.", float64(len(wal.Segments()))),
 		)
-		if _, at, ok := s.st.SnapshotInfo(); ok {
+		if _, at, ok := wal.SnapshotInfo(); ok {
 			snaps = append(snaps,
 				gaugeSnap("flowmotif_store_snapshot_age_seconds", "Seconds since the last engine checkpoint.", time.Since(at).Seconds()))
 		}
 	}
 	return snaps
-}
-
-// AddSubscription installs a cluster handoff: catch-up events and
-// finalization bound into the engine, moved detections into the query
-// sinks (cluster.InstallHandoff — the same protocol as LocalMember).
-// Exposed over POST /cluster/add-sub on member servers.
-func (s *Server) AddSubscription(h cluster.Handoff) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	id, err := cluster.InstallHandoff(s.engine, s.recent, s.topk, h)
-	if err != nil {
-		return err
-	}
-	s.subMu.Lock()
-	s.subIDs[id] = true
-	s.subMu.Unlock()
-	return nil
-}
-
-// RemoveSubscription uninstalls a subscription and returns its handoff
-// (engine bound + catch-up events + sink state). Exposed over POST
-// /cluster/remove-sub on member servers.
-func (s *Server) RemoveSubscription(id string) (cluster.Handoff, error) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	h, err := cluster.ExtractHandoff(s.engine, s.recent, s.topk, id)
-	if err != nil {
-		return cluster.Handoff{}, err
-	}
-	s.subMu.Lock()
-	delete(s.subIDs, id)
-	s.subMu.Unlock()
-	return h, nil
 }
 
 func (s *Server) handleAddSub(w http.ResponseWriter, r *http.Request) {
@@ -635,8 +418,8 @@ func (s *Server) handleAddSub(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxHandoff, &h) {
 		return
 	}
-	if err := s.AddSubscription(h); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := s.shard.AddSubscription(h); err != nil {
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "sub": h.Sub.ID})
@@ -653,13 +436,9 @@ func (s *Server) handleRemoveSub(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.maxBody, &req) {
 		return
 	}
-	h, err := s.RemoveSubscription(req.ID)
+	h, err := s.shard.RemoveSubscription(req.ID)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, stream.ErrUnknownSubscription) {
-			status = http.StatusNotFound
-		}
-		writeErr(w, status, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, h)
@@ -702,20 +481,8 @@ type ingestRequest struct {
 	// Seq tags a replicated batch with its replication-log sequence
 	// number (cluster coordinators set it; see internal/cluster). A seq
 	// at or below the last applied one marks a resend whose ack was lost:
-	// the server answers with the recorded ack instead of re-applying.
+	// the shard answers with the recorded ack instead of re-applying.
 	Seq int64 `json:"seq"`
-}
-
-type ingestResponse struct {
-	Ingested   int   `json:"ingested"`
-	Watermark  int64 `json:"watermark"`
-	Detections int64 `json:"detections"` // finalized by this batch
-	Seq        int64 `json:"seq,omitempty"`
-	Dup        bool  `json:"dup,omitempty"`       // idempotent resend no-op
-	Pipelined  bool  `json:"pipelined,omitempty"` // coordinator ack: applied asynchronously
-	// Trace is the batch's trace ID: the key into GET /debug/traces for the
-	// span tree following this batch from ingest ack to emit.
-	Trace string `json:"trace,omitempty"`
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -731,79 +498,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Events {
 		evs[i] = temporal.Event{From: e.From, To: e.To, T: e.T, F: e.F}
 	}
-	// Pre-sort (stably, matching the engine's internal order) so the WAL
-	// records the exact sequence the engine processed.
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-	resp, status, err := s.applyIngest(evs, req.Seq, requestSpan(r).Context())
+	ack, err := s.shard.Ingest(evs, req.Seq, requestSpan(r).Context())
 	if err != nil {
-		writeErr(w, status, err)
+		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// applyIngest is the transport-independent ingest core shared by the
-// JSON handler and the binary wire listener: seq-tagged resend dedup,
-// engine apply, WAL append with fail-stop poisoning, and last-ack
-// recording, all as one atomic unit under ingestMu. Events must already
-// be sorted by T (stable). The returned status is the HTTP taxonomy both
-// transports translate from (200/400/409/500); err is non-nil for every
-// non-200.
-//
-//flowmotif:hotpath
-func (s *Server) applyIngest(evs []temporal.Event, seq int64, parent obs.SpanContext) (ingestResponse, int, error) {
-	s.ingestMu.Lock()
-	if s.walErr != nil {
-		err := s.walErr
-		s.ingestMu.Unlock()
-		return ingestResponse{}, http.StatusInternalServerError,
-			fmt.Errorf("wal broken, ingest fail-stopped (restart to recover): %w", err)
-	}
-	if seq > 0 && seq <= s.lastSeq {
-		resp := s.lastAck
-		resp.Dup = true
-		s.ingestMu.Unlock()
-		return resp, http.StatusOK, nil
-	}
-	ack, err := s.engine.IngestTraced(evs, parent)
-	if err == nil && s.st != nil {
-		if perr := s.st.Append(evs); perr != nil {
-			// The engine applied the batch but the WAL did not: poison
-			// ingest (fail-stop) so a replication retry cannot re-apply the
-			// batch and later batches cannot widen the engine/WAL gap.
-			s.walErr = perr
-			if seq > 0 {
-				s.lastSeq = seq
-			}
-			s.ingestMu.Unlock()
-			return ingestResponse{}, http.StatusInternalServerError, fmt.Errorf("persist: %w", perr)
-		}
-	}
-	resp := ingestResponse{
-		Ingested:   ack.Ingested,
-		Watermark:  ack.Watermark,
-		Detections: ack.Detections,
-		Seq:        seq,
-		Trace:      ack.Trace,
-	}
-	if err == nil && seq > 0 {
-		s.lastSeq = seq
-		s.lastAck = resp
-	}
-	s.ingestMu.Unlock()
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, stream.ErrBehindFrontier):
-			status = http.StatusConflict
-		case errors.Is(err, stream.ErrFailStopped):
-			// The engine poisoned itself mid-batch (partial append); like
-			// the WAL fail-stop, only a restart recovers.
-			status = http.StatusInternalServerError
-		}
-		return ingestResponse{}, status, err
-	}
-	return resp, http.StatusOK, nil
+	writeJSON(w, http.StatusOK, ack)
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
@@ -811,43 +511,12 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	if err := s.engine.Err(); err != nil {
-		// Same contract as ingest on a poisoned engine: 500, not an
-		// empty-success flush that silently foreclosed nothing.
-		writeErr(w, http.StatusInternalServerError, err)
+	ack, err := s.shard.Flush(requestSpan(r).Context())
+	if err != nil {
+		writeErr(w, errStatus(err), err)
 		return
 	}
-	if s.st != nil {
-		s.snapMu.Lock() // before ingestMu, per the documented lock order
-		defer s.snapMu.Unlock()
-	}
-	s.ingestMu.Lock()
-	ack := s.engine.FlushTraced(requestSpan(r).Context())
-	var seq int64
-	var snap serverSnapshot
-	var snapErr error
-	if s.st != nil {
-		seq, snap, snapErr = s.captureSnapshotLocked()
-	}
-	s.ingestMu.Unlock()
-	if snapErr != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("persist flush: %w", snapErr))
-		return
-	}
-	if s.st != nil {
-		// A flush forecloses windows beyond the watermark; checkpointing
-		// makes that frontier durable, so a post-crash replay cannot
-		// re-open (and re-emit from) windows the flush already closed.
-		if err := s.writeSnapshot(seq, snap); err != nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("persist flush: %w", err))
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, ingestResponse{
-		Watermark:  ack.Watermark,
-		Detections: ack.Detections,
-		Trace:      ack.Trace,
-	})
+	writeJSON(w, http.StatusOK, ack)
 }
 
 // handleSnapshot is the POST /snapshot admin endpoint: checkpoint now.
@@ -856,7 +525,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	if s.st == nil {
+	if !s.Durable() {
 		writeErr(w, http.StatusBadRequest, errors.New("server is not durable (start with a data dir)"))
 		return
 	}
@@ -883,14 +552,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	st := s.engine.Stats()
+	st := s.Engine().Stats()
 	resp := map[string]interface{}{
 		"status":     "ok",
 		"started":    st.Started,
 		"watermark":  st.Watermark,
 		"events":     st.EventsIngested,
 		"detections": st.Detections,
-		"durable":    s.st != nil,
+		"durable":    s.Durable(),
 	}
 	if s.slo != nil {
 		if reasons := s.slo.Reasons(); len(reasons) > 0 {
@@ -903,9 +572,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if port := s.WirePort(); port > 0 {
 		resp["wirePort"] = port
 	}
-	if s.st != nil {
-		resp["walEvents"] = s.st.Seq()
-		if seq, at, ok := s.st.SnapshotInfo(); ok {
+	if wal := s.shard.Store(); wal != nil {
+		resp["walEvents"] = wal.Seq()
+		if seq, at, ok := wal.SnapshotInfo(); ok {
 			resp["lastSnapshotSeq"] = seq
 			resp["lastSnapshotUnix"] = at.Unix()
 		}
@@ -913,23 +582,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) resolveSub(w http.ResponseWriter, r *http.Request) (string, bool) {
+// resolveSub reads the sub query parameter; left empty on a server with a
+// single subscription it means that one.
+func (s *Server) resolveSub(r *http.Request) string {
 	sub := r.URL.Query().Get("sub")
-	s.subMu.RLock()
-	defer s.subMu.RUnlock()
 	if sub == "" {
-		if len(s.subIDs) == 1 {
-			for id := range s.subIDs {
-				return id, true
-			}
+		if subs := s.Engine().Subscriptions(); len(subs) == 1 {
+			return subs[0].ID
 		}
-		return "", true // "all" for /instances; /topk rejects below
 	}
-	if !s.subIDs[sub] {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown subscription %q", sub))
-		return "", false
-	}
-	return sub, true
+	return sub // "" is "all" for /instances; /topk wants all=1 for that
 }
 
 func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
@@ -937,22 +599,21 @@ func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	sub, ok := s.resolveSub(w, r)
-	if !ok {
-		return
-	}
 	limit, err := intParam(r, "limit", 50)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ds := s.recent.Recent(sub, limit)
-	wm, started := s.engine.Watermark()
+	res, err := s.shard.Instances(s.resolveSub(r), limit)
+	if err != nil {
+		writeErr(w, errStatus(err), err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":     len(ds),
-		"watermark": wm,
-		"started":   started,
-		"instances": ds,
+		"count":     len(res.Detections),
+		"watermark": res.Watermark,
+		"started":   res.Started,
+		"instances": res.Detections,
 	})
 }
 
@@ -966,42 +627,26 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	wm, started := s.engine.Watermark()
-	// ?all=1 merges across every local subscription — the per-shard half
-	// of the cluster's distributed top-k (internal/cluster.MergeTopK).
-	if r.URL.Query().Get("all") != "" {
-		var lists [][]*stream.Detection
-		for _, sub := range s.engine.Subscriptions() {
-			lists = append(lists, s.topk.Top(sub.ID))
+	// ?all=1 merges across every local subscription (the shard's answer to
+	// sub ""); without it a server with several subscriptions wants a name.
+	var sub string
+	if r.URL.Query().Get("all") == "" {
+		if sub = s.resolveSub(r); sub == "" {
+			writeErr(w, http.StatusBadRequest, errors.New("sub parameter required (several subscriptions configured; use all=1 for a merged list)"))
+			return
 		}
-		ds := cluster.MergeTopK(lists, k)
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"sub":       "",
-			"count":     len(ds),
-			"watermark": wm,
-			"started":   started,
-			"instances": ds,
-		})
-		return
 	}
-	sub, ok := s.resolveSub(w, r)
-	if !ok {
+	res, err := s.shard.TopK(sub, k)
+	if err != nil {
+		writeErr(w, errStatus(err), err)
 		return
-	}
-	if sub == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("sub parameter required (several subscriptions configured; use all=1 for a merged list)"))
-		return
-	}
-	ds := s.topk.Top(sub)
-	if k > 0 && k < len(ds) {
-		ds = ds[:k]
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"sub":       sub,
-		"count":     len(ds),
-		"watermark": wm,
-		"started":   started,
-		"instances": ds,
+		"count":     len(res.Detections),
+		"watermark": res.Watermark,
+		"started":   res.Started,
+		"instances": res.Detections,
 	})
 }
 
@@ -1018,7 +663,7 @@ func (s *Server) handleSubs(w http.ResponseWriter, r *http.Request) {
 		Phi   float64 `json:"phi"`
 	}
 	var out []wireSub
-	for _, sub := range s.engine.Subscriptions() {
+	for _, sub := range s.Engine().Subscriptions() {
 		out = append(out, wireSub{
 			ID:    sub.ID,
 			Motif: sub.Motif.Name(),
@@ -1036,7 +681,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := map[string]interface{}{
-		"engine":        s.engine.Stats(),
+		"engine":        s.Engine().Stats(),
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 		"httpRequests":  s.reqs.Load(),
 	}
@@ -1045,11 +690,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// through this field and bucket-merge them into their exposition.
 		resp["metrics"] = s.obsReg.Snapshot()
 	}
-	if s.st != nil {
+	if wal := s.shard.Store(); wal != nil {
 		resp["store"] = map[string]interface{}{
-			"walEvents": s.st.Seq(),
-			"segments":  s.st.Segments(),
-			"recovery":  s.recovered,
+			"walEvents": wal.Seq(),
+			"segments":  wal.Segments(),
+			"recovery":  s.shard.Recovery(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1088,6 +733,23 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// errStatus is the one outbound error mapping, for both server roles: a
+// shard's or a coordinator's error to the API's status code (which
+// wireErrorCode takes on to a wire error code, and HTTPMember.statusErr
+// inverts on the coordinator's side).
+func errStatus(err error) int {
+	switch {
+	case errors.Is(err, stream.ErrBehindFrontier):
+		return http.StatusConflict
+	case errors.Is(err, cluster.ErrUnknownSub), errors.Is(err, stream.ErrUnknownSubscription):
+		return http.StatusNotFound
+	case errors.Is(err, cluster.ErrNoMembers), errors.Is(err, cluster.ErrMemberDown):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

@@ -157,7 +157,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	st := s.engine.Stats()
+	st := s.Engine().Stats()
 	if st.Cost.Rounds == 0 && st.Cost.AttributedSeconds == 0 && len(st.Groups) == 0 {
 		writeErr(w, http.StatusNotFound, errors.New("cost attribution disabled or no rounds metered yet"))
 		return

@@ -18,8 +18,8 @@ import (
 // This file is the binary wire-protocol listener (DESIGN.md §16): a
 // persistent-connection TCP endpoint served next to the JSON API that
 // decodes length-prefixed batch frames straight into a per-connection
-// recycled event buffer and feeds them through the same applyIngest core
-// the HTTP handler uses — same seq dedup, WAL coupling, fail-stop and
+// recycled event buffer and feeds them to the same shard (cluster.Shard)
+// the HTTP handler calls — same seq dedup, WAL coupling, fail-stop and
 // error taxonomy, ~zero per-event cost on the decode path.
 
 // wireMetrics bundles the binary listener's instruments. All of them are
@@ -184,7 +184,7 @@ func (s *Server) WireInterner(f func(*temporal.Interner)) {
 }
 
 // serveWireConn runs one persistent connection: read frame, decode into
-// the recycled buffer, apply through the shared ingest core, answer with
+// the recycled buffer, apply through the shard, answer with
 // an ack or a typed error frame. Framing-level failures (bad magic or
 // CRC, oversized declared length) answer an error frame and close the
 // connection — the byte stream cannot be resynced; semantic rejections
@@ -252,7 +252,11 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		if s.wx != nil {
 			t1 = time.Now()
 		}
-		resp, status, aerr := s.applyIngest(evs, frame.Seq, root.Context())
+		resp, aerr := s.shard.Ingest(evs, frame.Seq, root.Context())
+		status := http.StatusOK
+		if aerr != nil {
+			status = errStatus(aerr)
+		}
 		if s.wx != nil {
 			s.wx.apply.ObserveExemplar(time.Since(t1).Seconds(), root.Context().Trace)
 			if status < 300 {
@@ -305,13 +309,13 @@ func (s *Server) writeWireError(conn net.Conn, out []byte, err error) []byte {
 	return out
 }
 
-// wireErrorCode maps the shared ingest core's HTTP status taxonomy onto
-// wire error codes.
+// wireErrorCode takes the status errStatus mapped a shard error to on to
+// its wire error code.
 func wireErrorCode(status int) wire.ErrorCode {
-	switch status {
-	case http.StatusConflict:
+	switch {
+	case status == http.StatusConflict:
 		return wire.CodeBehindFrontier
-	case http.StatusInternalServerError:
+	case status >= http.StatusInternalServerError:
 		return wire.CodeInternal
 	default:
 		return wire.CodeRejected

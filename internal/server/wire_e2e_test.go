@@ -49,9 +49,10 @@ func startWireServer(t *testing.T, cfg Config) (*Server, *httptest.Server, strin
 	return srv, ts, addr
 }
 
-// TestWireVsJSONIngestOracle is the protocol-compatibility oracle: the
-// same seq-tagged event stream through the JSON API and through the
-// binary wire protocol must produce identical per-batch acks (ingested,
+// TestWireVsJSONIngestOracle is the entrance-compatibility oracle: the
+// same seq-tagged event stream through the JSON API, through the binary
+// wire protocol and through the in-process entrance (Member.Ingest on a
+// cluster.LocalMember) must produce identical per-batch acks (ingested,
 // watermark, detections, seq, dup), identical final detection sets, and
 // identical seq-dedup behavior — including a resend after a dropped ack
 // arriving over a fresh binary connection.
@@ -65,15 +66,27 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 	_, jsonTS, _ := startWireServer(t, Config{Subs: wireTestSubs()})
 	_, wireTS, wireAddr := startWireServer(t, Config{Subs: wireTestSubs()})
 
+	// Sink bounds as Config defaults them, so all three retain the same.
+	lm, err := cluster.NewLocalMember("local", cluster.LocalOptions{Recent: 1024, TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range wireTestSubs() {
+		if err := lm.AddSubscription(cluster.Handoff{Sub: cluster.SpecOf(sub)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var local cluster.Member = lm // the interface a coordinator drives
+
 	cli, err := wire.Dial(wireAddr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
-	// Feed the identical batch sequence through both transports. Batches
-	// are shuffled internally so both the JSON handler's pre-sort and the
-	// wire encoder's sort path run.
+	// Feed the identical batch sequence through all three entrances.
+	// Batches are shuffled internally so the engine's, the store's and the
+	// wire encoder's sort paths run.
 	rng := rand.New(rand.NewSource(4))
 	var seq int64
 	var lastWireAck wire.Ack
@@ -109,6 +122,14 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 			wireAck.Detections != jsonAck.Detections || wireAck.Seq != jsonAck.Seq || wireAck.Dup != jsonAck.Dup {
 			t.Fatalf("seq %d acks diverge: wire %+v, json %+v", seq, wireAck, jsonAck)
 		}
+		localAck, err := local.Ingest(cluster.Batch{Seq: seq, Events: batch})
+		if err != nil {
+			t.Fatalf("in-process ingest seq %d: %v", seq, err)
+		}
+		if localAck.Ingested != jsonAck.Ingested || localAck.Watermark != jsonAck.Watermark ||
+			localAck.Detections != jsonAck.Detections || localAck.Seq != jsonAck.Seq || localAck.Dup != jsonAck.Dup {
+			t.Fatalf("seq %d acks diverge: in-process %+v, json %+v", seq, localAck, jsonAck)
+		}
 		lastWireAck = wireAck
 		lastBatch = batch
 		i += n
@@ -130,6 +151,11 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 		dup.Detections != lastWireAck.Detections || dup.Seq != lastWireAck.Seq {
 		t.Fatalf("resend ack = %+v, want dup of %+v", dup, lastWireAck)
 	}
+	if ldup, err := local.Ingest(cluster.Batch{Seq: seq, Events: lastBatch}); err != nil || !ldup.Dup ||
+		int64(ldup.Ingested) != dup.Ingested || ldup.Watermark != dup.Watermark ||
+		ldup.Detections != dup.Detections || ldup.Seq != dup.Seq {
+		t.Fatalf("in-process resend ack = %+v (%v), want the wire one %+v", ldup, err, dup)
+	}
 
 	// An untagged behind-frontier batch is rejected with the typed 409
 	// equivalent — and the connection survives the rejection.
@@ -142,14 +168,18 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 		t.Fatalf("connection unusable after a semantic rejection: %v", err)
 	}
 
-	// Flush both and compare the final detection sets per subscription.
+	// Flush all three and compare the final detection sets per subscription.
 	for _, ts := range []*httptest.Server{jsonTS, wireTS} {
 		if resp, body := postJSON(t, ts.Client(), ts.URL+"/flush", nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("flush: %d: %s", resp.StatusCode, body)
 		}
 	}
+	if _, err := local.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"json", "wire", "in-process"}
 	for _, sub := range wireTestSubs() {
-		keys := make([]map[string]bool, 2)
+		keys := make([]map[string]bool, 3)
 		for si, ts := range []*httptest.Server{jsonTS, wireTS} {
 			var got struct {
 				Instances []*stream.Detection `json:"instances"`
@@ -163,17 +193,152 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 				keys[si][detKey(d)] = true
 			}
 		}
+		res, err := local.Instances(sub.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[2] = map[string]bool{}
+		for _, d := range res.Detections {
+			keys[2][detKey(d)] = true
+		}
 		if len(keys[0]) == 0 {
 			t.Fatalf("sub %s: oracle vacuous, no detections", sub.ID)
 		}
-		if len(keys[0]) != len(keys[1]) {
-			t.Fatalf("sub %s: json served %d instances, wire served %d", sub.ID, len(keys[0]), len(keys[1]))
-		}
-		for k := range keys[0] {
-			if !keys[1][k] {
-				t.Fatalf("sub %s: instance %s served over json but not over wire", sub.ID, k)
+		for si := 1; si < len(keys); si++ {
+			if len(keys[0]) != len(keys[si]) {
+				t.Fatalf("sub %s: json served %d instances, %s served %d", sub.ID, len(keys[0]), names[si], len(keys[si]))
+			}
+			for k := range keys[0] {
+				if !keys[si][k] {
+					t.Fatalf("sub %s: instance %s served over json but not over %s", sub.ID, k, names[si])
+				}
 			}
 		}
+	}
+}
+
+// statusError is a non-200 HTTP answer, so the JSON entrance can report a
+// refusal through the same error-returning shape as the other two.
+type statusError int
+
+func (e statusError) Error() string { return fmt.Sprintf("HTTP status %d", int(e)) }
+
+// TestShardRefusalsEveryEntrance drives the two refusals a shard issues on
+// its own — WAL fail-stop and unknown subscription — through each of its
+// entrances and expects the one taxonomy in that entrance's form.
+//
+// Fail-stop (the scenario cluster.TestWALFailurePoisonsMember pins for the
+// direct call): break the WAL under a durable shard, send a seq-tagged
+// batch — the engine applies it, the append fails — and expect
+// ErrMemberDown / a 5xx / wire.CodeInternal; resend the same seq and
+// expect the same refusal with EventsIngested unchanged (no double apply).
+func TestShardRefusalsEveryEntrance(t *testing.T) {
+	sub := stream.Subscription{ID: "s", Motif: motif.MustPath(0, 1), Delta: 5}
+	durableServer := func(t *testing.T) (*Server, *httptest.Server, string) {
+		return startWireServer(t, Config{Subs: []stream.Subscription{sub}, DataDir: t.TempDir()})
+	}
+	type entrance struct {
+		shard   *cluster.Shard
+		ingest  func(seq int64, evs []temporal.Event) error
+		refused func(error) bool
+	}
+	entrances := map[string]func(t *testing.T) entrance{
+		"direct": func(t *testing.T) entrance {
+			lm, err := cluster.NewLocalMember("d", cluster.LocalOptions{DataDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lm.AddSubscription(cluster.Handoff{Sub: cluster.SpecOf(sub)}); err != nil {
+				t.Fatal(err)
+			}
+			return entrance{
+				shard: lm.Shard,
+				ingest: func(seq int64, evs []temporal.Event) error {
+					_, err := lm.Ingest(cluster.Batch{Seq: seq, Events: evs})
+					return err
+				},
+				refused: func(err error) bool { return errors.Is(err, cluster.ErrMemberDown) },
+			}
+		},
+		"json": func(t *testing.T) entrance {
+			srv, ts, _ := durableServer(t)
+			return entrance{
+				shard: srv.shard,
+				ingest: func(seq int64, evs []temporal.Event) error {
+					resp, _ := postJSON(t, ts.Client(), ts.URL+"/ingest",
+						map[string]interface{}{"events": wireEvents(evs), "seq": seq})
+					if resp.StatusCode != http.StatusOK {
+						return statusError(resp.StatusCode)
+					}
+					return nil
+				},
+				refused: func(err error) bool {
+					var se statusError
+					return errors.As(err, &se) && se >= 500
+				},
+			}
+		},
+		"wire": func(t *testing.T) entrance {
+			srv, _, addr := durableServer(t)
+			cli, err := wire.Dial(addr, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cli.Close() })
+			return entrance{
+				shard: srv.shard,
+				// One connection throughout: a fail-stop refusal keeps it open.
+				ingest: func(seq int64, evs []temporal.Event) error {
+					_, err := cli.Ingest(seq, "", evs)
+					return err
+				},
+				refused: func(err error) bool {
+					var re *wire.RemoteError
+					return errors.As(err, &re) && re.Code == wire.CodeInternal
+				},
+			}
+		},
+	}
+	for name, build := range entrances {
+		t.Run("failstop/"+name, func(t *testing.T) {
+			e := build(t)
+			if err := e.ingest(1, []temporal.Event{{From: 0, To: 1, T: 10, F: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			// Break the WAL out from under the shard: the next append fails
+			// after the engine has already applied.
+			if err := e.shard.Store().Close(); err != nil {
+				t.Fatal(err)
+			}
+			bad := []temporal.Event{{From: 0, To: 1, T: 20, F: 1}}
+			for _, attempt := range []string{"first send", "resend"} {
+				if err := e.ingest(2, bad); !e.refused(err) {
+					t.Fatalf("%s with a broken WAL: %v, want the fail-stop refusal", attempt, err)
+				}
+				if got := e.shard.Engine().Stats().EventsIngested; got != 2 {
+					t.Fatalf("after the %s the engine has ingested %d events, want 2 (applied once, never again)", attempt, got)
+				}
+			}
+		})
+	}
+
+	// Unknown subscription: ErrUnknownSub from the shard, 404 over HTTP, and
+	// ErrUnknownSub again once HTTPMember has mapped the 404 back.
+	_, ts, _ := startWireServer(t, Config{Subs: []stream.Subscription{sub}})
+	lm, err := cluster.NewLocalMember("d", cluster.LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]cluster.Member{"direct": lm, "http member": cluster.NewHTTPMember("h", ts.URL, ts.Client())} {
+		if _, err := m.TopK("nope", 1); !errors.Is(err, cluster.ErrUnknownSub) {
+			t.Errorf("%s: TopK of an unknown subscription: %v, want ErrUnknownSub", name, err)
+		}
+		if _, err := m.Instances("nope", 1); !errors.Is(err, cluster.ErrUnknownSub) {
+			t.Errorf("%s: Instances of an unknown subscription: %v, want ErrUnknownSub", name, err)
+		}
+	}
+	if resp := getJSON(t, ts.Client(), ts.URL+"/topk?sub=nope", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /topk of an unknown subscription: %d, want 404", resp.StatusCode)
 	}
 }
 

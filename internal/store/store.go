@@ -295,19 +295,9 @@ func (s *Store) Append(events []temporal.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	batch := events
-	if !sort.SliceIsSorted(batch, func(i, j int) bool { return batch[i].T < batch[j].T }) {
-		batch = append([]temporal.Event(nil), events...)
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].T < batch[j].T })
-	}
-	for i := range batch {
-		ev := &batch[i]
-		if ev.From < 0 || ev.To < 0 {
-			return fmt.Errorf("store: batch event %d: negative node id", i)
-		}
-		if ev.F <= 0 || math.IsNaN(ev.F) || math.IsInf(ev.F, 0) {
-			return fmt.Errorf("store: batch event %d: flow must be positive and finite (got %v)", i, ev.F)
-		}
+	batch := temporal.InTimeOrder(events, nil)
+	if err := temporal.CheckEvents(batch); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -27,13 +27,10 @@
 package stream
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
-	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -385,36 +382,20 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 	}
 	e.arrivedAt = arrived
 
-	// The common monotone-producer case sends batches already in time
-	// order; read them in place instead of copying and re-sorting (the
-	// batch is only read — the log copies events on append). Unordered
-	// batches take the sort path through the reusable scratch buffer.
-	batch := events
-	if !slices.IsSortedFunc(events, func(a, b temporal.Event) int { return cmp.Compare(a.T, b.T) }) {
-		e.scratch = append(e.scratch[:0], events...)
-		batch = e.scratch
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].T < batch[j].T })
-	}
+	// The batch is only read (the log copies events on append), so an
+	// already ordered one is used in place; an unordered one is sorted
+	// into the reusable scratch buffer.
+	batch := temporal.InTimeOrder(events, &e.scratch)
+	var reject error
 	if batch[0].T < e.minNextT {
-		err := fmt.Errorf("%w: batch reaches back to t=%d, frontier is %d", ErrBehindFrontier, batch[0].T, e.minNextT)
-		e.mu.Unlock()
-		endSpanErr(root, err)
-		return Ack{}, err
+		reject = fmt.Errorf("%w: batch reaches back to t=%d, frontier is %d", ErrBehindFrontier, batch[0].T, e.minNextT)
+	} else if err := temporal.CheckEvents(batch); err != nil {
+		reject = fmt.Errorf("stream: %w", err)
 	}
-	for i := range batch {
-		ev := &batch[i]
-		if ev.From < 0 || ev.To < 0 {
-			err := fmt.Errorf("stream: batch event %d: negative node id", i)
-			e.mu.Unlock()
-			endSpanErr(root, err)
-			return Ack{}, err
-		}
-		if ev.F <= 0 || math.IsNaN(ev.F) || math.IsInf(ev.F, 0) {
-			err := fmt.Errorf("stream: batch event %d: flow must be positive and finite (got %v)", i, ev.F)
-			e.mu.Unlock()
-			endSpanErr(root, err)
-			return Ack{}, err
-		}
+	if reject != nil {
+		e.mu.Unlock()
+		endSpanErr(root, reject)
+		return Ack{}, reject
 	}
 	for i := range batch {
 		if err := e.appendEvent(batch[i], i); err != nil {

@@ -1,8 +1,10 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -21,6 +23,51 @@ func SatAdd(a, b int64) int64 {
 
 // SatSub returns a-b with saturation at the int64 extremes.
 func SatSub(a, b int64) int64 { return SatAdd(a, -b) }
+
+// InTimeOrder and CheckEvents are the stream's batch admission rule,
+// stated once for every layer that admits a batch (stream engine, event
+// store, cluster coordinator, wire encoder): a batch is processed in
+// stable timestamp order, and each event has non-negative endpoints and a
+// positive finite flow. Because all of them order a batch with this one
+// function, the WAL records exactly the sequence the engine processed.
+// Each caller adds its own frontier check and error prefix.
+
+// InTimeOrder returns events stably sorted by T. A batch already in order
+// (the common monotone-producer case) is returned as is and only read;
+// otherwise the ordered copy is built in *scratch, which is grown and kept
+// for reuse (nil allocates a fresh copy). *scratch may be events itself:
+// the batch is then sorted in place.
+func InTimeOrder(events []Event, scratch *[]Event) []Event {
+	byT := func(a, b Event) int { return cmp.Compare(a.T, b.T) }
+	if slices.IsSortedFunc(events, byT) {
+		return events
+	}
+	var batch []Event
+	if scratch != nil {
+		batch = (*scratch)[:0]
+	}
+	batch = append(batch, events...)
+	slices.SortStableFunc(batch, byT)
+	if scratch != nil {
+		*scratch = batch
+	}
+	return batch
+}
+
+// CheckEvents rejects a batch holding an event with a negative node id or
+// a flow that is not positive and finite, naming the first offender.
+func CheckEvents(batch []Event) error {
+	for i := range batch {
+		ev := &batch[i]
+		if ev.From < 0 || ev.To < 0 {
+			return fmt.Errorf("batch event %d: negative node id", i)
+		}
+		if ev.F <= 0 || math.IsNaN(ev.F) || math.IsInf(ev.F, 0) {
+			return fmt.Errorf("batch event %d: flow must be positive and finite (got %v)", i, ev.F)
+		}
+	}
+	return nil
+}
 
 // WindowLog is the append/evict event store behind streaming ingestion
 // (internal/stream): a time-ordered log of events over a sliding retention

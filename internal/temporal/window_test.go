@@ -1,7 +1,9 @@
 package temporal
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -222,5 +224,55 @@ func TestWindowLogPrependIntoFreshAndDrainedLog(t *testing.T) {
 	}
 	if _, err := NewWindowLogFromState(d.State()); err != nil {
 		t.Fatalf("drained-splice state invalid: %v", err)
+	}
+}
+
+// TestBatchAdmissionRule pins the one statement of the rule every
+// admitting layer calls: stable time order through each of InTimeOrder's
+// three buffer modes, and the per-event check naming the first offender.
+func TestBatchAdmissionRule(t *testing.T) {
+	// From tags arrival order, so stability is visible among equal T.
+	unsorted := []Event{{From: 0, T: 30, F: 1}, {From: 1, T: 10, F: 1}, {From: 2, T: 30, F: 1}, {From: 3, T: 10, F: 1}}
+	want := []NodeID{1, 3, 0, 2}
+	check := func(mode string, got []Event) {
+		t.Helper()
+		for i, ev := range got {
+			if ev.From != want[i] {
+				t.Fatalf("%s: order %v, want arrival tags %v", mode, got, want)
+			}
+		}
+	}
+
+	in := append([]Event(nil), unsorted...)
+	check("nil scratch", InTimeOrder(in, nil))
+	if in[0].T != 30 {
+		t.Fatal("nil scratch: the caller's batch was reordered")
+	}
+	scratch := make([]Event, 0, 8)
+	got := InTimeOrder(in, &scratch)
+	check("scratch", got)
+	if &got[0] != &scratch[:1][0] || in[0].T != 30 {
+		t.Fatal("scratch: want the ordered copy built in the scratch buffer, the input untouched")
+	}
+	check("in place", InTimeOrder(in, &in))
+	check("in place (the slice itself)", in)
+	if sorted := InTimeOrder(got, nil); &sorted[0] != &got[0] {
+		t.Fatal("an ordered batch must be returned as is")
+	}
+
+	if err := CheckEvents(got); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]Event{
+		"negative source": {From: -1, To: 1, T: 1, F: 1},
+		"negative target": {From: 1, To: -1, T: 1, F: 1},
+		"zero flow":       {From: 0, To: 1, T: 1, F: 0},
+		"NaN flow":        {From: 0, To: 1, T: 1, F: math.NaN()},
+		"infinite flow":   {From: 0, To: 1, T: 1, F: math.Inf(1)},
+	} {
+		err := CheckEvents([]Event{got[0], bad, bad})
+		if err == nil || !strings.HasPrefix(err.Error(), "batch event 1:") {
+			t.Errorf("%s: err = %v, want a rejection naming event 1", name, err)
+		}
 	}
 }

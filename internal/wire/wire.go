@@ -157,11 +157,11 @@ func (e *Encoder) Reset() {
 // EncodeBatch builds a numeric-mode batch frame: node ids travel as raw
 // temporal.NodeID varints with no symbol table — the mode replication
 // uses, where both sides already share the coordinator's id space.
-// Events are sorted by timestamp (stable, matching the JSON handler's
-// pre-sort) into an internal scratch slice when not already in order.
+// Events are sorted by timestamp (stable, the order every admitting layer
+// uses) into an internal scratch slice when not already in order.
 // The returned slice is valid until the next call.
 func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
-	evs = e.sorted(evs)
+	evs = temporal.InTimeOrder(evs, &e.scratch)
 	e.begin(FrameBatch)
 	e.buf = binary.AppendUvarint(e.buf, 0) // flags: numeric mode
 	if err := e.trailer(seq, traceparent); err != nil {
@@ -280,15 +280,6 @@ func (e *Encoder) putTime(i int, t, prev int64) int64 {
 		e.buf = binary.AppendUvarint(e.buf, uint64(t-prev))
 	}
 	return t
-}
-
-func (e *Encoder) sorted(evs []temporal.Event) []temporal.Event {
-	if sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].T < evs[j].T }) {
-		return evs
-	}
-	e.scratch = append(e.scratch[:0], evs...)
-	sort.SliceStable(e.scratch, func(i, j int) bool { return e.scratch[i].T < e.scratch[j].T })
-	return e.scratch
 }
 
 func (e *Encoder) sortedLabeled(evs []LabeledEvent) []LabeledEvent {
