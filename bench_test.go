@@ -11,7 +11,6 @@ package flowmotif
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"flowmotif/internal/core"
@@ -20,9 +19,6 @@ import (
 	"flowmotif/internal/match"
 	"flowmotif/internal/motif"
 	"flowmotif/internal/signif"
-	"flowmotif/internal/store"
-	"flowmotif/internal/stream"
-	"flowmotif/internal/temporal"
 )
 
 const benchScale = harness.Small
@@ -251,240 +247,6 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.Params{Delta: ds.Delta, Phi: ds.Phi, Workers: w}
 				if _, _, err := core.Count(ds.G, mo, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamIngest measures steady-state streaming ingestion
-// (internal/stream, the flowmotifd hot path) in events per second: each
-// iteration replays the whole dataset as one stream pass in 512-event
-// batches, with timestamps shifted forward per pass so the engine keeps
-// running against the same live window instead of restarting.
-func BenchmarkStreamIngest(b *testing.B) {
-	for _, ds := range harness.All(benchScale) {
-		evs := ds.G.Events()
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-		minT, maxT := ds.G.TimeSpan()
-		span := maxT - minT + ds.Delta + 1
-
-		for _, cfg := range []struct {
-			name string
-			subs []stream.Subscription
-		}{
-			{"1sub", []stream.Subscription{
-				{ID: "tri", Motif: fastMotifs[1], Delta: ds.Delta, Phi: ds.Phi},
-			}},
-			{"4sub", []stream.Subscription{
-				{ID: "m32", Motif: fastMotifs[0], Delta: ds.Delta, Phi: ds.Phi},
-				{ID: "m33", Motif: fastMotifs[1], Delta: ds.Delta, Phi: ds.Phi},
-				{ID: "m43", Motif: fastMotifs[2], Delta: ds.Delta, Phi: ds.Phi},
-				{ID: "m44a", Motif: fastMotifs[3], Delta: ds.Delta, Phi: ds.Phi},
-			}},
-		} {
-			b.Run(ds.Name+"/"+cfg.name, func(b *testing.B) {
-				var detections int64
-				eng, err := stream.NewEngine(stream.Config{Subs: cfg.subs},
-					stream.FuncSink(func(*stream.Detection) { detections++ }))
-				if err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]temporal.Event, 0, 512)
-				b.ResetTimer()
-				for pass := 0; pass < b.N; pass++ {
-					offset := int64(pass) * span
-					for lo := 0; lo < len(evs); lo += 512 {
-						hi := lo + 512
-						if hi > len(evs) {
-							hi = len(evs)
-						}
-						batch = batch[:0]
-						for _, e := range evs[lo:hi] {
-							e.T += offset
-							batch = append(batch, e)
-						}
-						if _, err := eng.Ingest(batch); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StopTimer()
-				total := float64(b.N) * float64(len(evs))
-				b.ReportMetric(total/b.Elapsed().Seconds(), "events/sec")
-				b.ReportMetric(float64(detections)/float64(b.N), "detections/pass")
-				b.ReportMetric(float64(eng.Stats().EventsRetained), "retained")
-			})
-		}
-	}
-}
-
-// benchSubs builds n distinct benchmark subscriptions: all on one shape
-// (shared — the triangle M(3,3)) or cycling through the ten-shape catalog
-// (distinct), with φ varied so same-shape subscriptions remain distinct
-// (δ, φ) consumers.
-func benchSubs(n int, shared bool, delta int64, phi float64) []stream.Subscription {
-	subs := make([]stream.Subscription, n)
-	for i := range subs {
-		mo := benchMotifs[1] // the triangle M(3,3)
-		if !shared {
-			mo = benchMotifs[i%len(benchMotifs)]
-		}
-		subs[i] = stream.Subscription{
-			ID:    fmt.Sprintf("s%d", i),
-			Motif: mo,
-			Delta: delta,
-			Phi:   phi + float64(i%4),
-		}
-	}
-	return subs
-}
-
-// BenchmarkStreamIngestManySubs measures the shared-evaluation planner
-// (DESIGN.md §11) across subscription counts: N subscriptions either all
-// watching one motif shape under distinct φ (the planner's best case — one
-// phase-P1 walk and one snapshot serve all N) or cycling through the
-// ten-shape catalog. 1000-sub variants use a shorter stream to keep
-// `-benchtime 1x` smoke runs bounded.
-func BenchmarkStreamIngestManySubs(b *testing.B) {
-	ds := harness.Bitcoin(benchScale)
-	evs := ds.G.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-	minT, maxT := ds.G.TimeSpan()
-	span := maxT - minT + ds.Delta + 1
-
-	for _, n := range []int{1, 10, 100, 1000} {
-		events := evs
-		if n >= 1000 && len(events) > len(evs)/5 {
-			events = events[:len(evs)/5]
-		}
-		for _, mode := range []struct {
-			name   string
-			shared bool
-		}{
-			{"shared-shape", true},
-			{"distinct-shapes", false},
-		} {
-			b.Run(fmt.Sprintf("subs=%d/%s", n, mode.name), func(b *testing.B) {
-				eng, err := stream.NewEngine(stream.Config{
-					Subs: benchSubs(n, mode.shared, ds.Delta, ds.Phi),
-				}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]temporal.Event, 0, 2048)
-				b.ResetTimer()
-				for pass := 0; pass < b.N; pass++ {
-					offset := int64(pass) * span
-					for lo := 0; lo < len(events); lo += 2048 {
-						hi := lo + 2048
-						if hi > len(events) {
-							hi = len(events)
-						}
-						batch = batch[:0]
-						for _, e := range events[lo:hi] {
-							e.T += offset
-							batch = append(batch, e)
-						}
-						if _, err := eng.Ingest(batch); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StopTimer()
-				st := eng.Stats()
-				total := float64(b.N) * float64(len(events))
-				b.ReportMetric(total/b.Elapsed().Seconds(), "events/sec")
-				b.ReportMetric(st.SnapshotReuse, "bands/snapshot")
-				b.ReportMetric(float64(st.MatchesShared)/float64(b.N), "matches-shared/pass")
-			})
-		}
-	}
-}
-
-// BenchmarkStoreAppend measures durable WAL ingestion (the flowmotifd
-// -data-dir hot path) in events per second: each iteration appends the
-// whole dataset in 512-event batches, timestamps shifted forward per pass
-// so the store's time frontier keeps advancing. Segments roll at the
-// default size; fsync is off (the serving default).
-func BenchmarkStoreAppend(b *testing.B) {
-	ds := harness.Bitcoin(benchScale)
-	evs := ds.G.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-	minT, maxT := ds.G.TimeSpan()
-	span := maxT - minT + 1
-
-	st, err := store.Open(b.TempDir(), store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	batch := make([]temporal.Event, 0, 512)
-	b.ResetTimer()
-	for pass := 0; pass < b.N; pass++ {
-		offset := int64(pass) * span
-		for lo := 0; lo < len(evs); lo += 512 {
-			hi := lo + 512
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			batch = batch[:0]
-			for _, e := range evs[lo:hi] {
-				e.T += offset
-				batch = append(batch, e)
-			}
-			if err := st.Append(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	total := float64(b.N) * float64(len(evs))
-	b.ReportMetric(total/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkStoreReplay measures WAL recovery speed (the flowmotifd
-// restart path) in events per second over a pre-populated store.
-func BenchmarkStoreReplay(b *testing.B) {
-	ds := harness.Bitcoin(benchScale)
-	evs := ds.G.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-	st, err := store.Open(b.TempDir(), store.Options{SegmentEvents: 1 << 15})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(evs); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		err := st.Replay(0, func(_ int64, _ temporal.Event) bool {
-			n++
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != len(evs) {
-			b.Fatalf("replayed %d events, want %d", n, len(evs))
-		}
-	}
-	b.StopTimer()
-	total := float64(b.N) * float64(len(evs))
-	b.ReportMetric(total/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkGraphConstruction measures time-series graph building, the
-// substrate cost underlying every experiment.
-func BenchmarkGraphConstruction(b *testing.B) {
-	for _, ds := range harness.All(benchScale) {
-		evs := ds.G.Events()
-		b.Run(ds.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewGraphWithNodes(ds.G.NumNodes(), evs); err != nil {
 					b.Fatal(err)
 				}
 			}

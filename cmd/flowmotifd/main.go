@@ -181,10 +181,8 @@ func main() {
 		workers  = flag.Int("workers", 1, "per-band enumeration parallelism")
 		recent   = flag.Int("recent", 4096, "recent-detection ring capacity (GET /instances)")
 		topk     = flag.Int("topk", 50, "retained best detections per subscription (GET /topk)")
-		slack    = flag.Int64("slack", 0, "extra event retention beyond the algorithmic minimum")
 		dataDir  = flag.String("data-dir", "", "durable mode: WAL + snapshot directory (empty: in-memory only)")
 		fsync    = flag.Bool("fsync", false, "fsync the WAL after every acknowledged batch (with -data-dir)")
-		segEvs   = flag.Int("segment-events", 0, "events per WAL segment before sealing (0: default)")
 		snapEach = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval (with -data-dir; 0 disables)")
 		member   = flag.Bool("member", false, "cluster shard: start with no subscriptions and serve /cluster handoff endpoints")
 		coord    = flag.Bool("cluster-coordinator", false, "coordinator: shard -sub set across members, broadcast ingest, scatter-gather queries")
@@ -237,6 +235,16 @@ func main() {
 	}
 
 	if *coord {
+		// These configure the engine, store and wire listener of a single
+		// daemon; a coordinator has none of them, so refuse rather than
+		// silently ignore.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "slow-round", "lag-slo", "lag-slo-target", "slo-burn-warn", "snapshot-every", "wire-addr", "member":
+				fmt.Fprintf(os.Stderr, "flowmotifd: -%s does not apply with -cluster-coordinator\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		runCoordinator(coordOptions{
 			addr: *addr, subs: subs, joins: joins, shards: *shards,
 			workers: *workers, recent: *recent, topk: *topk,
@@ -254,18 +262,16 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Subs:          subs,
-		Workers:       *workers,
-		Slack:         *slack,
-		Recent:        *recent,
-		TopK:          *topk,
-		DataDir:       *dataDir,
-		SyncWrites:    *fsync,
-		SegmentEvents: *segEvs,
-		Member:        *member,
-		Logger:        logger,
-		SlowRound:     *slowRnd,
-		SlowRequest:   *slowReq,
+		Subs:        subs,
+		Workers:     *workers,
+		Recent:      *recent,
+		TopK:        *topk,
+		DataDir:     *dataDir,
+		SyncWrites:  *fsync,
+		Member:      *member,
+		Logger:      logger,
+		SlowRound:   *slowRnd,
+		SlowRequest: *slowReq,
 
 		SLO: server.SLOConfig{
 			LagSLO:    *lagSLO,
@@ -307,12 +313,6 @@ func main() {
 		logger.Info("wire protocol listening", "addr", bound)
 	}
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	done := make(chan struct{})
 	stopSnaps := make(chan struct{})
 	if srv.Durable() && *snapEach > 0 {
 		go func() {
@@ -332,22 +332,9 @@ func main() {
 			}
 		}()
 	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		logger.Info("shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-		close(done)
-	}()
 
 	logger.Info("flowmotifd listening", "addr", *addr, "detectors", len(subs))
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(logger, "serve failed", "err", err)
-	}
-	<-done
+	serve(*addr, srv.Handler(), logger)
 	close(stopSnaps)
 	srv.StopWire()
 	if srv.Durable() {
@@ -360,6 +347,27 @@ func main() {
 	}
 	st := srv.Engine().Stats()
 	logger.Info("final", "events_ingested", st.EventsIngested, "detections", st.Detections)
+}
+
+// serve runs the API on addr until SIGINT or SIGTERM, then shuts the
+// listener down gracefully and returns.
+func serve(addr string, h http.Handler, logger *slog.Logger) {
+	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+		logger.Info("shutting down")
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = hs.Shutdown(ctx)
+		close(done)
+	}()
+	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		fatal(logger, "serve failed", "err", err)
+	}
+	<-done
 }
 
 // coordOptions carries the cluster-coordinator role's flag set.
@@ -430,28 +438,9 @@ func runCoordinator(o coordOptions) {
 		Logger:      logger,
 		SlowRequest: o.slowReq,
 	})
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           cs.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	done := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		logger.Info("coordinator shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-		close(done)
-	}()
 	logger.Info("flowmotifd coordinator listening", "addr", addr,
 		"members", len(members), "subscriptions", len(subs))
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatal(logger, "serve failed", "err", err)
-	}
-	<-done
+	serve(addr, cs.Handler(), logger)
 	// Push every acknowledged batch through to the members before the
 	// shard WALs close — an ingest ack means "durable in the log", so
 	// shutdown must not strand the log's tail.

@@ -20,9 +20,6 @@ type Config struct {
 	Members []Member
 	// Subs are the subscriptions to place across the members.
 	Subs []stream.Subscription
-	// Retries is how many times a failing member call is retried before
-	// the member is marked down (default 2).
-	Retries int
 	// RetryDelay is the pause between retries (default 25ms; in-process
 	// tests set it near zero).
 	RetryDelay time.Duration
@@ -42,17 +39,11 @@ type Config struct {
 	// for remote members); smaller values bound member call latency and
 	// per-call enumeration band size.
 	CoalesceEvents int
-	// Obs is the metrics registry the replication pipeline's histograms
-	// (append→ack lag, delivery time, coalesce sizes) register into; nil
-	// creates a private registry, readable via Coordinator.Obs.
-	Obs *obs.Registry
-	// Tracer is the flight recorder the coordinator's pipeline spans
-	// (batch append, per-member replication delivery) and query spans
-	// record into; nil creates a private one, readable via
-	// Coordinator.Tracer. The serving layer shares it so request spans
-	// and pipeline spans land in one ring.
-	Tracer *obs.Tracer
 }
+
+// retries is how many times a failing member call is retried before the
+// member is marked down.
+const retries = 2
 
 // memberState tracks one registered member and its replication pipeline
 // position (the per-member state machine: replicating → failed → reaped,
@@ -75,7 +66,6 @@ type memberState struct {
 // membership changes, failover) are serialized; queries run concurrently
 // with ingest and align results to the slowest shard's watermark.
 type Coordinator struct {
-	retries    int
 	retryDelay time.Duration
 	histLimit  int
 	maxPending int
@@ -140,9 +130,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("cluster: at least one member required")
 	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 2
-	}
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 25 * time.Millisecond
 	}
@@ -153,7 +140,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.CoalesceEvents = 2048
 	}
 	c := &Coordinator{
-		retries:    cfg.Retries,
 		retryDelay: cfg.RetryDelay,
 		histLimit:  cfg.HistoryLimit,
 		maxPending: cfg.MaxPending,
@@ -165,16 +151,10 @@ func New(cfg Config) (*Coordinator, error) {
 		placeKey:   map[string]string{},
 		minNextT:   math.MinInt64,
 		replBase:   1,
+		obsReg:     obs.NewRegistry(),
+		tracer:     obs.NewTracer(0),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.obsReg = cfg.Obs
-	if c.obsReg == nil {
-		c.obsReg = obs.NewRegistry()
-	}
-	c.tracer = cfg.Tracer
-	if c.tracer == nil {
-		c.tracer = obs.NewTracer(0)
-	}
 	c.mxReplLag = c.obsReg.Histogram("flowmotif_replication_lag_seconds",
 		"Append→ack lag per replication-log entry: coordinator log append to the owning member's applied ack.",
 		obs.LatencyBuckets)
@@ -241,7 +221,7 @@ func (c *Coordinator) groupKeyOf(subID string) string {
 	return subID
 }
 
-// retry calls fn up to 1+Retries times while it keeps failing with
+// retry calls fn up to 1+retries times while it keeps failing with
 // ErrMemberDown; any other outcome returns immediately. Only *idempotent*
 // member calls may be retried: queries, stats, Flush (a second flush at
 // the same watermark is a no-op), and — since batches became seq-tagged —
@@ -253,11 +233,11 @@ func (c *Coordinator) groupKeyOf(subID string) string {
 // regardless of whether the lost call was applied.
 func (c *Coordinator) retry(fn func() error) error {
 	var err error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if err = fn(); !errors.Is(err, ErrMemberDown) {
 			return err
 		}
-		if attempt < c.retries {
+		if attempt < retries {
 			time.Sleep(c.retryDelay)
 		}
 	}
@@ -799,43 +779,12 @@ func (c *Coordinator) Instances(sub string, limit int) ([]*stream.Detection, Gat
 }
 
 // InstancesTraced is Instances under a caller-provided span context (the
-// serving layer's request span): the scatter-gather gets a "query.
-// instances" span with one "query.shard" child per member, each shard's
-// context propagated over the traced transport. A zero parent records no
-// spans — query traces exist only inside a request trace.
+// serving layer's request span): the query gets a "query.instances" span
+// with one "query.shard" child per member asked, each shard's context
+// propagated over the traced transport. A zero parent records no spans —
+// query traces exist only inside a request trace.
 func (c *Coordinator) InstancesTraced(sub string, limit int, parent obs.SpanContext) ([]*stream.Detection, Gather, error) {
-	root := c.spanIf("query.instances", parent, obs.L("sub", sub))
-	defer root.End()
-	if sub != "" {
-		m, err := c.ownerOf(sub)
-		if err != nil {
-			endSpanErr(root, err)
-			return nil, Gather{}, err
-		}
-		sp := c.spanIf("query.shard", root.Context(), obs.L("member", m.ID()))
-		var r QueryResult
-		if err := c.retry(func() error {
-			var e error
-			r, e = memberInstances(m, sub, limit, sp.Context())
-			return e
-		}); err != nil {
-			endSpanErr(sp, err)
-			endSpanErr(root, err)
-			return nil, Gather{}, err
-		}
-		sp.End()
-		return r.Detections, Gather{Watermark: r.Watermark, Started: r.Started, Degraded: c.degraded()}, nil
-	}
-	results, dropped, err := c.gather(root.Context(), func(m Member, sc obs.SpanContext) (QueryResult, error) {
-		return memberInstances(m, "", limit, sc)
-	})
-	if err != nil {
-		endSpanErr(root, err)
-		return nil, Gather{}, err
-	}
-	alignedW, started, lists := alignWatermark(results)
-	g := Gather{Watermark: alignedW, Started: started, Degraded: dropped > 0 || c.degraded()}
-	return mergeRecent(lists, limit), g, nil
+	return c.query("query.instances", sub, limit, parent, memberInstances, mergeRecent)
 }
 
 // TopK answers the best-detections query. With sub set it routes to the
@@ -852,7 +801,18 @@ func (c *Coordinator) TopK(sub string, k int) ([]*stream.Detection, Gather, erro
 // TopKTraced is TopK under a caller-provided span context (see
 // InstancesTraced for the span shape).
 func (c *Coordinator) TopKTraced(sub string, k int, parent obs.SpanContext) ([]*stream.Detection, Gather, error) {
-	root := c.spanIf("query.topk", parent, obs.L("sub", sub))
+	return c.query("query.topk", sub, k, parent, memberTopK, MergeTopK)
+}
+
+// query is the one routed-or-gathered detections query: with sub set, ask
+// the owning shard for its n; with sub empty, ask every shard, hold back
+// what lies beyond the slowest one's watermark (alignWatermark) and merge
+// the lists down to n.
+func (c *Coordinator) query(span, sub string, n int, parent obs.SpanContext,
+	ask func(Member, string, int, obs.SpanContext) (QueryResult, error),
+	merge func([][]*stream.Detection, int) []*stream.Detection,
+) ([]*stream.Detection, Gather, error) {
+	root := c.spanIf(span, parent, obs.L("sub", sub))
 	defer root.End()
 	if sub != "" {
 		m, err := c.ownerOf(sub)
@@ -864,7 +824,7 @@ func (c *Coordinator) TopKTraced(sub string, k int, parent obs.SpanContext) ([]*
 		var r QueryResult
 		if err := c.retry(func() error {
 			var e error
-			r, e = memberTopK(m, sub, k, sp.Context())
+			r, e = ask(m, sub, n, sp.Context())
 			return e
 		}); err != nil {
 			endSpanErr(sp, err)
@@ -875,7 +835,7 @@ func (c *Coordinator) TopKTraced(sub string, k int, parent obs.SpanContext) ([]*
 		return r.Detections, Gather{Watermark: r.Watermark, Started: r.Started, Degraded: c.degraded()}, nil
 	}
 	results, dropped, err := c.gather(root.Context(), func(m Member, sc obs.SpanContext) (QueryResult, error) {
-		return memberTopK(m, "", k, sc)
+		return ask(m, "", n, sc)
 	})
 	if err != nil {
 		endSpanErr(root, err)
@@ -883,7 +843,7 @@ func (c *Coordinator) TopKTraced(sub string, k int, parent obs.SpanContext) ([]*
 	}
 	alignedW, started, lists := alignWatermark(results)
 	g := Gather{Watermark: alignedW, Started: started, Degraded: dropped > 0 || c.degraded()}
-	return MergeTopK(lists, k), g, nil
+	return merge(lists, n), g, nil
 }
 
 // degraded reports whether query answers may be incomplete: subscriptions
@@ -997,9 +957,8 @@ func (c *Coordinator) Placement() map[string]string {
 	return out
 }
 
-// Obs returns the coordinator's metrics registry (the one from
-// Config.Obs, or the private one created in New) so the serving layer can
-// expose the replication histograms without owning their registration.
+// Obs returns the coordinator's metrics registry, so the serving layer can
+// expose the replication histograms and record request metrics beside them.
 func (c *Coordinator) Obs() *obs.Registry {
 	return c.obsReg
 }
@@ -1012,44 +971,22 @@ func (c *Coordinator) Watermark() int64 {
 	return c.watermark
 }
 
-// MemberInfo is one member's row in ClusterStats.
+// MemberInfo is one member's row in ClusterStats: the member's own
+// progress snapshot plus what only the coordinator knows about it.
 type MemberInfo struct {
-	ID         string   `json:"id"`
-	Subs       []string `json:"subs"`
-	Watermark  int64    `json:"watermark"`
-	Started    bool     `json:"started"`
-	Lag        int64    `json:"lag"` // cluster watermark − member watermark
-	Events     int64    `json:"events"`
-	Retained   int      `json:"retained"`
-	Detections int64    `json:"detections"`
-	// Shared-evaluation planner gauges of the member's engine (DESIGN.md
-	// §11): plan groups served, snapshots built, bands-per-snapshot reuse
-	// ratio, and matches served from a shared per-shape list.
-	PlanGroups     int     `json:"planGroups,omitempty"`
-	SnapshotBuilds int64   `json:"snapshotBuilds,omitempty"`
-	SnapshotReuse  float64 `json:"snapshotReuse,omitempty"`
-	MatchesShared  int64   `json:"matchesShared,omitempty"`
+	MemberStats
+	Lag int64 `json:"lag"` // cluster watermark − member watermark (-1: stats probe failed)
 	// Replication-pipeline position (DESIGN.md §10): the newest log entry
 	// this member has applied and acked, the watermark it reported with
 	// that ack (the coordinator's own record — available even when the
-	// live Stats probe above fails and Lag reads -1), and how far behind
-	// the log head it is in entries and events. Failing marks a member
-	// whose replicator gave up, pending failover reap.
+	// live Stats probe fails and Lag reads -1), and how far behind the log
+	// head it is in entries and events. Failing marks a member whose
+	// replicator gave up, pending failover reap.
 	AckedSeq       int64 `json:"ackedSeq"`
 	AckedWatermark int64 `json:"ackedWatermark"`
 	ReplLagEntries int64 `json:"replLagEntries"`
 	ReplLagEvents  int64 `json:"replLagEvents"`
 	Failing        bool  `json:"failing,omitempty"`
-	// Metrics is the member's full metric snapshot, carried for the
-	// coordinator's merged Prometheus exposition. Excluded from the JSON
-	// stats payload: /metrics?format=prometheus is the serving surface.
-	Metrics []obs.MetricSnapshot `json:"-"`
-	// Cost attribution rows (DESIGN.md §14), carried for the coordinator's
-	// /debug/top ranking; like Metrics, excluded from the JSON stats
-	// payload (/debug/top is the serving surface).
-	CostSeconds float64                 `json:"costSeconds,omitempty"`
-	SubCosts    []SubCostInfo           `json:"-"`
-	GroupCosts  []stream.GroupCostStats `json:"-"`
 }
 
 // ClusterStats snapshots cluster progress and health.
@@ -1103,6 +1040,8 @@ func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 		s := c.members[id]
 		ms[i] = s.m
 		repl[i] = MemberInfo{
+			MemberStats:    MemberStats{ID: id},
+			Lag:            -1,
 			AckedSeq:       s.ackedSeq,
 			AckedWatermark: s.ackedW,
 			ReplLagEntries: c.headSeq - s.ackedSeq,
@@ -1143,24 +1082,9 @@ func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 	c.mu.Unlock()
 	for i, m := range ms {
 		info := repl[i]
-		info.ID = ids[i]
-		info.Lag = -1
 		sp := c.spanIf("query.shard", root.Context(), obs.L("member", ids[i]))
 		if s, err := memberStats(m, sp.Context()); err == nil {
-			info.Subs = s.Subs
-			info.Watermark = s.Watermark
-			info.Started = s.Started
-			info.Events = s.Events
-			info.Retained = s.Retained
-			info.Detections = s.Detections
-			info.PlanGroups = s.PlanGroups
-			info.SnapshotBuilds = s.SnapshotBuilds
-			info.SnapshotReuse = s.SnapshotReuse
-			info.MatchesShared = s.MatchesShared
-			info.Metrics = s.Metrics
-			info.CostSeconds = s.CostSeconds
-			info.SubCosts = s.SubCosts
-			info.GroupCosts = s.GroupCosts
+			info.MemberStats, info.ID = s, ids[i]
 			if s.Started {
 				info.Lag = st.Watermark - s.Watermark
 			}
@@ -1191,8 +1115,9 @@ func endSpanErr(s *obs.TraceSpan, err error) {
 	s.End()
 }
 
-// Tracer returns the coordinator's flight recorder (the one from
-// Config.Tracer, or the private one created in New).
+// Tracer returns the coordinator's flight recorder; the serving layer
+// records request spans into it, so they land in one ring with the
+// pipeline's.
 func (c *Coordinator) Tracer() *obs.Tracer {
 	return c.tracer
 }

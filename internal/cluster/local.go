@@ -13,10 +13,10 @@ import (
 type LocalOptions struct {
 	// Workers is the member engine's per-band enumeration parallelism.
 	Workers int
-	// Recent bounds the member's recent-detection ring (default 4096).
+	// Recent and TopK bound the member's recent-detection ring and its
+	// per-subscription top list (defaults: NewQuerySinks).
 	Recent int
-	// TopK bounds the member's per-subscription top list (default 50).
-	TopK int
+	TopK   int
 	// DataDir, when non-empty, gives the member its own durable segment
 	// store: every acknowledged broadcast batch is appended to a WAL under
 	// this directory (one data dir per shard), and Flush and Close
@@ -47,13 +47,7 @@ func NewLocalMember(id string, opts LocalOptions) (*LocalMember, error) {
 	if id == "" {
 		return nil, fmt.Errorf("cluster: member id required")
 	}
-	if opts.Recent <= 0 {
-		opts.Recent = 4096
-	}
-	if opts.TopK <= 0 {
-		opts.TopK = 50
-	}
-	recent, topk := stream.NewMemorySink(opts.Recent), stream.NewTopKSink(opts.TopK)
+	recent, topk := NewQuerySinks(opts.Recent, opts.TopK)
 	// One registry per member: the engine's and store's instruments land
 	// together, and Stats ships the whole snapshot to the coordinator.
 	reg := obs.NewRegistry()
@@ -148,7 +142,7 @@ func (m *LocalMember) Stats() (MemberStats, error) {
 	if err := m.check(); err != nil {
 		return MemberStats{}, err
 	}
-	return memberStatsOf(m.id, m.Engine().Stats(), m.Engine().Obs().Snapshot()), nil
+	return m.Shard.Stats(m.id), nil
 }
 
 // Traces implements Member: the member's flight-recorder spans for one

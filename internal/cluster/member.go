@@ -155,11 +155,15 @@ type QueryResult struct {
 	Detections []*stream.Detection `json:"detections"`
 }
 
-// MemberStats is one member's progress snapshot. The planner gauges mirror
-// the engine's shared-evaluation counters (stream.Stats, DESIGN.md §11):
-// how many (shape, δ) plan groups the member currently serves, how many
-// snapshots it built, the bands-per-snapshot reuse ratio, and how many
-// structural matches were served from a shared per-shape list.
+// MemberStats is one member's progress snapshot — typed once: a shard
+// produces it (Shard.Stats, or HTTPMember from the daemon's GET /stats),
+// the coordinator embeds it in its MemberInfo row, and /debug/top ranks
+// its cost rows. The JSON tags are the member rows of the coordinator's
+// /stats. The planner gauges mirror the engine's shared-evaluation
+// counters (stream.Stats, DESIGN.md §11): how many (shape, δ) plan groups
+// the member currently serves, how many snapshots it built, the
+// bands-per-snapshot reuse ratio, and how many structural matches were
+// served from a shared per-shape list.
 type MemberStats struct {
 	ID             string   `json:"id"`
 	Subs           []string `json:"subs"`
@@ -174,14 +178,17 @@ type MemberStats struct {
 	MatchesShared  int64    `json:"matchesShared,omitempty"`
 	// Metrics is the member's full metric snapshot (engine stage and
 	// detection-lag histograms among them); the coordinator bucket-merges
-	// these across members for its own Prometheus exposition.
-	Metrics []obs.MetricSnapshot `json:"metrics,omitempty"`
+	// these across members for its own exposition. Not part of the /stats
+	// row: /metrics is its serving surface.
+	Metrics []obs.MetricSnapshot `json:"-"`
 	// Cost attribution (DESIGN.md §14): the member engine's attributed
-	// seconds plus its per-subscription and per-plan-group accounts, the
-	// rows the coordinator ranks for /debug/top.
+	// seconds and metered rounds plus its per-subscription and
+	// per-plan-group accounts, the rows /debug/top ranks (and, but for the
+	// seconds, serves).
 	CostSeconds float64                 `json:"costSeconds,omitempty"`
-	SubCosts    []SubCostInfo           `json:"subCosts,omitempty"`
-	GroupCosts  []stream.GroupCostStats `json:"groupCosts,omitempty"`
+	CostRounds  int64                   `json:"-"`
+	SubCosts    []SubCostInfo           `json:"-"`
+	GroupCosts  []stream.GroupCostStats `json:"-"`
 }
 
 // SubCostInfo is one subscription's attributed-cost row in MemberStats.

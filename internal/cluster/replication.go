@@ -189,7 +189,7 @@ func (c *Coordinator) replicate(ms *memberState) {
 }
 
 // deliver sends one tagged batch to a member, retrying transport failures
-// up to 1+Retries times. Resending the identical tagged batch is safe:
+// up to 1+retries times. Resending the identical tagged batch is safe:
 // a member that applied it but lost the ack answers the resend with a
 // duplicate no-op ack (the idempotency the seq tag buys — the old
 // broadcast path had to mark such members down as potentially diverged).
@@ -197,7 +197,7 @@ func (c *Coordinator) replicate(ms *memberState) {
 // so a member rejecting it has diverged from the shared admission rules.
 func (c *Coordinator) deliver(ms *memberState, b Batch) (IngestAck, error) {
 	var err error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.retryDelay)
 			c.mu.Lock()

@@ -79,6 +79,20 @@ type Shard struct {
 	snapMu sync.Mutex
 }
 
+// NewQuerySinks builds the two sinks a shard answers GET /instances and
+// /topk from, which its engine must emit into: the ring of recent
+// detections and the per-subscription best list. A capacity <= 0 takes the
+// default (4096 recent, 50 best), stated here for every kind of shard.
+func NewQuerySinks(recent, topk int) (*stream.MemorySink, *stream.TopKSink) {
+	if recent <= 0 {
+		recent = 4096
+	}
+	if topk <= 0 {
+		topk = 50
+	}
+	return stream.NewMemorySink(recent), stream.NewTopKSink(topk)
+}
+
 // NewShard assembles a shard from parts its caller built from its own
 // configuration: eng must emit into recent and topk. With st non-nil the
 // shard is durable and takes ownership of the store (Close closes it, as
@@ -336,7 +350,13 @@ func (s *Shard) TopK(sub string, k int) (QueryResult, error) {
 	return QueryResult{Watermark: w, Started: ok, Detections: ds}, nil
 }
 
-// memberStatsOf is the one stream.Stats → MemberStats mapping: LocalMember
+// Stats is the shard's progress row under the given member id (LocalMember
+// passes its own; a single daemon, which is nobody's member, passes "").
+func (s *Shard) Stats(id string) MemberStats {
+	return memberStatsOf(id, s.eng.Stats(), s.eng.Obs().Snapshot())
+}
+
+// memberStatsOf is the one stream.Stats → MemberStats mapping: a Shard
 // feeds it its engine's stats, HTTPMember the same struct decoded off the
 // member daemon's GET /stats.
 func memberStatsOf(id string, st stream.Stats, metrics []obs.MetricSnapshot) MemberStats {
@@ -353,6 +373,7 @@ func memberStatsOf(id string, st stream.Stats, metrics []obs.MetricSnapshot) Mem
 		MatchesShared:  st.MatchesShared,
 		Metrics:        metrics,
 		CostSeconds:    st.Cost.AttributedSeconds,
+		CostRounds:     st.Cost.Rounds,
 		GroupCosts:     st.Groups,
 	}
 	for _, s := range st.Subs {

@@ -1,78 +1,12 @@
 package obs
 
-// Cost-attribution and SLO helpers (DESIGN.md §14): a small top-k
-// accumulator the serving layer ranks per-subscription / per-group /
-// per-shard attributed cost with (GET /debug/top), and the burn-rate math
-// the SLO watchdog evaluates over histogram-snapshot deltas.
+// SLO helpers (DESIGN.md §14): the burn-rate math the SLO watchdog
+// evaluates over histogram-snapshot deltas.
 
 import (
 	"math"
 	"sort"
 )
-
-// TopEntry is one keyed contribution in a TopAccum: a primary value the
-// ranking sorts by plus named secondary accumulators (emit counts, member
-// counts, stage breakdowns) that merge field-wise.
-type TopEntry struct {
-	Key    string             `json:"key"`
-	Value  float64            `json:"value"`
-	Fields map[string]float64 `json:"fields,omitempty"`
-}
-
-// TopAccum accumulates keyed float contributions — repeated Adds under one
-// key sum — and returns the top-N by value. The cluster coordinator merges
-// per-member group costs through one: the same (shape, δ) group living on
-// several shards folds into a single cluster-wide row.
-type TopAccum struct {
-	byKey map[string]*TopEntry
-}
-
-// NewTopAccum returns an empty accumulator.
-func NewTopAccum() *TopAccum {
-	return &TopAccum{byKey: map[string]*TopEntry{}}
-}
-
-// Add sums value into key's primary value.
-func (a *TopAccum) Add(key string, value float64) {
-	a.entry(key).Value += value
-}
-
-// AddField sums v into key's named secondary accumulator.
-func (a *TopAccum) AddField(key, field string, v float64) {
-	e := a.entry(key)
-	if e.Fields == nil {
-		e.Fields = map[string]float64{}
-	}
-	e.Fields[field] += v
-}
-
-func (a *TopAccum) entry(key string) *TopEntry {
-	e := a.byKey[key]
-	if e == nil {
-		e = &TopEntry{Key: key}
-		a.byKey[key] = e
-	}
-	return e
-}
-
-// Top returns the n largest entries by value, ties broken by key so the
-// ranking is deterministic. n <= 0 returns all entries.
-func (a *TopAccum) Top(n int) []TopEntry {
-	out := make([]TopEntry, 0, len(a.byKey))
-	for _, e := range a.byKey {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
 
 // CountAtMost returns how many observations fell at or under bound,
 // conservatively: the cumulative count through the smallest bucket bound

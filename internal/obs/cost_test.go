@@ -54,26 +54,6 @@ func TestGaugeAdd(t *testing.T) {
 	nilG.Add(1) // must not panic
 }
 
-func TestTopAccum(t *testing.T) {
-	a := NewTopAccum()
-	a.Add("b", 2)
-	a.Add("a", 3)
-	a.Add("b", 4) // b: 6
-	a.Add("c", 6) // ties with b; key order breaks it
-	a.AddField("b", "emits", 5)
-	a.AddField("b", "emits", 7)
-	top := a.Top(2)
-	if len(top) != 2 || top[0].Key != "b" || top[1].Key != "c" {
-		t.Fatalf("Top(2) = %+v, want [b c] (value desc, key asc on ties)", top)
-	}
-	if top[0].Value != 6 || top[0].Fields["emits"] != 12 {
-		t.Fatalf("entry b = %+v, want value 6, emits 12", top[0])
-	}
-	if all := a.Top(0); len(all) != 3 {
-		t.Fatalf("Top(0) returned %d entries, want all 3", len(all))
-	}
-}
-
 func TestBurnRate(t *testing.T) {
 	cases := []struct {
 		bad, total, target, want float64

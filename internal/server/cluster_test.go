@@ -197,16 +197,9 @@ func TestClusterOverHTTP(t *testing.T) {
 	}
 
 	// Coordinator /metrics exposes per-shard lag.
-	var metrics map[string]interface{}
-	getJSON(t, client, front.URL+"/metrics", &metrics)
-	foundLag := false
-	for k := range metrics {
-		if strings.HasPrefix(k, "shard.") && strings.HasSuffix(k, ".watermark_lag") {
-			foundLag = true
-		}
-	}
-	if !foundLag {
-		t.Errorf("coordinator /metrics missing per-shard watermark lag: %v", keysOf(metrics))
+	lag := scrape(t, client, front.URL+"/metrics")["flowmotif_cluster_member_watermark_lag"]
+	if lag == nil || len(labelValues(lag, "member")) == 0 {
+		t.Errorf("coordinator /metrics missing per-shard watermark lag: %+v", lag)
 	}
 }
 
@@ -333,14 +326,13 @@ func TestMemberEndpointsAndHardening(t *testing.T) {
 		t.Fatalf("query removed sub: status %d, want 404", resp.StatusCode)
 	}
 
-	// /metrics is flat and includes per-endpoint latency counters.
-	var metrics map[string]interface{}
-	getJSON(t, client, ts.URL+"/metrics", &metrics)
-	if _, ok := metrics["requests.ingest.count"]; !ok {
-		t.Errorf("/metrics missing request counters: %v", keysOf(metrics))
+	// /metrics includes per-endpoint request counters and engine gauges.
+	fams := scrape(t, client, ts.URL+"/metrics")
+	if req := fams["flowmotif_http_request_seconds"]; req == nil || !labelValues(req, "endpoint")["ingest"] {
+		t.Errorf("/metrics missing request counters for ingest: %+v", req)
 	}
-	if _, ok := metrics["engine.watermark"]; !ok {
-		t.Errorf("/metrics missing engine gauges: %v", keysOf(metrics))
+	if fams["flowmotif_engine_watermark"] == nil {
+		t.Error("/metrics missing engine gauges")
 	}
 
 	// A non-member server refuses to start with no subscriptions and does

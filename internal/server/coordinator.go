@@ -20,8 +20,9 @@ import (
 // engine or a cluster, plus membership administration. POST /ingest acks
 // are pipelined ("pipelined": true with the replication-log "seq"): the
 // batch is durable in the coordinator's replication log and applied by
-// the shards asynchronously, so "detections" is 0 — watch /stats or the
-// per-shard replication_lag_* gauges on /metrics instead. Query responses
+// the shards asynchronously, so "detections" is 0 — watch each member's
+// replLagEntries on /stats (flowmotif_cluster_member_repl_lag_entries on
+// /metrics) instead. Query responses
 // carry "started" (false until any shard has seen an event — an empty
 // answer from a fresh cluster is not the same as an empty stream) and
 // "degraded" (shards dropped from the gather, subscriptions unplaced, or
@@ -44,8 +45,8 @@ type Coordinator struct {
 }
 
 // CoordinatorConfig parameterizes the HTTP serving wrapper around a
-// cluster coordinator. The metrics registry and trace flight recorder
-// come from the coordinator itself (cluster.Config), not from here.
+// cluster coordinator. The metrics registry and trace flight recorder are
+// the coordinator's own (Coordinator.Obs, Coordinator.Tracer).
 type CoordinatorConfig struct {
 	// MaxBodyBytes bounds POST bodies (<= 0: 32 MiB default).
 	MaxBodyBytes int64
@@ -260,60 +261,12 @@ func (cs *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves metrics: by default flat expvar-style (per-shard
-// watermark lag and event counts plus per-endpoint request counts and
-// latencies); ?format=prometheus switches to the text exposition format,
-// with the replication-pipeline histograms and every member's engine/store
+// handleMetrics serves GET /metrics, the Prometheus text exposition: the
+// replication-pipeline and request histograms, every member's engine/store
 // histograms bucket-merged into cluster-wide distributions (member gauges
-// stay distinguishable under a member="id" label).
+// stay distinguishable under a member="id" label), and the cluster gauges.
 func (cs *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		writePrometheusResponse(w, cs.prometheusSnapshots())
-		return
-	}
-	st := cs.c.Stats()
-	out := map[string]interface{}{
-		"cluster.watermark":          st.Watermark,
-		"cluster.started":            st.Started,
-		"cluster.members":            len(st.Members),
-		"cluster.subscriptions":      st.Subscriptions,
-		"cluster.placement_groups":   st.PlacementGroups,
-		"cluster.batches":            st.Batches,
-		"cluster.events":             st.Events,
-		"cluster.history":            st.HistoryEvents,
-		"cluster.downs":              st.Downs,
-		"cluster.moves":              st.Moves,
-		"cluster.head_seq":           st.HeadSeq,
-		"cluster.log_entries":        st.LogEntries,
-		"cluster.log_events":         st.LogEvents,
-		"cluster.backpressure_waits": st.Backpressure,
-		"cluster.degraded":           st.Degraded,
-		"http.requests":              cs.reqs.Load(),
-		"uptime_seconds":             time.Since(cs.started).Seconds(),
-	}
-	for _, m := range st.Members {
-		p := "shard." + m.ID + "."
-		out[p+"watermark_lag"] = m.Lag
-		out[p+"watermark"] = m.Watermark
-		out[p+"events"] = m.Events
-		out[p+"retained"] = m.Retained
-		out[p+"detections"] = m.Detections
-		out[p+"subscriptions"] = len(m.Subs)
-		out[p+"acked_seq"] = m.AckedSeq
-		out[p+"replication_lag_entries"] = m.ReplLagEntries
-		out[p+"replication_lag_events"] = m.ReplLagEvents
-		out[p+"failing"] = m.Failing
-		out[p+"plan_groups"] = m.PlanGroups
-		out[p+"snapshot_builds"] = m.SnapshotBuilds
-		out[p+"snapshot_reuse_ratio"] = m.SnapshotReuse
-		out[p+"matches_shared"] = m.MatchesShared
-	}
-	flatEndpointMetrics(out, cs.c.Obs())
-	writeJSON(w, http.StatusOK, out)
+	serveMetrics(w, r, cs.prometheusSnapshots)
 }
 
 // prometheusSnapshots assembles the coordinator's exposition set: its own

@@ -93,28 +93,33 @@ func TestDebugTopSingleServer(t *testing.T) {
 		t.Fatalf("flush: %d: %s", resp.StatusCode, body)
 	}
 
+	// Seconds are wall-clock measurements: assert that they are present,
+	// ordered and sum to the total, never which row they favour.
 	var top topResponse
 	getJSON(t, client, ts.URL+"/debug/top?by=cost", &top)
-	if top.Rounds == 0 || top.AttributedSeconds <= 0 {
+	if top.Rounds == 0 || top.AttributedSeconds <= 0 || top.Members != 1 || len(top.Shards) != 1 {
 		t.Fatalf("no metered rounds in /debug/top: %+v", top)
 	}
 	if len(top.Subs) != len(skewedSubs()) {
 		t.Fatalf("got %d sub rows, want %d", len(top.Subs), len(skewedSubs()))
 	}
-	for i := 1; i < len(top.Subs); i++ {
-		if top.Subs[i].Seconds > top.Subs[i-1].Seconds {
+	var secSum float64
+	for i, s := range top.Subs {
+		if i > 0 && s.Seconds > top.Subs[i-1].Seconds {
 			t.Fatalf("subs not sorted by seconds desc: %+v", top.Subs)
 		}
+		secSum += s.Seconds
 	}
-	if !strings.HasPrefix(top.Subs[0].ID, "heavy") {
-		t.Fatalf("top sub by cost is %q, want a heavy* subscription: %+v", top.Subs[0].ID, top.Subs)
+	if rel := (secSum - top.AttributedSeconds) / top.AttributedSeconds; rel > 1e-6 || rel < -1e-6 {
+		t.Fatalf("sub seconds sum %v != attributed %v", secSum, top.AttributedSeconds)
 	}
 	if len(top.Groups) != 3 {
 		t.Fatalf("got %d plan groups, want 3: %+v", len(top.Groups), top.Groups)
 	}
-	if top.Groups[0].Delta != 2400 {
-		t.Fatalf("most expensive group is δ=%d, want the heavy δ=2400 group: %+v", top.Groups[0].Delta, top.Groups)
-	}
+	// The skew itself is asserted on deterministic work counts.
+	var byEmits topResponse
+	getJSON(t, client, ts.URL+"/debug/top?by=emits", &byEmits)
+	assertSkew(t, byEmits)
 	// ?limit clips every section.
 	var clipped topResponse
 	getJSON(t, client, ts.URL+"/debug/top?limit=2", &clipped)
@@ -140,6 +145,32 @@ func TestDebugTopSingleServer(t *testing.T) {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("disabled attribution /debug/top: %d, want 404", resp.StatusCode)
+	}
+}
+
+// assertSkew checks a ?by=emits answer over skewedSubs against the skew
+// they are built with, on counts a loaded machine cannot reorder: rows
+// sorted by emits, a heavy* subscription first, and the four-subscription
+// δ=2400 chain group first, behind no group on emits or on structural
+// matches visited (a per-shape count: the light chain group ties it).
+func assertSkew(t *testing.T, top topResponse) {
+	t.Helper()
+	for i := 1; i < len(top.Subs); i++ {
+		if top.Subs[i].Emits > top.Subs[i-1].Emits {
+			t.Fatalf("subs not sorted by emits desc: %+v", top.Subs)
+		}
+	}
+	if !strings.HasPrefix(top.Subs[0].ID, "heavy") || top.Subs[0].Emits == 0 {
+		t.Fatalf("top sub by emits is %+v, want a heavy* subscription", top.Subs[0])
+	}
+	g := top.Groups[0]
+	if g.Delta != 2400 || g.Subs != 4 || g.Emits != 4*top.Subs[0].Emits {
+		t.Fatalf("top group by emits should be the 4-sub δ=2400 chain group: %+v", g)
+	}
+	for _, o := range top.Groups[1:] {
+		if g.MatchesVisited == 0 || o.MatchesVisited > g.MatchesVisited || o.Emits > g.Emits {
+			t.Fatalf("group %+v out-ranks the heavy group %+v on a work count", o, g)
+		}
 	}
 }
 
@@ -195,9 +226,6 @@ func TestClusterDebugTop(t *testing.T) {
 	if len(top.Subs) != len(skewedSubs()) {
 		t.Fatalf("got %d sub rows, want %d: %+v", len(top.Subs), len(skewedSubs()), top.Subs)
 	}
-	if !strings.HasPrefix(top.Subs[0].ID, "heavy") {
-		t.Fatalf("top cluster sub is %q, want a heavy* subscription", top.Subs[0].ID)
-	}
 	var shareSum, secSum float64
 	for _, s := range top.Subs {
 		if s.Member == "" {
@@ -215,19 +243,19 @@ func TestClusterDebugTop(t *testing.T) {
 	if len(top.Groups) != 3 {
 		t.Fatalf("got %d merged plan groups, want 3: %+v", len(top.Groups), top.Groups)
 	}
-	if top.Groups[0].Delta != 2400 || top.Groups[0].Subs != 4 {
-		t.Fatalf("most expensive merged group should be the 4-sub δ=2400 chain group: %+v", top.Groups[0])
-	}
 	if len(top.Shards) != 2 {
 		t.Fatalf("got %d shard rows, want 2: %+v", len(top.Shards), top.Shards)
 	}
-	if top.Shards[0].CostSeconds < top.Shards[1].CostSeconds {
-		t.Fatalf("shards not ranked by cost: %+v", top.Shards)
+	if top.Shards[0].CostSeconds < top.Shards[1].CostSeconds || top.Shards[1].CostSeconds <= 0 {
+		t.Fatalf("shards not ranked by cost, or one without any: %+v", top.Shards)
 	}
-	// The triangle-owning shard must out-cost the chain shard (the heavy
-	// groups are triangles), which is what makes the ranking meaningful.
-	if top.Shards[0].CostSeconds <= 0 {
-		t.Fatalf("top shard has no attributed cost: %+v", top.Shards)
+	// The skew itself is asserted on deterministic work counts: the chain
+	// shard, which owns the heavy group, out-emits the triangle shard.
+	var byEmits topResponse
+	getJSON(t, client, front.URL+"/debug/top?by=emits&limit=100", &byEmits)
+	assertSkew(t, byEmits)
+	if byEmits.Shards[0].Detections <= byEmits.Shards[1].Detections || byEmits.Shards[0].ID != byEmits.Subs[0].Member {
+		t.Fatalf("shards not ranked by detections, heavy shard first: %+v", byEmits.Shards)
 	}
 	// by=lag ranks shards by detection-lag p99.
 	var byLag topResponse

@@ -155,62 +155,6 @@ func (o requestObs) wrap(reqs *atomic.Int64, name string, h http.HandlerFunc) ht
 	}
 }
 
-// flatEndpointMetrics renders the per-endpoint request accounting into the
-// flat metric map from the registry alone (so with observability off the
-// section is absent): every endpoint with an in-flight gauge gets count,
-// the avg_us mean and the class splits, summed over its per-class
-// flowmotif_http_request_seconds histograms, plus latency quantiles of
-// their merged distribution once it has served a request.
-func flatEndpointMetrics(out map[string]interface{}, reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	type endpoint struct {
-		class map[string]uint64
-		hist  obs.HistogramSnapshot // merged across response classes
-	}
-	eps := map[string]*endpoint{}
-	for _, m := range reg.Snapshot() {
-		if m.Name != "flowmotif_http_inflight" && m.Name != "flowmotif_http_request_seconds" {
-			continue
-		}
-		var name, class string
-		for _, l := range m.Labels {
-			switch l.Key {
-			case "endpoint":
-				name = l.Value
-			case "code":
-				class = l.Value
-			}
-		}
-		ep := eps[name]
-		if ep == nil {
-			ep = &endpoint{class: map[string]uint64{}}
-			eps[name] = ep
-		}
-		if m.Hist != nil {
-			ep.class[class] += m.Hist.Count
-			_ = ep.hist.Merge(*m.Hist) // same bounds by construction
-		}
-	}
-	for name, ep := range eps {
-		p := "requests." + name + "."
-		out[p+"count"] = ep.hist.Count
-		out[p+"2xx"] = ep.class["2xx"]
-		out[p+"4xx"] = ep.class["4xx"]
-		out[p+"5xx"] = ep.class["5xx"]
-		if ep.hist.Count == 0 {
-			out[p+"avg_us"] = int64(0)
-			continue
-		}
-		out[p+"avg_us"] = int64(ep.hist.Sum / float64(ep.hist.Count) * 1e6)
-		qs := ep.hist.Summary()
-		out[p+"p50_us"] = int64(qs.P50 * 1e6)
-		out[p+"p95_us"] = int64(qs.P95 * 1e6)
-		out[p+"p99_us"] = int64(qs.P99 * 1e6)
-	}
-}
-
 // gaugeSnap and counterSnap lift a point-in-time scalar into a metric
 // snapshot for the Prometheus exposition (used for the engine/store/cluster
 // gauges that live in Stats structs rather than the registry).
@@ -222,11 +166,17 @@ func counterSnap(name, help string, v float64, labels ...obs.Label) obs.MetricSn
 	return obs.MetricSnapshot{Name: name, Help: help, Kind: obs.KindCounter, Labels: labels, Value: v}
 }
 
-// writePrometheusResponse renders snapshots in the Prometheus text format.
-func writePrometheusResponse(w http.ResponseWriter, snaps []obs.MetricSnapshot) {
+// serveMetrics answers GET /metrics for both server roles: the role's
+// exposition set in the Prometheus text format, the only format there is
+// (scrape configs that still pass ?format=prometheus get the same answer).
+func serveMetrics(w http.ResponseWriter, r *http.Request, snaps func() []obs.MetricSnapshot) {
+	if r.Method != http.MethodGet {
+		writeErr(w, http.StatusMethodNotAllowed, errGetRequired)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_ = obs.WritePrometheus(w, snaps)
+	_ = obs.WritePrometheus(w, snaps())
 }
 
 // maxTraceLimit caps GET /debug/traces responses: the flight recorder

@@ -169,15 +169,37 @@ func TestPrometheusScrapeEndToEnd(t *testing.T) {
 		t.Fatalf("member gauge not labeled by member id (have %v)", members)
 	}
 
-	// The flat JSON map stays the default format and reports the satellite
-	// fixes: wal-free member still serves request class counts.
-	var flat map[string]interface{}
-	getJSON(t, mts.Client(), mts.URL+"/metrics", &flat)
-	if _, ok := flat["requests.ingest.2xx"]; !ok {
-		t.Fatal("flat metrics: requests.ingest.2xx missing")
+	// There is one exposition: without ?format= both roles answer the same
+	// families in the same format (scrape checks the content type).
+	for url, with := range map[string]map[string]*obs.ExpoFamily{mts.URL: mf, front.URL: cf} {
+		without := scrape(t, client, url+"/metrics")
+		for name := range with {
+			if without[name] == nil {
+				t.Errorf("GET %s/metrics: family %s served only with ?format=prometheus", url, name)
+			}
+		}
 	}
-	if _, ok := flat["store.wal_events"]; ok {
-		t.Fatal("flat metrics: stale store.wal_events key still present")
+	// A WAL-free member still serves request class counts, and no store
+	// gauges.
+	if !labelValues(req, "code")["2xx"] || !labelValues(req, "endpoint")["flush"] {
+		t.Fatal("member /metrics: flush 2xx request series missing")
+	}
+	if mf["flowmotif_store_wal_seq"] != nil {
+		t.Fatal("member /metrics: store gauges on a member without a data dir")
+	}
+
+	// Observability off: /metrics still answers, with the gauges it reads
+	// at scrape time and no registry series.
+	off, err := New(Config{Member: true, DisableObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	ots := httptest.NewServer(off.Handler())
+	defer ots.Close()
+	of := scrape(t, ots.Client(), ots.URL+"/metrics")
+	if of["flowmotif_engine_watermark"] == nil || of["flowmotif_http_request_seconds"] != nil {
+		t.Fatalf("DisableObs /metrics: want scrape-time gauges only, have %d families", len(of))
 	}
 }
 

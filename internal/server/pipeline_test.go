@@ -209,12 +209,14 @@ func TestCoordinatorDegradedResponses(t *testing.T) {
 	if hz.Status != "degraded" || hz.Unplaced != 1 {
 		t.Fatalf("healthz = %+v, want degraded with 1 unplaced", hz)
 	}
-	// /metrics exposes the replication-pipeline gauges.
-	var metrics map[string]interface{}
-	getJSON(t, client, front.URL+"/metrics", &metrics)
-	for _, k := range []string{"cluster.head_seq", "cluster.log_entries", "cluster.backpressure_waits", "cluster.degraded"} {
-		if _, ok := metrics[k]; !ok {
-			t.Errorf("/metrics missing %s: %v", k, keysOf(metrics))
+	// /stats exposes the replication-pipeline gauges.
+	var stats struct {
+		Cluster map[string]interface{} `json:"cluster"`
+	}
+	getJSON(t, client, front.URL+"/stats", &stats)
+	for _, k := range []string{"headSeq", "logEntries", "backpressureWaits", "degraded"} {
+		if _, ok := stats.Cluster[k]; !ok {
+			t.Errorf("/stats cluster section missing %s: %v", k, keysOf(stats.Cluster))
 		}
 	}
 }

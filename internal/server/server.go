@@ -19,11 +19,11 @@
 //	GET  /instances?sub=ID&limit=N   recent detections, newest first.
 //	GET  /topk?sub=ID&k=N            best detections by instance flow.
 //	GET  /subs      configured subscriptions.
-//	GET  /stats     engine + server statistics.
-//	GET  /metrics   flat expvar-style metrics: engine gauges plus
-//	                per-endpoint request counts and latencies;
-//	                ?format=prometheus serves the text exposition format
-//	                with full latency histograms instead.
+//	GET  /stats     engine + store + server statistics (JSON).
+//	GET  /metrics   Prometheus text exposition: the registry's histograms
+//	                (finalize stages, detection lag, WAL and per-endpoint
+//	                request timings) plus engine/store gauges read at
+//	                scrape time. ?format=prometheus is accepted and ignored.
 //	GET  /healthz   health probe: watermark, event counts, last snapshot.
 //	POST /snapshot  checkpoint the engine + sink state to the data dir
 //	                (durable servers only).
@@ -67,7 +67,6 @@ import (
 	"flowmotif/internal/store"
 	"flowmotif/internal/stream"
 	"flowmotif/internal/temporal"
-	"flowmotif/internal/wire"
 )
 
 // Config parameterizes a Server.
@@ -76,14 +75,11 @@ type Config struct {
 	Subs []stream.Subscription
 	// Workers is the per-band enumeration parallelism (<= 1 serial).
 	Workers int
-	// Slack extends event retention beyond the algorithmic minimum.
-	Slack int64
 	// Recent bounds the in-memory ring of recent detections served by
-	// GET /instances (default 1024).
+	// GET /instances, TopK the per-subscription top list served by GET
+	// /topk (defaults: cluster.NewQuerySinks).
 	Recent int
-	// TopK bounds the per-subscription top list served by GET /topk
-	// (default 10).
-	TopK int
+	TopK   int
 	// DataDir, when non-empty, makes the server durable: ingested batches
 	// are appended to a segmented WAL under this directory and New
 	// recovers engine + sink state from the newest snapshot plus the WAL
@@ -103,13 +99,9 @@ type Config struct {
 	// MaxBodyBytes bounds POST request bodies (default 32 MiB); oversized
 	// requests are rejected with 413.
 	MaxBodyBytes int64
-	// Obs, when non-nil, is the metrics registry the server, its engine and
-	// its store record into; when nil (and DisableObs is false) the server
-	// creates one. GET /metrics?format=prometheus serves its contents.
-	Obs *obs.Registry
-	// DisableObs turns metric collection off entirely (no registry, no
-	// per-round histograms); /metrics still serves the flat map, without
-	// its per-endpoint requests.* section.
+	// DisableObs turns metric collection and tracing off entirely (no
+	// registry, no per-round histograms, no flight recorder); /metrics
+	// still serves the gauges it reads at scrape time.
 	DisableObs bool
 	// Logger receives the server's structured logs (slow-round warnings
 	// among them); nil disables logging.
@@ -117,10 +109,6 @@ type Config struct {
 	// SlowRound is the engine's slow-finalize-round warning threshold
 	// (0: no warnings). Requires Logger.
 	SlowRound time.Duration
-	// Tracer is the trace flight recorder the server and its engine
-	// record spans into; nil (and DisableObs false) creates one, served
-	// by GET /debug/traces. DisableObs disables tracing entirely.
-	Tracer *obs.Tracer
 	// SlowRequest tail-samples slow HTTP requests: a request slower than
 	// this retains its trace in the flight recorder and logs a warning
 	// carrying the trace ID (0: off).
@@ -130,11 +118,6 @@ type Config struct {
 	// lag and HTTP error rates, exports flowmotif_slo_burn_rate gauges, and
 	// degrades /healthz when both burn windows run hot.
 	SLO SLOConfig
-	// WireMaxFrameBytes bounds binary wire-protocol frame payloads
-	// (default wire.DefaultMaxFrameBytes, matching MaxBodyBytes' default);
-	// oversized frames are rejected with a typed error frame, mirroring
-	// the HTTP 413 behavior.
-	WireMaxFrameBytes int
 }
 
 // Server puts the HTTP handlers and the wire listener in front of a shard.
@@ -155,7 +138,6 @@ type Server struct {
 	// it. The shared interner maps symbolic-mode labels onto one
 	// server-wide node-id space across connections.
 	wx           *wireMetrics
-	wireMaxFrame int
 	wireInternMu sync.RWMutex
 	wireIntern   *temporal.Interner
 	wireMu       sync.Mutex
@@ -169,12 +151,6 @@ type Server struct {
 // cfg.DataDir set — the event store, assembled into a shard, which
 // recovers the pre-crash state from the store (cluster.NewShard).
 func New(cfg Config) (*Server, error) {
-	if cfg.Recent <= 0 {
-		cfg.Recent = 1024
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 10
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
 	}
@@ -184,18 +160,10 @@ func New(cfg Config) (*Server, error) {
 	// One registry per server: engine, store and HTTP instruments land
 	// together, so one scrape (or one /stats metrics payload for cluster
 	// transport) covers the whole pipeline.
-	reg := cfg.Obs
-	tracer := cfg.Tracer
-	if cfg.DisableObs {
-		reg = nil
-		tracer = nil
-	} else {
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		if tracer == nil {
-			tracer = obs.NewTracer(0)
-		}
+	var reg *obs.Registry
+	var tracer *obs.Tracer
+	if !cfg.DisableObs {
+		reg, tracer = obs.NewRegistry(), obs.NewTracer(0)
 	}
 	s := &Server{
 		member:  cfg.Member,
@@ -212,16 +180,11 @@ func New(cfg Config) (*Server, error) {
 		// can expose.
 		s.wx = newWireMetrics(reg)
 	}
-	s.wireMaxFrame = cfg.WireMaxFrameBytes
-	if s.wireMaxFrame <= 0 {
-		s.wireMaxFrame = wire.DefaultMaxFrameBytes
-	}
 	s.wireIntern = temporal.NewInterner()
-	recent, topk := stream.NewMemorySink(cfg.Recent), stream.NewTopKSink(cfg.TopK)
+	recent, topk := cluster.NewQuerySinks(cfg.Recent, cfg.TopK)
 	eng, err := stream.NewEngine(stream.Config{
 		Subs:       cfg.Subs,
 		Workers:    cfg.Workers,
-		Slack:      cfg.Slack,
 		Obs:        reg,
 		DisableObs: cfg.DisableObs,
 		Logger:     cfg.Logger,
@@ -317,52 +280,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	serveTraces(w, r, s.tracer, s.tracer.Spans)
 }
 
-// handleMetrics serves metrics: by default the flat expvar-style map
-// (engine gauges plus per-endpoint request counts and latencies);
-// ?format=prometheus switches to the text exposition format, which adds
-// the full latency histograms (finalize stages, detection lag, WAL and
-// request timings).
+// handleMetrics serves GET /metrics, the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		writePrometheusResponse(w, s.prometheusSnapshots())
-		return
-	}
-	st := s.Engine().Stats()
-	out := map[string]interface{}{
-		"engine.watermark":       st.Watermark,
-		"engine.started":         st.Started,
-		"engine.events_ingested": st.EventsIngested,
-		"engine.events_retained": st.EventsRetained,
-		"engine.events_evicted":  st.EventsEvicted,
-		"engine.batches":         st.Batches,
-		"engine.detections":      st.Detections,
-		"engine.subscriptions":   len(st.Subs),
-		// Shared-evaluation planner gauges (DESIGN.md §11): plan-group
-		// count, snapshots built, bands served per snapshot (the reuse
-		// ratio), phase-P1 runs and matches served from shared lists.
-		"engine.plan_groups":          st.PlanGroups,
-		"engine.snapshot_builds":      st.SnapshotBuilds,
-		"engine.snapshot_reuse_ratio": st.SnapshotReuse,
-		"engine.match_runs":           st.MatchRuns,
-		"engine.matches_shared":       st.MatchesShared,
-		"http.requests":               s.reqs.Load(),
-		"uptime_seconds":              time.Since(s.started).Seconds(),
-	}
-	if wal := s.shard.Store(); wal != nil {
-		// wal_seq is the newest WAL sequence number — the count of events
-		// ever appended, not the events currently retained on disk.
-		out["store.wal_seq"] = wal.Seq()
-		out["store.wal_segments"] = len(wal.Segments())
-		if _, at, ok := wal.SnapshotInfo(); ok {
-			out["store.snapshot_age_seconds"] = time.Since(at).Seconds()
-		}
-	}
-	flatEndpointMetrics(out, s.obsReg)
-	writeJSON(w, http.StatusOK, out)
+	serveMetrics(w, r, s.prometheusSnapshots)
 }
 
 // prometheusSnapshots assembles the server's exposition set: the registry

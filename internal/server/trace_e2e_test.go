@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,6 +235,58 @@ func TestClusterTraceE2E(t *testing.T) {
 	}
 	if resp := getJSON(t, client, front.URL+"/debug/traces?limit=bogus", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad limit: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSlowRequestTailSampling covers Config.SlowRequest: a request over
+// the threshold keeps its trace in the flight recorder after the ring has
+// wrapped past it (a trace nobody retained is gone by then), and the
+// warning that reports it carries the same trace ID.
+func TestSlowRequestTailSampling(t *testing.T) {
+	var logs bytes.Buffer
+	srv, err := New(Config{
+		Subs:        []stream.Subscription{{ID: "chain", Motif: motif.MustPath(0, 1, 2), Delta: 50}},
+		SlowRequest: time.Nanosecond, // every request is slow
+		Logger:      slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := srv.Tracer().StartSpan("test.control", obs.SpanContext{})
+	control.End()
+
+	// Served synchronously, so the warning is written before ServeHTTP
+	// returns.
+	req := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(`{"events":[{"from":0,"to":1,"t":10,"f":5}]}`))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	var ack ingestResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || rec.Code != http.StatusOK || ack.Trace == "" {
+		t.Fatalf("ingest: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	var line struct {
+		Msg, Endpoint, Trace string
+		Code                 int
+	}
+	if err := json.Unmarshal(logs.Bytes(), &line); err != nil {
+		t.Fatalf("slow-request log %q: %v", logs.String(), err)
+	}
+	if line.Msg != "slow request" || line.Endpoint != "ingest" || line.Code != http.StatusOK || line.Trace != ack.Trace {
+		t.Fatalf("slow-request warning = %+v, want endpoint ingest, code 200, trace %s", line, ack.Trace)
+	}
+
+	for i := 0; i <= obs.DefaultTraceCapacity; i++ {
+		srv.Tracer().StartSpan("test.filler", obs.SpanContext{}).End()
+	}
+	if spans := srv.Tracer().Spans(control.Context().Trace); len(spans) != 0 {
+		t.Fatalf("ring did not wrap: unretained control trace still holds %d spans", len(spans))
+	}
+	names := map[string]bool{}
+	for _, s := range srv.Tracer().Spans(ack.Trace) {
+		names[s.Name] = true
+	}
+	if !names["http.ingest"] || !names["engine.ingest"] {
+		t.Fatalf("slow request's trace did not survive ring wrap-around: have %v", names)
 	}
 }
 

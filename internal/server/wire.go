@@ -200,7 +200,6 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		defer s.wx.conns.Add(-1)
 	}
 	dec := wire.NewDecoder(bufio.NewReaderSize(conn, 1<<16))
-	dec.MaxFrame = s.wireMaxFrame
 	dec.Resolve = s.resolveWireLabel
 	var out []byte // recycled response-frame buffer
 	for {
@@ -299,7 +298,7 @@ func (s *Server) writeWireError(conn net.Conn, out []byte, err error) []byte {
 	code := wire.CodeBadFrame
 	status := http.StatusBadRequest
 	if errors.Is(err, wire.ErrFrameTooLarge) {
-		// The 413 mirror: declared payload over Config.WireMaxFrameBytes.
+		// The 413 mirror: declared payload over wire.DefaultMaxFrameBytes.
 		code = wire.CodeFrameTooLarge
 		status = http.StatusRequestEntityTooLarge
 	}

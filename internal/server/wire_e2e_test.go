@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -66,8 +68,7 @@ func TestWireVsJSONIngestOracle(t *testing.T) {
 	_, jsonTS, _ := startWireServer(t, Config{Subs: wireTestSubs()})
 	_, wireTS, wireAddr := startWireServer(t, Config{Subs: wireTestSubs()})
 
-	// Sink bounds as Config defaults them, so all three retain the same.
-	lm, err := cluster.NewLocalMember("local", cluster.LocalOptions{Recent: 1024, TopK: 10})
+	lm, err := cluster.NewLocalMember("local", cluster.LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,38 +403,43 @@ func TestWireSymbolicIngest(t *testing.T) {
 	}
 }
 
-// TestWireFrameTooLarge pins the 413 mirror: a frame whose declared
-// payload exceeds Config.WireMaxFrameBytes is rejected with the typed
-// too-large error frame before the payload is read, and the connection
-// is closed (framing cannot resync).
+// TestWireFrameTooLarge pins the 413 mirror: a frame header declaring a
+// payload over wire.DefaultMaxFrameBytes is rejected with the typed
+// too-large error frame before any payload is read (none is ever sent),
+// and the connection is closed (framing cannot resync).
 func TestWireFrameTooLarge(t *testing.T) {
-	_, _, addr := startWireServer(t, Config{Subs: wireTestSubs(), WireMaxFrameBytes: 256})
+	_, _, addr := startWireServer(t, Config{Subs: wireTestSubs()})
 
+	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	header := binary.LittleEndian.AppendUint32([]byte{'F', 'M', wire.Version, wire.FrameBatch}, wire.DefaultMaxFrameBytes+1)
+	if _, err := conn.Write(header); err != nil {
+		t.Fatal(err)
+	}
+	dec := wire.NewDecoder(conn)
+	f, err := dec.Next()
+	if err != nil || f.Type != wire.FrameError {
+		t.Fatalf("oversized header: frame %+v, err %v, want an error frame", f, err)
+	}
+	if re, err := dec.RemoteErr(); err != nil || re.Code != wire.CodeFrameTooLarge {
+		t.Fatalf("oversized header: %v, %v, want RemoteError code %d", re, err, wire.CodeFrameTooLarge)
+	}
+	// The server closed the connection after the framing-level rejection.
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("read after rejection: %v, want EOF", err)
+	}
+	// A small frame on a fresh connection still works.
 	cli, err := wire.Dial(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	big := make([]temporal.Event, 512)
-	for i := range big {
-		big[i] = temporal.Event{From: temporal.NodeID(i), To: temporal.NodeID(i + 1), T: int64(i), F: 1}
-	}
-	_, err = cli.Ingest(1, "", big)
-	var re *wire.RemoteError
-	if !errors.As(err, &re) || re.Code != wire.CodeFrameTooLarge {
-		t.Fatalf("oversized frame: %v, want RemoteError code %d", err, wire.CodeFrameTooLarge)
-	}
-	// The server closed the connection: the client retired it too.
-	if !cli.Broken() {
-		t.Fatal("client still considers the connection usable after a framing-level rejection")
-	}
-	// A small frame on a fresh connection still works.
-	cli2, err := wire.Dial(addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli2.Close()
-	if _, err := cli2.Ingest(1, "", big[:4]); err != nil {
+	small := []temporal.Event{{From: 0, To: 1, T: 1, F: 1}, {From: 1, To: 2, T: 2, F: 1}}
+	if _, err := cli.Ingest(1, "", small); err != nil {
 		t.Fatalf("small frame after reconnect: %v", err)
 	}
 }

@@ -60,9 +60,6 @@ type Options struct {
 	// appends are still flushed to the OS per batch, but a machine crash
 	// (not just a process crash) may lose the tail.
 	Sync bool
-	// KeepSnapshots bounds the retained snapshot files (default 2, so one
-	// corrupt latest snapshot still leaves a usable predecessor).
-	KeepSnapshots int
 	// Obs receives store instrumentation — WAL append, fsync, and
 	// segment-seal timing histograms; nil disables it.
 	Obs *obs.Registry
@@ -72,9 +69,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.SegmentEvents <= 0 {
 		out.SegmentEvents = DefaultSegmentEvents
-	}
-	if out.KeepSnapshots <= 0 {
-		out.KeepSnapshots = 2
 	}
 	return out
 }
@@ -417,8 +411,8 @@ func (s *Store) Replay(fromSeq int64, fn func(seq int64, ev temporal.Event) bool
 }
 
 // WriteSnapshot durably records a snapshot payload taken at seq (write to
-// a temp file, fsync, rename), then prunes snapshots beyond
-// Options.KeepSnapshots. The caller is responsible for seq actually
+// a temp file, fsync, rename), then prunes snapshots beyond the newest
+// keepSnapshots. The caller is responsible for seq actually
 // reflecting the payload — internal/server captures both under its ingest
 // lock.
 func (s *Store) WriteSnapshot(seq int64, payload []byte) error {
@@ -556,12 +550,16 @@ func (s *Store) loadSnapshotMeta() error {
 	return nil
 }
 
+// keepSnapshots bounds the retained snapshot files: two, so one corrupt
+// latest snapshot still leaves a usable predecessor.
+const keepSnapshots = 2
+
 func (s *Store) pruneSnapshots() {
 	names, err := s.snapshotFiles()
 	if err != nil {
 		return
 	}
-	for len(names) > s.opts.KeepSnapshots {
+	for len(names) > keepSnapshots {
 		os.Remove(names[0])
 		names = names[1:]
 	}

@@ -283,7 +283,7 @@ func TestAppendValidation(t *testing.T) {
 
 func TestSnapshotWriteLoadFallback(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{KeepSnapshots: 3})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestSnapshotWriteLoadFallback(t *testing.T) {
 
 func TestSnapshotPruning(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{KeepSnapshots: 2})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,6 @@ type Config struct {
 	// With Workers > 1 sinks must tolerate detections out of anchor order
 	// (they are still each emitted exactly once).
 	Workers int
-	// Slack retains events this much longer than the algorithmic minimum
-	// (max δ behind the finalization frontier), e.g. for debugging sinks
-	// that want to look events up after the fact.
-	Slack int64
 	// Obs is the metrics registry the engine's stage and detection-lag
 	// histograms register into; nil creates a private registry (readable
 	// via Engine.Obs) unless DisableObs is set.
@@ -185,7 +181,6 @@ type Engine struct {
 	log     *temporal.WindowLog
 	sink    Sink
 	workers int
-	slack   int64
 	subs    []*subState
 
 	// Shared-evaluation planner state (planner.go): subscriptions grouped
@@ -252,14 +247,10 @@ type Engine struct {
 // subscriptions — a cluster member awaiting placement — and gain them at
 // runtime via AddSubscription.
 func NewEngine(cfg Config, sink Sink) (*Engine, error) {
-	if cfg.Slack < 0 {
-		return nil, errors.New("stream: Slack must be non-negative")
-	}
 	e := &Engine{
 		log:       temporal.NewWindowLog(),
 		sink:      sink,
 		workers:   cfg.Workers,
-		slack:     cfg.Slack,
 		groupIdx:  map[planKey]*planGroup{},
 		minNextT:  math.MinInt64,
 		logger:    cfg.Logger,
@@ -593,7 +584,7 @@ func detectionPayload(g *temporal.Graph, in *core.Instance, watermark int64) Det
 }
 
 // evict drops events no subscription can ever need again: everything
-// older than min over subscriptions of A-δ, minus the configured slack.
+// older than min over subscriptions of A-δ.
 func (e *Engine) evict() {
 	keep := int64(math.MaxInt64)
 	for _, s := range e.subs {
@@ -604,7 +595,7 @@ func (e *Engine) evict() {
 			keep = edge
 		}
 	}
-	e.log.EvictBefore(satSub(keep, e.slack))
+	e.log.EvictBefore(keep)
 }
 
 // Err reports the engine's fail-stop poison: nil while healthy, an error
