@@ -1,11 +1,13 @@
 // Command experiments reproduces every table and figure of the paper's
 // evaluation section (§6) on the synthetic stand-in datasets, printing
-// paper-style tables and optionally writing CSVs.
+// paper-style tables and optionally writing CSVs, plus two ablations of
+// design choices beyond the paper (DESIGN.md §6).
 //
 // Usage:
 //
 //	experiments -scale small -exp all
 //	experiments -scale medium -exp table3,fig8,fig14 -workers 8 -out results/
+//	experiments -scale small -exp ablation-prune,ablation-workers
 package main
 
 import (
@@ -13,16 +15,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
+	"flowmotif/internal/core"
 	"flowmotif/internal/harness"
+	"flowmotif/internal/motif"
 )
 
 func main() {
 	var (
 		scale   = flag.String("scale", "small", "tiny | small | medium | large")
-		exps    = flag.String("exp", "all", "comma list: table3,table4,fig8,fig9,fig10,fig11,fig12,fig13,fig14")
+		exps    = flag.String("exp", "all", "comma list: table3,table4,fig8,fig9,fig10,fig11,fig12,fig13,fig14,ablation-prune,ablation-workers")
 		workers = flag.Int("workers", 8, "parallel workers for sweep counting and significance")
 		runs    = flag.Int("runs", 20, "randomized networks for fig14 (paper: 20)")
 		seed    = flag.Int64("seed", 2019, "seed for fig14 permutations")
@@ -120,6 +125,35 @@ func main() {
 					harness.Fig14(ds, motifs, *runs, *seed, *workers))
 			}
 		})
+	}
+
+	// Ablations: M(4,3) counted on the Bitcoin dataset with one knob
+	// varied per row; the instance column must not change.
+	ablate := func(name, knob string, values []string, params func(i int) core.Params) {
+		run(name, func() {
+			ds, mo := datasets[0], motif.MustPath(0, 1, 2, 3).Named("M(4,3)")
+			t := &harness.Table{Title: "Ablation: " + knob + " (" + mo.Name() + ", " + ds.Name + ")",
+				Header: []string{knob, "instances", "ms"}}
+			for i, v := range values {
+				p := params(i)
+				p.Delta, p.Phi = ds.Delta, ds.Phi
+				t0 := time.Now()
+				n, _, err := core.Count(ds.G, mo, p)
+				if err != nil {
+					fatal(err.Error())
+				}
+				t.AddRow(v, strconv.FormatInt(n, 10), fmt.Sprintf("%.1f", float64(time.Since(t0).Microseconds())/1e3))
+			}
+			emit(name, t)
+		})
+	}
+	if sel("ablation-prune") {
+		ablate("ablation-prune", "availability pruning", []string{"on", "off"},
+			func(i int) core.Params { return core.Params{DisableAvailPrune: i == 1} })
+	}
+	if sel("ablation-workers") {
+		ablate("ablation-workers", "workers", []string{"1", "2", "4", "8"},
+			func(i int) core.Params { return core.Params{Workers: 1 << i} })
 	}
 }
 

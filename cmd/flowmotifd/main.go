@@ -187,7 +187,7 @@ func main() {
 		member   = flag.Bool("member", false, "cluster shard: start with no subscriptions and serve /cluster handoff endpoints")
 		coord    = flag.Bool("cluster-coordinator", false, "coordinator: shard -sub set across members, broadcast ingest, scatter-gather queries")
 		shards   = flag.Int("shards", 0, "coordinator: run N in-process member engines (per-shard data dirs under -data-dir)")
-		histCap  = flag.Int("history-limit", 0, "coordinator: bound retained broadcast history in events (0: unlimited; bounds failover regeneration)")
+		histCap  = flag.Int("history-limit", 0, "coordinator: bound the failover history (the log's acked prefix) in events, cut on a timestamp (0: unlimited; bounds failover regeneration)")
 		queueCap = flag.Int("queue-depth", 0, "coordinator: per-member replication queue depth in batches before ingest backpressures (0: default 128)")
 		coalesce = flag.Int("coalesce-events", 0, "coordinator: max events folded into one member call when a replication backlog drains (0: default 2048)")
 		pprofAdr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for in-situ profiling of the ingest hot path; empty disables")
@@ -431,7 +431,7 @@ func runCoordinator(o coordOptions) {
 		logger.Info("placed", "sub", sub, "member", owner)
 	}
 	if o.histCap <= 0 {
-		logger.Warn("history unbounded: the full broadcast stream is retained in memory for lossless failover; bound it with -history-limit N (failover then regenerates only the newest N events)")
+		logger.Warn("history unbounded: the coordinator log keeps the full stream in memory for lossless failover; bound it with -history-limit N (failover then regenerates from the newest N events, plus any sharing the first kept timestamp)")
 	}
 
 	cs := server.NewCoordinatorWith(c, server.CoordinatorConfig{

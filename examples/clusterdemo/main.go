@@ -4,8 +4,8 @@
 // bitcoin-like transaction stream to all of them, and serves scatter-
 // gather queries. Mid-stream it scales out to a fourth member (live
 // subscription handoff), then kills a member outright and lets failover
-// re-place its subscriptions, regenerated from the coordinator's
-// broadcast history — after which the cluster still serves the complete
+// re-place its subscriptions, regenerated from the history in the
+// coordinator's log — after which the cluster still serves the complete
 // instance set, as the final global top-k shows.
 package main
 

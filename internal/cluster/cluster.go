@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -23,11 +24,14 @@ type Config struct {
 	// RetryDelay is the pause between retries (default 25ms; in-process
 	// tests set it near zero).
 	RetryDelay time.Duration
-	// HistoryLimit bounds the coordinator's retained broadcast history in
-	// events (0: unlimited). The history is the failover catch-up source:
-	// a subscription re-placed after its member died is regenerated from
-	// it, so with an unlimited history failover loses nothing, while a
-	// bounded history trades memory for detections older than the bound.
+	// HistoryLimit bounds the coordinator's retained history in events
+	// (0: unlimited). The history is the acked prefix of the coordinator's
+	// log and the failover catch-up source: a subscription re-placed after
+	// its member died is regenerated from it, so with an unlimited history
+	// failover loses nothing, while a bounded history trades memory for
+	// detections older than the bound. The cut falls on a timestamp
+	// boundary, so the history may exceed the bound by the events sharing
+	// its first timestamp.
 	HistoryLimit int
 	// MaxPending bounds each member's replication queue in log entries:
 	// Ingest blocks (backpressure) while the slowest live member is this
@@ -67,7 +71,6 @@ type memberState struct {
 // with ingest and align results to the slowest shard's watermark.
 type Coordinator struct {
 	retryDelay time.Duration
-	histLimit  int
 	maxPending int
 	coalesce   int
 
@@ -95,13 +98,7 @@ type Coordinator struct {
 	// subscription set is fixed at construction), so it is read without mu.
 	placeKey map[string]string
 
-	repl      []logEntry // replication log: appended, not yet acked by all
-	replBase  int64      // seq of repl[0] when non-empty
-	headSeq   int64      // newest appended sequence (0 before any append)
-	logEvents int        // total events currently in repl
-
-	history     []temporal.Event // acked broadcast history (failover catch-up)
-	histDropped int64            // events trimmed off the history head
+	log streamLog // replication queue and failover history (log.go)
 
 	watermark    int64
 	started      bool
@@ -141,7 +138,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		retryDelay: cfg.RetryDelay,
-		histLimit:  cfg.HistoryLimit,
 		maxPending: cfg.MaxPending,
 		coalesce:   cfg.CoalesceEvents,
 		members:    map[string]*memberState{},
@@ -150,7 +146,7 @@ func New(cfg Config) (*Coordinator, error) {
 		unplaced:   map[string]bool{},
 		placeKey:   map[string]string{},
 		minNextT:   math.MinInt64,
-		replBase:   1,
+		log:        streamLog{first: 1, limit: cfg.HistoryLimit},
 		obsReg:     obs.NewRegistry(),
 		tracer:     obs.NewTracer(0),
 	}
@@ -225,12 +221,12 @@ func (c *Coordinator) groupKeyOf(subID string) string {
 // ErrMemberDown; any other outcome returns immediately. Only *idempotent*
 // member calls may be retried: queries, stats, Flush (a second flush at
 // the same watermark is a no-op), and — since batches became seq-tagged —
-// replicated ingest (deliver, in replication.go, which retries on its
-// own). The handoff calls remain deliberately single-attempt: a member
-// may have applied AddSubscription before the ack was lost, and resending
-// would be rejected as a duplicate, so a transport failure marks the
-// member down instead; failover regeneration from history is safe
-// regardless of whether the lost call was applied.
+// replicated ingest (deliver, in replication.go). The handoff calls remain
+// deliberately single-attempt: a member may have applied AddSubscription
+// before the ack was lost, and resending would be rejected as a
+// duplicate, so a transport failure marks the member down instead;
+// failover regeneration from history is safe regardless of whether the
+// lost call was applied.
 func (c *Coordinator) retry(fn func() error) error {
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -328,19 +324,13 @@ func (c *Coordinator) IngestTraced(events []temporal.Event, parent obs.SpanConte
 			c.cond.Wait()
 		}
 	}
-	c.headSeq++
-	seq := c.headSeq
-	if len(c.repl) == 0 {
-		c.replBase = seq
-	}
 	// appendedAt feeds only the replication-lag histogram; skip the clock
 	// read when no consumer is armed.
 	var appended time.Time
 	if c.mxReplLag != nil {
 		appended = time.Now()
 	}
-	c.repl = append(c.repl, logEntry{seq: seq, events: batch, appendedAt: appended, sc: root.Context()})
-	c.logEvents += len(batch)
+	seq := c.log.append(batch, appended, root.Context())
 	c.watermark = last
 	c.started = true
 	c.batches++
@@ -363,13 +353,6 @@ func (c *Coordinator) IngestTraced(events []temporal.Event, parent obs.SpanConte
 func (c *Coordinator) Flush() (IngestAck, error) {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	c.mu.Lock()
-	n := len(c.members)
-	c.mu.Unlock()
-	if n == 0 {
-		return IngestAck{}, ErrNoMembers
-	}
-	c.drainLocked()
 	reapErr := c.reapFailedLocked()
 	c.mu.Lock()
 	if len(c.members) == 0 {
@@ -420,17 +403,12 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 		// already flushed, so close their windows too. Terminal bands are
 		// only re-enumerated for the moved subscriptions (the survivors'
 		// own emitted bounds are already at the watermark).
-		c.mu.Lock()
-		states = states[:0]
-		for _, id := range c.memberIDsLocked() {
-			states = append(states, c.members[id])
-		}
-		c.mu.Unlock()
-		for _, ms := range states {
+		members, _ := c.healthyMembers()
+		for _, m := range members {
 			// Ingest is quiesced for the whole flush by design: the
 			// marker must not interleave with new batches, so this RPC
 			// intentionally runs under ingestMu (never under c.mu).
-			if ack, err := ms.m.Flush(); err == nil { //flowvet:ignore lockhold flush quiesces ingest by design
+			if ack, err := m.Flush(); err == nil { //flowvet:ignore lockhold flush quiesces ingest by design
 				agg.Detections += ack.Detections
 			}
 		}
@@ -438,18 +416,8 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 	return agg, reapErr
 }
 
-// trimHistoryLocked enforces HistoryLimit; the caller holds mu.
-func (c *Coordinator) trimHistoryLocked() {
-	if c.histLimit <= 0 || len(c.history) <= c.histLimit {
-		return
-	}
-	drop := len(c.history) - c.histLimit
-	c.histDropped += int64(drop)
-	c.history = append(c.history[:0:0], c.history[drop:]...)
-}
-
 // failLocked marks members down and re-places their subscriptions onto
-// survivors, regenerating each from the coordinator's broadcast history.
+// survivors, regenerating each from the history of the coordinator's log.
 // The caller holds ingestMu. Cascading failures (a re-placement target
 // dying mid-handoff) feed back into the queue until every subscription is
 // placed or no member remains; a subscription whose re-placement is
@@ -458,6 +426,7 @@ func (c *Coordinator) trimHistoryLocked() {
 // rest of the queue.
 func (c *Coordinator) failLocked(ids []string) error {
 	var errs []error
+	var catchup []temporal.Event // built once, shared read-only by every orphan
 	queue := append([]string(nil), ids...)
 	for len(queue) > 0 {
 		id := queue[0]
@@ -486,12 +455,15 @@ func (c *Coordinator) failLocked(ids []string) error {
 			c.unplaced[subID] = true
 		}
 		survivors := c.memberIDsLocked()
+		if catchup == nil && len(orphans) > 0 {
+			catchup = c.log.catchup()
+		}
 		c.mu.Unlock()
 		// Index loop: a target dying mid-handoff re-queues the subscription
 		// by appending to orphans, which a range clause would never visit.
 		for i := 0; i < len(orphans); i++ {
 			subID := orphans[i]
-			target, err := c.replaceLocked(subID, survivors)
+			target, err := c.replaceLocked(subID, survivors, catchup)
 			if err != nil {
 				if target != "" {
 					// The chosen target died mid-handoff: fail it too and
@@ -499,12 +471,7 @@ func (c *Coordinator) failLocked(ids []string) error {
 					queue = append(queue, target)
 					orphans = append(orphans, subID)
 					c.mu.Lock()
-					survivors = nil
-					for _, sid := range c.memberIDsLocked() {
-						if sid != target {
-							survivors = append(survivors, sid)
-						}
-					}
+					survivors = slices.DeleteFunc(c.memberIDsLocked(), func(s string) bool { return s == target })
 					c.mu.Unlock()
 					continue
 				}
@@ -523,12 +490,14 @@ func (c *Coordinator) failLocked(ids []string) error {
 }
 
 // replaceLocked re-creates one subscription (whose previous member is
-// gone) on a survivor, regenerated from the coordinator's history. It
-// returns the chosen target with a non-nil error when the target itself
-// failed, so the caller can cascade; on a semantic rejection the
-// subscription stays parked as unplaced (a later AddMember adopts it)
-// rather than being dropped. The caller holds ingestMu.
-func (c *Coordinator) replaceLocked(subID string, survivors []string) (string, error) {
+// gone) on a survivor, regenerated from catchup — the coordinator's
+// history, flattened once per pass by the caller (the member copies or
+// marshals it, so one slice serves every orphan). It returns the chosen
+// target with a non-nil error when the target itself failed, so the
+// caller can cascade; on a semantic rejection the subscription stays
+// parked as unplaced (a later AddMember adopts it) rather than being
+// dropped. The caller holds ingestMu.
+func (c *Coordinator) replaceLocked(subID string, survivors []string, catchup []temporal.Event) (string, error) {
 	c.mu.Lock()
 	sub, ok := c.subs[subID]
 	if !ok {
@@ -543,10 +512,10 @@ func (c *Coordinator) replaceLocked(subID string, survivors []string) (string, e
 		return "", nil
 	}
 	h := Handoff{Sub: SpecOf(sub)}
-	if len(c.history) > 0 {
+	if len(catchup) > 0 {
 		h.Primed = true
-		h.Emitted = temporal.SatSub(c.history[0].T, 1)
-		h.Catchup = append([]temporal.Event(nil), c.history...)
+		h.Emitted = temporal.SatSub(catchup[0].T, 1)
+		h.Catchup = catchup
 	}
 	tm := c.members[target]
 	c.mu.Unlock()
@@ -581,19 +550,9 @@ func (c *Coordinator) FailMember(id string) error {
 	if !ok {
 		return fmt.Errorf("cluster: unknown member %q", id)
 	}
-	c.drainLocked()
 	// The drain barrier excludes members whose replicators failed along
-	// the way; reap them together with the explicit target.
-	ids := []string{id}
-	c.mu.Lock()
-	for mid, ms := range c.members {
-		if ms.failed && mid != id {
-			ids = append(ids, mid)
-		}
-	}
-	c.mu.Unlock()
-	sort.Strings(ids)
-	return c.failLocked(ids)
+	// the way; they are reaped together with the explicit target.
+	return c.reapFailedLocked(id)
 }
 
 // AddMember registers a new member and rebalances: rendezvous hashing
@@ -616,13 +575,12 @@ func (c *Coordinator) AddMember(m Member) error {
 	// reaped, history complete. Reap errors (e.g. the last old member died
 	// leaving subscriptions unplaced) are deliberately not fatal — the
 	// member being added is about to adopt the orphans.
-	c.drainLocked()
 	_ = c.reapFailedLocked()
 	c.mu.Lock()
 	ms := &memberState{
 		m:        m,
 		subs:     map[string]bool{},
-		ackedSeq: c.headSeq, // joins at the head; history arrives via handoffs
+		ackedSeq: c.log.head(), // joins at the head; history arrives via handoffs
 		ackedW:   math.MinInt64,
 		done:     make(chan struct{}),
 	}
@@ -636,9 +594,13 @@ func (c *Coordinator) AddMember(m Member) error {
 	// home first: they regenerate from history.
 	c.mu.Lock()
 	orphans := sortedKeys(c.unplaced)
+	var catchup []temporal.Event
+	if len(orphans) > 0 {
+		catchup = c.log.catchup()
+	}
 	c.mu.Unlock()
 	for _, subID := range orphans {
-		if _, err := c.replaceLocked(subID, ids); err != nil {
+		if _, err := c.replaceLocked(subID, ids, catchup); err != nil {
 			return err
 		}
 	}
@@ -674,7 +636,6 @@ func (c *Coordinator) RemoveMember(id string) error {
 	// them. Members that failed during the drain are reaped first (the
 	// drain target itself may be among them, turning the graceful drain
 	// into a failover — the correct degradation).
-	c.drainLocked()
 	if err := c.reapFailedLocked(); err != nil {
 		return err
 	}
@@ -689,12 +650,7 @@ func (c *Coordinator) RemoveMember(id string) error {
 		return fmt.Errorf("cluster: cannot drain the last member (%d subscriptions placed)", len(c.subs))
 	}
 	owned := sortedKeys(ms.subs)
-	var rest []string
-	for _, mid := range c.memberIDsLocked() {
-		if mid != id {
-			rest = append(rest, mid)
-		}
-	}
+	rest := slices.DeleteFunc(c.memberIDsLocked(), func(s string) bool { return s == id })
 	c.mu.Unlock()
 	for _, subID := range owned {
 		target := rendezvousOwner(c.groupKeyOf(subID), rest)
@@ -882,17 +838,7 @@ func (c *Coordinator) ownerOf(sub string) (Member, error) {
 // Queries never mutate membership; repair belongs to the replication
 // pipeline's reap.
 func (c *Coordinator) gather(parent obs.SpanContext, q func(Member, obs.SpanContext) (QueryResult, error)) ([]QueryResult, int, error) {
-	c.mu.Lock()
-	members := make([]Member, 0, len(c.members))
-	dropped := 0
-	for _, id := range c.memberIDsLocked() {
-		if ms := c.members[id]; ms.failed {
-			dropped++
-			continue
-		}
-		members = append(members, c.members[id].m)
-	}
-	c.mu.Unlock()
+	members, dropped := c.healthyMembers()
 	if len(members) == 0 {
 		return nil, dropped, ErrNoMembers
 	}
@@ -932,6 +878,20 @@ func (c *Coordinator) gather(parent obs.SpanContext, q func(Member, obs.SpanCont
 		return nil, dropped, errors.Join(ErrNoMembers, firstErr)
 	}
 	return kept, dropped, nil
+}
+
+// healthyMembers lists the members not flagged failed, in id order, and
+// how many were skipped.
+func (c *Coordinator) healthyMembers() ([]Member, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	members := make([]Member, 0, len(c.members))
+	for _, id := range c.memberIDsLocked() {
+		if ms := c.members[id]; !ms.failed {
+			members = append(members, ms.m)
+		}
+	}
+	return members, len(c.members) - len(members)
 }
 
 // Subscriptions lists the cluster's subscriptions with their current
@@ -1008,10 +968,10 @@ type ClusterStats struct {
 	HistoryTrim     int64 `json:"historyTrimmed"`
 	Downs           int64 `json:"downs"`
 	Moves           int64 `json:"moves"`
-	// Replication-log gauges: the newest appended sequence, the entries
-	// and events still queued for at least one member, how often Ingest
-	// blocked on a full member queue, and whether query answers may be
-	// incomplete right now.
+	// Log gauges: the newest appended sequence, the entries and events
+	// still queued for at least one member (the history above is the
+	// rest of the same log), how often Ingest blocked on a full member
+	// queue, and whether query answers may be incomplete right now.
 	HeadSeq      int64 `json:"headSeq"`
 	LogEntries   int   `json:"logEntries"`
 	LogEvents    int   `json:"logEvents"`
@@ -1044,13 +1004,9 @@ func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 			Lag:            -1,
 			AckedSeq:       s.ackedSeq,
 			AckedWatermark: s.ackedW,
-			ReplLagEntries: c.headSeq - s.ackedSeq,
+			ReplLagEntries: c.log.head() - s.ackedSeq,
+			ReplLagEvents:  c.log.lagEvents(s.ackedSeq),
 			Failing:        s.failed,
-		}
-		for _, e := range c.repl {
-			if e.seq > s.ackedSeq {
-				repl[i].ReplLagEvents += int64(len(e.events))
-			}
 		}
 	}
 	groups := map[string]bool{}
@@ -1065,13 +1021,13 @@ func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 		Started:         c.started,
 		Batches:         c.batches,
 		Events:          c.events,
-		HistoryEvents:   len(c.history),
-		HistoryTrim:     c.histDropped,
+		HistoryEvents:   int(c.log.historyEvents()),
+		HistoryTrim:     c.log.dropped,
 		Downs:           c.downs,
 		Moves:           c.moves,
-		HeadSeq:         c.headSeq,
-		LogEntries:      len(c.repl),
-		LogEvents:       c.logEvents,
+		HeadSeq:         c.log.head(),
+		LogEntries:      int(c.log.head() - c.log.acked),
+		LogEvents:       int(c.log.lagEvents(c.log.acked)),
 		Backpressure:    c.backpressure,
 		Degraded:        len(c.unplaced) > 0 || c.failedCount > 0,
 	}
@@ -1137,14 +1093,7 @@ func (c *Coordinator) Traces(trace string) []obs.SpanRecord {
 	for _, s := range spans {
 		seen[s.Span] = true
 	}
-	c.mu.Lock()
-	members := make([]Member, 0, len(c.members))
-	for _, id := range c.memberIDsLocked() {
-		if ms := c.members[id]; !ms.failed {
-			members = append(members, ms.m)
-		}
-	}
-	c.mu.Unlock()
+	members, _ := c.healthyMembers()
 	for _, m := range members {
 		frag, err := m.Traces(trace)
 		if err != nil {

@@ -300,6 +300,158 @@ func TestClusterMembershipAndFailover(t *testing.T) {
 	}
 }
 
+// checkServedSubset asserts every detection the cluster serves for each
+// subscription is in the batch algorithm's set on the full event log (a
+// bounded history may lose detections older than the bound, never invent
+// one) and returns how many were served.
+func checkServedSubset(t *testing.T, c *Coordinator, g *temporal.Graph, subs []stream.Subscription) int {
+	t.Helper()
+	served := 0
+	for _, sub := range subs {
+		want, err := core.Collect(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKeys := map[string]bool{}
+		for _, in := range want {
+			wantKeys[batchKey(g, in)] = true
+		}
+		ds, _, err := c.Instances(sub.ID, 0)
+		if err != nil {
+			t.Fatalf("instances %s: %v", sub.ID, err)
+		}
+		for _, d := range ds {
+			if k := detKey(d); !wantKeys[k] {
+				t.Errorf("sub %s: spurious %s", sub.ID, k)
+			}
+		}
+		served += len(ds)
+	}
+	return served
+}
+
+// TestHistoryBoundTimestampCut: batches share the boundary timestamp
+// t=100 and the history bound lands between its two events. The bound
+// must keep both, so the subscription regenerated on the survivor (whose
+// own log, serving nothing, retains no events) re-enumerates anchor 100
+// over the whole run and serves only single-engine detections.
+func TestHistoryBoundTimestampCut(t *testing.T) {
+	batches := [][]temporal.Event{
+		{{From: 3, To: 4, T: 50, F: 1}, {From: 3, To: 4, T: 60, F: 1}},
+		{{From: 3, To: 4, T: 90, F: 1}, {From: 0, To: 1, T: 100, F: 1}},
+		{{From: 0, To: 1, T: 100, F: 2}, {From: 1, To: 2, T: 105, F: 1}},
+		{{From: 5, To: 6, T: 200, F: 1}},
+	}
+	var evs []temporal.Event
+	for _, b := range batches {
+		evs = append(evs, b...)
+	}
+	g, err := temporal.NewGraph(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []stream.Subscription{{ID: "p", Motif: motif.MustPath(0, 1, 2), Delta: 10}}
+	members := make([]Member, 2)
+	for i := range members {
+		if members[i], err = NewLocalMember(fmt.Sprintf("m%d", i), LocalOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 7 events, bound 3: the nominal cut is the second t=100 event.
+	c, err := New(Config{Members: members, Subs: subs, RetryDelay: time.Millisecond, HistoryLimit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, b := range batches {
+		if _, err := c.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.HistoryEvents != 4 || st.HistoryTrim != 3 {
+		t.Fatalf("history %d events, %d trimmed; want 4 (from t=100 on) and 3", st.HistoryEvents, st.HistoryTrim)
+	}
+	owner := c.Placement()["p"]
+	for _, m := range members {
+		if m.ID() == owner {
+			m.(*LocalMember).SetDown(true)
+		}
+	}
+	if err := c.FailMember(owner); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Placement()["p"] == owner {
+		t.Fatal("subscription not re-placed")
+	}
+	if served := checkServedSubset(t, c, g, subs); served == 0 {
+		t.Fatal("degenerate test: the survivor regenerated nothing")
+	}
+}
+
+// TestBoundedHistoryFailover: with HistoryLimit set, the history holds
+// the newest limit events plus the earlier events sharing its first
+// timestamp, historyTrimmed counts exactly the events cut, and a member
+// killed mid-stream is failed over onto survivors that serve only
+// single-engine detections (those older than the bound may be lost).
+func TestBoundedHistoryFailover(t *testing.T) {
+	evs := clusterEvents(t, 13)
+	g, err := temporal.NewGraph(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := catalogSubs()
+	limit := len(evs) / 4
+	members := make([]Member, 3)
+	locals := make([]*LocalMember, 3)
+	for i := range members {
+		if locals[i], err = NewLocalMember(fmt.Sprintf("m%d", i), LocalOptions{Recent: 1 << 16}); err != nil {
+			t.Fatal(err)
+		}
+		members[i] = locals[i]
+	}
+	c, err := New(Config{Members: members, Subs: subs, RetryDelay: time.Millisecond, HistoryLimit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	half := len(evs) / 2
+	feedRandomBatches(t, c, evs[:half], 5)
+	locals[0].SetDown(true)
+	feedRandomBatches(t, c, evs[half:], 6)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Downs != 1 {
+		t.Fatalf("Downs = %d after kill, want 1", st.Downs)
+	}
+	trimmed := int(st.HistoryTrim)
+	if trimmed == 0 || trimmed+st.HistoryEvents != len(evs) {
+		t.Fatalf("history %d events + %d trimmed, want %d in all with some trimmed",
+			st.HistoryEvents, trimmed, len(evs))
+	}
+	// The cut sits on a timestamp boundary: the events kept beyond the
+	// bound all share the first kept timestamp, and none before it does.
+	t0 := evs[len(evs)-limit].T
+	if evs[trimmed].T != t0 || evs[trimmed-1].T >= t0 {
+		t.Fatalf("history starts at t=%d after t=%d; want the first event at t=%d",
+			evs[trimmed].T, evs[trimmed-1].T, t0)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if served := checkServedSubset(t, c, g, subs); served == 0 {
+		t.Fatal("degenerate test: nothing served")
+	}
+}
+
 // TestClusterGlobalTopK checks the cluster-wide (all-subscription) top-k
 // merge against a single TopKSink fed every detection.
 func TestClusterGlobalTopK(t *testing.T) {

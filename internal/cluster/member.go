@@ -5,13 +5,14 @@
 // answers queries by scatter-gather with watermark alignment and a
 // distributed top-k merge.
 //
-// Ingest appends a validated batch to the coordinator's replication log
-// and acknowledges immediately; per-member replicator goroutines drain the
-// log concurrently with adaptive batch coalescing, acked-watermark
-// tracking, and backpressure when the slowest member falls too far behind
-// (see replication.go and DESIGN.md §10). Batches carry their log sequence
-// number, so a member that applied a batch but lost the ack treats the
-// resend as a no-op instead of diverging.
+// Ingest appends a validated batch to the coordinator's one log and
+// acknowledges immediately; per-member replicator goroutines deliver it
+// concurrently with adaptive batch coalescing, acked-watermark tracking,
+// and backpressure when the slowest member falls too far behind (see
+// replication.go and DESIGN.md §10). Entries every live member acked stay
+// in the same log as the failover history (log.go). Batches carry their
+// log sequence number, so a member that applied a batch but lost the ack
+// treats the resend as a no-op instead of diverging.
 //
 // The design exploits the paper's per-subscription independence: each
 // motif M = (GM, δ, φ) is evaluated on its own over the event stream

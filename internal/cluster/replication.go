@@ -3,64 +3,49 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"flowmotif/internal/obs"
-	"flowmotif/internal/temporal"
 )
 
 // This file is the asynchronous replication pipeline behind
 // Coordinator.Ingest (DESIGN.md §10). Ingest validates a batch, appends it
-// to the sequence-numbered replication log, and acknowledges immediately;
-// one replicator goroutine per member drains the log concurrently,
-// coalescing a backlog into larger member calls, retrying transport
-// failures (safe: batches are seq-tagged and members deduplicate resends),
-// and recording the acked sequence/watermark the coordinator trims the log
-// and reports replication lag by. A member whose replicator exhausts its
-// retries is flagged failed and reaped — marked down with its
-// subscriptions regenerated onto survivors from history — at the next
+// to the coordinator's sequence-numbered log (log.go), and acknowledges
+// immediately; one replicator goroutine per member delivers the log's
+// entries past its acked sequence concurrently, coalescing a backlog into
+// larger member calls, retrying transport failures (safe: batches are
+// seq-tagged and members deduplicate resends), and recording the acked
+// sequence/watermark that moves the log's history boundary and reports
+// replication lag. A member whose replicator exhausts its retries is
+// flagged failed and reaped — marked down with its subscriptions
+// regenerated onto survivors from the log's history — at the next
 // mutating operation (or promptly by a background reap), so a flapping
 // member degrades to catch-up instead of stalling every other shard.
 
-// logEntry is one appended batch in the replication log. Events are
-// immutable once appended (validateBatch returns a private sorted copy),
-// so replicators may read them outside the coordinator lock.
-type logEntry struct {
-	seq    int64 // 1-based, dense
-	events []temporal.Event
-	// appendedAt is the wall-clock of the log append, the baseline of the
-	// per-member append→ack replication-lag histogram.
-	appendedAt time.Time
-	// sc is the batch's "ingest.append" span context: replication
-	// deliveries parent their spans on it and forward it to the member
-	// (Batch.Traceparent), so member-side spans join the batch trace.
-	sc obs.SpanContext
-}
-
-// entryLocked returns the log entry with the given sequence number. The
-// caller holds mu and must only ask for seqs at or above the trim point
-// (every non-failed member's ackedSeq is, by construction).
-func (c *Coordinator) entryLocked(seq int64) *logEntry {
-	return &c.repl[seq-c.replBase]
-}
-
-// pipelineFullLocked reports whether some live member's unacked backlog
-// has reached the configured queue depth — the backpressure condition
-// that blocks Ingest. Failed members are excluded: they no longer drain
-// the log and must not wedge the pipeline while awaiting reap.
-func (c *Coordinator) pipelineFullLocked() bool {
+// slowestLocked is the lowest acked seq among members still replicating,
+// or the log head when none is. Failed members are excluded: they no
+// longer drain the log and must not wedge the pipeline while awaiting
+// reap, and they regenerate from history, not the log. Stopped ones (a
+// Close raced the caller) will never ack again.
+func (c *Coordinator) slowestLocked() int64 {
+	slowest := c.log.head()
 	for _, ms := range c.members {
-		if ms.failed || ms.stopped {
-			continue
-		}
-		if c.headSeq-ms.ackedSeq >= int64(c.maxPending) {
-			return true
+		if !ms.failed && !ms.stopped && ms.ackedSeq < slowest {
+			slowest = ms.ackedSeq
 		}
 	}
-	return false
+	return slowest
+}
+
+// pipelineFullLocked reports whether the slowest member's unacked backlog
+// has reached the configured queue depth — the backpressure condition
+// that blocks Ingest.
+func (c *Coordinator) pipelineFullLocked() bool {
+	return c.log.head()-c.slowestLocked() >= int64(c.maxPending)
 }
 
 // replicate is one member's replication loop: it waits for log entries
@@ -75,7 +60,7 @@ func (c *Coordinator) replicate(ms *memberState) {
 	defer close(ms.done)
 	for {
 		c.mu.Lock()
-		for !ms.stopped && !ms.failed && ms.ackedSeq >= c.headSeq {
+		for !ms.stopped && !ms.failed && ms.ackedSeq >= c.log.head() {
 			c.cond.Wait()
 		}
 		if ms.stopped || ms.failed {
@@ -87,25 +72,8 @@ func (c *Coordinator) replicate(ms *memberState) {
 		// into a fresh slice so per-call engine overhead (band graphs,
 		// sorting, locking) amortizes over the whole run.
 		first := ms.ackedSeq + 1
-		seq := first
-		e := c.entryLocked(seq)
-		evs := e.events
+		evs, seq := c.log.coalesce(ms.ackedSeq, c.coalesce)
 		n := len(evs)
-		copied := false
-		for seq < c.headSeq {
-			next := c.entryLocked(seq + 1)
-			if n+len(next.events) > c.coalesce {
-				break
-			}
-			if !copied {
-				evs = append(append(make([]temporal.Event, 0, n+len(next.events)), evs...), next.events...)
-				copied = true
-			} else {
-				evs = append(evs, next.events...)
-			}
-			n += len(next.events)
-			seq++
-		}
 		// The delivery span parents on the *newest* coalesced entry's
 		// append span (a backlog folds several batch traces into one call;
 		// the older entries keep their coordinator-side spans but their
@@ -114,11 +82,11 @@ func (c *Coordinator) replicate(ms *memberState) {
 		// coalesced_traces attribute so a stitched tree still names the
 		// ingest ancestry it folded in. Read under mu: the log may be
 		// trimmed once released.
-		parent := c.entryLocked(seq).sc
+		parent := c.log.entry(seq).sc
 		var coalescedTraces []string
 		if parent.Valid() {
 			for s := first; s < seq; s++ {
-				if t := c.entryLocked(s).sc.Trace; t != "" {
+				if t := c.log.entry(s).sc.Trace; t != "" {
 					coalescedTraces = append(coalescedTraces, t)
 				}
 			}
@@ -176,7 +144,7 @@ func (c *Coordinator) replicate(ms *memberState) {
 		// member past them, and this member's own ack only lands below.
 		if c.mxReplLag != nil {
 			for s := first; s <= seq; s++ {
-				e := c.entryLocked(s)
+				e := c.log.entry(s)
 				c.mxReplLag.ObserveExemplar(now.Sub(e.appendedAt).Seconds(), e.sc.Trace)
 			}
 		}
@@ -188,69 +156,40 @@ func (c *Coordinator) replicate(ms *memberState) {
 	}
 }
 
-// deliver sends one tagged batch to a member, retrying transport failures
-// up to 1+retries times. Resending the identical tagged batch is safe:
-// a member that applied it but lost the ack answers the resend with a
-// duplicate no-op ack (the idempotency the seq tag buys — the old
-// broadcast path had to mark such members down as potentially diverged).
-// Semantic rejections are terminal: the coordinator validated the batch,
-// so a member rejecting it has diverged from the shared admission rules.
+// deliver sends one tagged batch to a member through retry. Resending the
+// identical tagged batch is safe: a member that applied it but lost the
+// ack answers the resend with a duplicate no-op ack (the idempotency the
+// seq tag buys). A member stopped between attempts ends the retries with
+// a zero ack its replicator discards (it checks stopped first). Semantic
+// rejections are terminal: the coordinator validated the batch, so a
+// member rejecting it has diverged from the shared admission rules.
 func (c *Coordinator) deliver(ms *memberState, b Batch) (IngestAck, error) {
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.retryDelay)
+	var ack IngestAck
+	attempts := 0
+	err := c.retry(func() error {
+		if attempts++; attempts > 1 {
 			c.mu.Lock()
 			stopped := ms.stopped
 			c.mu.Unlock()
 			if stopped {
-				break
+				return nil
 			}
 		}
-		var ack IngestAck
-		ack, err = ms.m.Ingest(b)
-		if err == nil {
-			return ack, nil
-		}
-		if !errors.Is(err, ErrMemberDown) {
-			return IngestAck{}, fmt.Errorf("cluster: member %s rejected replicated batch seq %d: %w",
-				ms.m.ID(), b.Seq, err)
-		}
+		var e error
+		ack, e = ms.m.Ingest(b)
+		return e
+	})
+	if err != nil && !errors.Is(err, ErrMemberDown) {
+		return IngestAck{}, fmt.Errorf("cluster: member %s rejected replicated batch seq %d: %w",
+			ms.m.ID(), b.Seq, err)
 	}
-	return IngestAck{}, err
+	return ack, err
 }
 
-// trimLogLocked moves log entries every live member has acked into the
-// flat failover history (itself bounded by HistoryLimit), releasing the
-// pipeline's memory as members catch up. Failed members are excluded:
-// they are about to be reaped and regenerate from history, not the log.
-// The caller holds mu.
+// trimLogLocked moves the log's history boundary to the slowest member's
+// acked seq; the log then applies HistoryLimit. The caller holds mu.
 func (c *Coordinator) trimLogLocked() {
-	min := c.headSeq
-	for _, ms := range c.members {
-		if ms.failed {
-			continue
-		}
-		if ms.ackedSeq < min {
-			min = ms.ackedSeq
-		}
-	}
-	trimmed := false
-	for len(c.repl) > 0 && c.repl[0].seq <= min {
-		c.history = append(c.history, c.repl[0].events...)
-		c.logEvents -= len(c.repl[0].events)
-		c.repl[0].events = nil
-		c.repl = c.repl[1:]
-		c.replBase++
-		trimmed = true
-	}
-	if len(c.repl) == 0 {
-		c.repl = nil
-		c.replBase = c.headSeq + 1
-	}
-	if trimmed {
-		c.trimHistoryLocked()
-	}
+	c.log.trim(c.slowestLocked())
 }
 
 // drainLocked blocks until every live member has applied and acked the
@@ -263,38 +202,23 @@ func (c *Coordinator) trimLogLocked() {
 // ingestMu.
 func (c *Coordinator) drainLocked() {
 	c.mu.Lock()
-	for !c.closed {
-		caught := true
-		for _, ms := range c.members {
-			// Failed members have exited their replicators and await reap;
-			// stopped ones (a Close raced this drain) will never ack again.
-			// Waiting on either would block forever.
-			if ms.failed || ms.stopped {
-				continue
-			}
-			if ms.ackedSeq < c.headSeq {
-				caught = false
-				break
-			}
-		}
-		if caught {
-			break
-		}
+	for !c.closed && c.slowestLocked() < c.log.head() {
 		c.cond.Wait()
 	}
 	c.trimLogLocked()
 	c.mu.Unlock()
 }
 
-// reapFailedLocked fails over every member whose replicator gave up:
-// survivors are first drained to the log head (so history is complete and
-// handoff catch-up is exact), then the failed members are marked down and
-// their subscriptions re-placed. The caller holds ingestMu.
-func (c *Coordinator) reapFailedLocked() error {
+// reapFailedLocked drains the pipeline and then fails over every member
+// whose replicator gave up, plus any named in ids: survivors reach the
+// log head first (so history is complete and handoff catch-up is exact),
+// then those members are marked down and their subscriptions re-placed.
+// The caller holds ingestMu.
+func (c *Coordinator) reapFailedLocked(ids ...string) error {
+	c.drainLocked()
 	c.mu.Lock()
-	var ids []string
 	for id, ms := range c.members {
-		if ms.failed {
+		if ms.failed && !slices.Contains(ids, id) {
 			ids = append(ids, id)
 		}
 	}
@@ -303,7 +227,6 @@ func (c *Coordinator) reapFailedLocked() error {
 		return nil
 	}
 	sort.Strings(ids)
-	c.drainLocked()
 	// A successful failover is the designed response to a member death,
 	// not an error: the death itself shows up in Downs and the member's
 	// failErr is gone with its state. Only re-placement problems (e.g.
@@ -331,7 +254,6 @@ func (c *Coordinator) reapAsync() {
 func (c *Coordinator) Drain() error {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	c.drainLocked()
 	return c.reapFailedLocked()
 }
 

@@ -305,6 +305,11 @@ func TestReplicationLagStats(t *testing.T) {
 			if st.LogEntries != 3 {
 				t.Fatalf("LogEntries = %d while the slowest member lags 3, want 3", st.LogEntries)
 			}
+			// One log: the first batch (acked by both) is the history, the
+			// three held ones are still queued.
+			if st.LogEvents != 3 || st.HistoryEvents != 1 {
+				t.Fatalf("LogEvents = %d, HistoryEvents = %d while held; want 3 and 1", st.LogEvents, st.HistoryEvents)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -321,6 +326,10 @@ func TestReplicationLagStats(t *testing.T) {
 		if m.ReplLagEntries != 0 || m.ReplLagEvents != 0 {
 			t.Fatalf("post-drain lag nonzero: %+v", m)
 		}
+	}
+	if st.LogEvents != 0 || st.HistoryEvents != 4 || st.HistoryTrim != 0 {
+		t.Fatalf("post-drain LogEvents = %d, HistoryEvents = %d, HistoryTrim = %d; want 0, 4, 0",
+			st.LogEvents, st.HistoryEvents, st.HistoryTrim)
 	}
 }
 
