@@ -2,12 +2,15 @@
 // maximal flow-motif instances in a temporal interaction network (Kosyfaki
 // et al., EDBT 2019, §4–5).
 //
-// The search runs in two phases. Phase P1 (package match) finds structural
-// matches of the motif graph. Phase P2 — Algorithm 1 of the paper,
-// implemented here — slides maximal duration-δ windows over each match's
-// interaction time series and enumerates every combination of contiguous
-// edge-sets that forms a *maximal* instance satisfying the per-edge-set
-// minimum-flow threshold φ.
+// The search runs in two phases. Phase P1 (walk.go) finds the structural
+// matches of the motif graph that can carry an instance, in one temporally
+// pruned, band-anchored walk (DESIGN.md §3); package match keeps the pure
+// structural DFS for the paper's Table 4 match counts and the per-match and
+// per-window DP reports. Phase P2 — Algorithm 1 of the paper, implemented
+// here — slides maximal duration-δ windows over each match's interaction
+// time series and enumerates every combination of contiguous edge-sets
+// that forms a *maximal* instance satisfying the per-edge-set minimum-flow
+// threshold φ.
 //
 // Key invariants that make the enumeration exact (see DESIGN.md §2):
 //
@@ -24,8 +27,11 @@
 //     subtree (Algorithm 1, line 16), and a sub-window whose remaining
 //     series cannot reach φ is abandoned immediately.
 //
-// The same machinery powers top-k search with a floating threshold (§5) and
-// the dynamic-programming top-1 module (§5.1, Algorithm 2) in dp.go.
+// The first two are the window scan's (window.go), the one place that
+// decides which windows of a match are evaluated. Algorithm 1 — plain, and
+// top-k with a floating threshold (§5) — and the dynamic-programming top-1
+// module (§5.1, Algorithm 2, dp.go) are two evaluations of the windows it
+// yields.
 package core
 
 import (
@@ -129,17 +135,28 @@ func (s *EnumStats) add(o *EnumStats) {
 	s.Instances += o.Instances
 }
 
-// matchSource abstracts where structural matches come from: streamed from
-// the temporally pruned phase-P1 walk (walkSource) or replayed from a
-// pre-collected slice (instrumented two-step mode).
-type matchSource func(fn match.Visitor)
+// matchSource is where a search's structural matches come from — the
+// temporally pruned phase-P1 walk (walkSource) or a pre-collected slice
+// (sliceSource) — split into units: start nodes for a walk, indices for a
+// slice. bind returns one worker's unit function, which delivers the
+// matches of unit u to fn and returns false if fn stopped.
+type matchSource struct {
+	units int
+	bind  func(fn match.Visitor) func(u int) bool
+}
 
-func sliceSource(matches []match.Match) matchSource {
-	return func(fn match.Visitor) {
-		for i := range matches {
-			if !fn(&matches[i]) {
-				return
-			}
+// each delivers every match to fn in unit order until fn returns false.
+func (s matchSource) each(fn match.Visitor) {
+	unit := s.bind(fn)
+	for u := 0; u < s.units; u++ {
+		if !unit(u) {
+			return
 		}
 	}
+}
+
+func sliceSource(matches []match.Match) matchSource {
+	return matchSource{units: len(matches), bind: func(fn match.Visitor) func(int) bool {
+		return func(i int) bool { return fn(&matches[i]) }
+	}}
 }

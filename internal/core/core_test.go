@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -200,14 +201,14 @@ func TestPaperTable2DP(t *testing.T) {
 	mo := motif.MustPath(0, 1, 2, 0)
 	mts := figure7Match(t, g)
 
-	flow, _, err := TopOneDPMatches(g, mo, mts, 10, false)
+	flow, _, err := topOneDP(g, mo, sliceSource(mts), 10, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flow != 5 {
 		t.Errorf("DP top-1 flow = %v, want 5 (paper Table 2)", flow)
 	}
-	fast, _, err := TopOneDPMatches(g, mo, mts, 10, true)
+	fast, _, err := topOneDP(g, mo, sliceSource(mts), 10, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,19 +603,27 @@ func TestDPMatchesOracleMax(t *testing.T) {
 						want = in.Flow
 					}
 				}
-				dp, _, err := TopOneDP(g, mo, delta)
+				dp, dpSt, err := TopOneDP(g, mo, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Abs(dp-want) > 1e-9 {
 					t.Errorf("seed=%d motif=%v δ=%d: DP=%v oracle=%v", seed, mo, delta, dp, want)
 				}
-				fast, _, err := TopOneDPFast(g, mo, delta)
+				fast, fastSt, err := TopOneDPFast(g, mo, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Abs(fast-dp) > 1e-9 {
 					t.Errorf("seed=%d motif=%v δ=%d: fast=%v naive=%v", seed, mo, delta, fast, dp)
+				}
+				_, st, err := Count(g, mo, Params{Delta: delta, DisableAvailPrune: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := windowCounts(st); windowCounts(dpSt) != w || windowCounts(fastSt) != w {
+					t.Errorf("seed=%d motif=%v δ=%d: (matches, anchors, skipped, processed) DP=%v fast=%v Count=%v",
+						seed, mo, delta, windowCounts(dpSt), windowCounts(fastSt), w)
 				}
 				flow, in, err := TopOneDPInstance(g, mo, delta)
 				if err != nil {
@@ -635,6 +644,118 @@ func TestDPMatchesOracleMax(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// windowCounts is what the window scan decides for a search: the matches
+// it ran on, the anchors it examined, the windows its skip rule dropped and
+// the windows it handed to the algorithm.
+func windowCounts(st EnumStats) [4]int64 {
+	return [4]int64{st.Matches, st.Anchors, st.WindowsSkipped, st.WindowsProcessed}
+}
+
+// FuzzDPEqualsEnumeration decodes a small event list — duplicate
+// timestamps allowed, offset by a base that may sit at either end of the
+// int64 timeline — and checks that both DP variants find the maximum flow
+// over the enumerated instances at φ=0, having seen the same windows as
+// the enumeration.
+func FuzzDPEqualsEnumeration(f *testing.F) {
+	for seed := int64(50); seed < 70; seed++ {
+		var raw []byte
+		for _, e := range randomGraph(seed, 5, 35, 25).Events() {
+			raw = append(raw, byte(e.From), byte(e.To), byte(e.T), byte(e.F)-1)
+		}
+		f.Add(raw, int64(0), uint8(seed), []uint8{6, 15}[seed%2])
+	}
+	for _, base := range []int64{1000, math.MaxInt64 - 8, math.MinInt64} {
+		f.Add([]byte{0, 1, 0, 1, 1, 2, 2, 2, 2, 0, 4, 3}, base, uint8(2), uint8(10))
+	}
+	shapes := []*motif.Motif{
+		motif.MustPath(0, 1),
+		motif.MustPath(0, 1, 2),
+		motif.MustPath(0, 1, 2, 0),
+		motif.MustPath(0, 1, 2, 3, 1),
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, base int64, shape, delta uint8) {
+		if len(raw) > 4*48 {
+			raw = raw[:4*48]
+		}
+		var evs []temporal.Event
+		for ; len(raw) >= 4; raw = raw[4:] {
+			evs = append(evs, temporal.Event{
+				From: temporal.NodeID(raw[0] % 5),
+				To:   temporal.NodeID(raw[1] % 5),
+				T:    temporal.SatAdd(base, int64(raw[2])),
+				F:    float64(1 + raw[3]%16),
+			})
+		}
+		if len(evs) == 0 {
+			return
+		}
+		g, err := temporal.NewGraph(evs)
+		if err != nil {
+			return
+		}
+		mo := shapes[int(shape)%len(shapes)]
+		d := int64(delta % 64)
+		ins, err := Collect(g, mo, Params{Delta: d}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, in := range ins {
+			want = max(want, in.Flow)
+		}
+		_, st, err := Count(g, mo, Params{Delta: d, DisableAvailPrune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dp := range []func(*temporal.Graph, *motif.Motif, int64) (float64, EnumStats, error){TopOneDP, TopOneDPFast} {
+			flow, dpSt, err := dp(g, mo, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flow != want {
+				t.Errorf("%v δ=%d: DP flow %v, enumeration max %v", mo, d, flow, want)
+			}
+			if windowCounts(dpSt) != windowCounts(st) {
+				t.Errorf("%v δ=%d: (matches, anchors, skipped, processed) DP=%v Count=%v", mo, d, windowCounts(dpSt), windowCounts(st))
+			}
+		}
+	})
+}
+
+// TestDPAllocsPerWindow: a warmed DP runner evaluates windows out of its
+// own scratch, as a warmed enumerator counting the same matches does.
+func TestDPAllocsPerWindow(t *testing.T) {
+	g := randomGraph(7, 4, 400, 200)
+	mo := motif.MustPath(0, 1, 2, 0)
+	matches, err := CollectMatches(g, mo, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newMatchEnum(g, mo, Params{Delta: 20}, func(f float64) bool { return f >= 0 }, math.MinInt64, math.MaxInt64, nil)
+	passes := map[string]func(){"enumerator": func() {
+		for i := range matches {
+			e.run(&matches[i])
+		}
+	}}
+	for _, fast := range []bool{false, true} {
+		r := newDPRunner(g, mo, 20, fast, nil)
+		passes[fmt.Sprintf("DP fast=%v", fast)] = func() {
+			for i := range matches {
+				r.run(&matches[i], nil)
+			}
+		}
+	}
+	for name, pass := range passes {
+		pass()
+		if n := testing.AllocsPerRun(10, pass); n != 0 {
+			t.Errorf("%s: %v allocations per warmed pass over %d matches, want 0", name, n, len(matches))
+		}
+	}
+	if e.stats.WindowsProcessed == 0 {
+		t.Fatal("degenerate test: no window processed")
 	}
 }
 

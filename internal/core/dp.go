@@ -1,8 +1,7 @@
 package core
 
 import (
-	"errors"
-	"sort"
+	"math"
 
 	"flowmotif/internal/match"
 	"flowmotif/internal/motif"
@@ -26,12 +25,6 @@ func TopOneDPFast(g *temporal.Graph, mo *motif.Motif, delta int64) (float64, Enu
 	return topOneDP(g, mo, fullWalk(g, mo, delta), delta, true, nil)
 }
 
-// TopOneDPMatches runs the DP module over pre-collected structural matches
-// (phase-P2-only instrumented mode, used for Figure 12 timings).
-func TopOneDPMatches(g *temporal.Graph, mo *motif.Motif, matches []match.Match, delta int64, fast bool) (float64, EnumStats, error) {
-	return topOneDP(g, mo, sliceSource(matches), delta, fast, nil)
-}
-
 // TopOneDPInstance additionally reconstructs an instance attaining the
 // maximum flow by backtracking through the DP table (the bold cells of the
 // paper's Table 2). The returned instance is valid but not necessarily
@@ -50,8 +43,8 @@ func TopOneDPInstance(g *temporal.Graph, mo *motif.Motif, delta int64) (float64,
 // their max-flow interactions). fn receives 0 for matches without any
 // instance. Matches are visited in deterministic P1 order.
 func TopOnePerMatch(g *temporal.Graph, mo *motif.Motif, delta int64, fn func(mt *match.Match, flow float64)) error {
-	if delta < 0 {
-		return errors.New("core: Delta must be non-negative")
+	if err := (Params{Delta: delta}).validate(); err != nil {
+		return err
 	}
 	r := newDPRunner(g, mo, delta, true, nil)
 	match.Stream(g, mo, func(mt *match.Match) bool {
@@ -73,8 +66,8 @@ func TopOnePerMatch(g *temporal.Graph, mo *motif.Motif, delta int64, fn func(mt 
 // time and the best flow in that window (windows with no instance are
 // reported with flow 0).
 func TopOnePerWindow(g *temporal.Graph, mo *motif.Motif, delta int64, fn func(mt *match.Match, windowStart int64, flow float64)) error {
-	if delta < 0 {
-		return errors.New("core: Delta must be non-negative")
+	if err := (Params{Delta: delta}).validate(); err != nil {
+		return err
 	}
 	r := newDPRunner(g, mo, delta, true, nil)
 	match.Stream(g, mo, func(mt *match.Match) bool {
@@ -85,11 +78,11 @@ func TopOnePerWindow(g *temporal.Graph, mo *motif.Motif, delta int64, fn func(mt
 }
 
 func topOneDP(g *temporal.Graph, mo *motif.Motif, src matchSource, delta int64, fast bool, onBest func(*Instance)) (float64, EnumStats, error) {
-	if delta < 0 {
-		return 0, EnumStats{}, errors.New("core: Delta must be non-negative")
+	if err := (Params{Delta: delta}).validate(); err != nil {
+		return 0, EnumStats{}, err
 	}
 	r := newDPRunner(g, mo, delta, fast, onBest)
-	src(func(mt *match.Match) bool {
+	src.each(func(mt *match.Match) bool {
 		r.stats.Matches++
 		r.run(mt, nil)
 		return true
@@ -97,20 +90,14 @@ func topOneDP(g *temporal.Graph, mo *motif.Motif, src matchSource, delta int64, 
 	return r.best, r.stats, nil
 }
 
-// dpRunner executes Algorithm 2 per structural match, reusing scratch
-// buffers across windows and matches.
+// dpRunner executes Algorithm 2 on every window the scan yields, reusing
+// scratch buffers across windows and matches.
 type dpRunner struct {
-	g      *temporal.Graph
-	delta  int64
+	windowScan
 	fast   bool
 	onBest func(*Instance) // non-nil enables backtracking
 
-	m      int
-	series [][]temporal.Point
-	arcs   []int
-	nodes  []temporal.NodeID
-	lb, ub []int
-
+	starts  []int       // per-edge merge cursors of the current window
 	times   []int64     // merged event times of the current window
 	cums    [][]float64 // cums[κ][i]: flow of edge κ events in [t0, times[i]]
 	ptrs    [][]int32   // ptrs[κ][i]: series index after the last counted event
@@ -118,23 +105,18 @@ type dpRunner struct {
 	prev    []float64
 	cur     []float64
 
-	best  float64
-	stats EnumStats
+	best float64
 }
 
 func newDPRunner(g *temporal.Graph, mo *motif.Motif, delta int64, fast bool, onBest func(*Instance)) *dpRunner {
 	m := mo.NumEdges()
 	r := &dpRunner{
-		g:      g,
-		delta:  delta,
-		fast:   fast,
-		onBest: onBest,
-		m:      m,
-		series: make([][]temporal.Point, m),
-		lb:     make([]int, m),
-		ub:     make([]int, m),
-		cums:   make([][]float64, m),
-		ptrs:   make([][]int32, m),
+		windowScan: newWindowScan(g, mo, delta, math.MinInt64, math.MaxInt64),
+		fast:       fast,
+		onBest:     onBest,
+		starts:     make([]int, m),
+		cums:       make([][]float64, m),
+		ptrs:       make([][]int32, m),
 	}
 	if onBest != nil {
 		r.choices = make([][]int32, m)
@@ -146,85 +128,25 @@ func newDPRunner(g *temporal.Graph, mo *motif.Motif, delta int64, fast bool, onB
 // processed window reports its best flow through report (if non-nil) and
 // updates the global best.
 func (r *dpRunner) run(mt *match.Match, report func(windowStart int64, flow float64)) {
-	m := r.m
-	for i := 0; i < m; i++ {
-		r.series[i] = r.g.Series(mt.Arcs[i])
-		r.lb[i] = 0
-		r.ub[i] = 0
-	}
-	r.arcs = mt.Arcs
-	r.nodes = mt.Nodes
-
-	s0 := r.series[0]
-	last := r.series[m-1]
-
-	// Same fast feasibility reject as the enumerator (see enumerate.go).
-	aStart := 0
-	lastT := last[len(last)-1].T
-	if m > 1 {
-		tprev := s0[0].T
-		for i := 1; i < m; i++ {
-			s := r.series[i]
-			idx := sort.Search(len(s), func(k int) bool { return s[k].T > tprev })
-			if idx == len(s) {
-				return
-			}
-			tprev = s[idx].T
-		}
-		aStart = sort.Search(len(s0), func(k int) bool { return temporal.SatAdd(s0[k].T, r.delta) >= tprev })
-		if aStart == len(s0) {
-			return
-		}
-	}
-
-	for a := aStart; a < len(s0); a++ {
-		if m > 1 && s0[a].T >= lastT {
-			break
-		}
-		ts := s0[a].T
-		te := temporal.SatAdd(ts, r.delta)
-		r.stats.Anchors++
-		for j := 1; j < m; j++ {
-			s := r.series[j]
-			for r.lb[j] < len(s) && s[r.lb[j]].T <= ts {
-				r.lb[j]++
-			}
-		}
-		for j := 0; j < m; j++ {
-			s := r.series[j]
-			for r.ub[j] < len(s) && s[r.ub[j]].T <= te {
-				r.ub[j]++
-			}
-		}
-		lbLast := r.lb[m-1]
-		if m == 1 {
-			lbLast = a
-		}
-		if r.ub[m-1] <= lbLast {
-			continue
-		}
-		// Same maximality skip rule as enumeration: any instance here has a
-		// superset (with at least the flow) in an earlier window.
-		if a > 0 && last[r.ub[m-1]-1].T <= temporal.SatAdd(s0[a-1].T, r.delta) {
-			r.stats.WindowsSkipped++
-			continue
-		}
+	r.reset(mt)
+	for r.next() {
 		r.stats.WindowsProcessed++
-		flow := r.window(a, ts)
+		flow := r.window()
 		if report != nil {
-			report(ts, flow)
+			report(r.series[0][r.a].T, flow)
 		}
 	}
 }
 
-// window runs the DP recurrence on the window anchored at series-0 index a
-// and returns the best instance flow within it.
-func (r *dpRunner) window(a int, ts int64) float64 {
+// window runs the DP recurrence on the current window and returns the best
+// instance flow within it.
+func (r *dpRunner) window() float64 {
 	m := r.m
+	a := r.a
 
 	// Merge the in-window event times of all edges (ascending, deduped).
 	r.times = r.times[:0]
-	starts := make([]int, m) // reused small; m <= 16
+	starts := r.starts
 	for j := 0; j < m; j++ {
 		if j == 0 {
 			starts[j] = a
@@ -333,45 +255,23 @@ func (r *dpRunner) window(a int, ts int64) float64 {
 	if flow > r.best {
 		r.best = flow
 		if r.onBest != nil {
-			r.onBest(r.backtrack(a, tau))
+			r.onBest(r.backtrack(tau))
 		}
 	}
 	return flow
 }
 
 // backtrack reconstructs the instance behind the best cell (κ=m, i=τ-1).
-func (r *dpRunner) backtrack(a, tau int) *Instance {
-	m := r.m
-	in := &Instance{
-		Nodes:     append([]temporal.NodeID(nil), r.nodes...),
-		Arcs:      append([]int(nil), r.arcs...),
-		Spans:     make([]Span, m),
-		EdgeFlows: make([]float64, m),
-	}
+func (r *dpRunner) backtrack(tau int) *Instance {
 	i := tau - 1
-	for k := m - 1; k >= 1; k-- {
+	for k := r.m - 1; k >= 1; k-- {
 		j := int(r.choices[k][i])
 		// Edge k covers events in (times[j-1], times[i]].
-		start := r.ptrs[k][j-1]
-		end := r.ptrs[k][i]
-		in.Spans[k] = Span{Start: start, End: end}
+		r.spans[k] = Span{Start: r.ptrs[k][j-1], End: r.ptrs[k][i]}
 		i = j - 1
 	}
-	lo := int32(a)
-	in.Spans[0] = Span{Start: lo, End: r.ptrs[0][i]}
-
-	minFlow := 0.0
-	for k := 0; k < m; k++ {
-		f := r.g.FlowRange(r.arcs[k], int(in.Spans[k].Start), int(in.Spans[k].End))
-		in.EdgeFlows[k] = f
-		if k == 0 || f < minFlow {
-			minFlow = f
-		}
-	}
-	in.Flow = minFlow
-	in.Start = r.series[0][in.Spans[0].Start].T
-	in.End = r.series[m-1][in.Spans[m-1].End-1].T
-	return in
+	r.spans[0] = Span{Start: int32(r.a), End: r.ptrs[0][i]}
+	return r.instance()
 }
 
 func grow(s []float64, n int) []float64 {

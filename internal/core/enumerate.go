@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,25 +15,15 @@ import (
 // instance order is deterministic; otherwise visit must be safe for
 // concurrent use.
 func Enumerate(g *temporal.Graph, mo *motif.Motif, p Params, visit Visitor) (EnumStats, error) {
-	if err := p.validate(); err != nil {
-		return EnumStats{}, err
-	}
-	pass := func(f float64) bool { return f >= p.Phi }
-	if p.Workers > 1 {
-		return enumerateParallel(g, mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit))
-	}
-	return enumerate(g, fullWalk(g, mo, p.Delta), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
+	return search(g, mo, p, nil, fullWalk(g, mo, p.Delta), math.MinInt64, math.MaxInt64, plain(visit))
 }
 
 // EnumerateMatches runs phase P2 only, over pre-collected structural
 // matches. This is the instrumented mode used to time the two phases
-// separately (paper Table 4 and Figure 12).
+// separately (paper Table 4 and Figure 12). It is EnumerateMatchesRange
+// over every anchor.
 func EnumerateMatches(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, visit Visitor) (EnumStats, error) {
-	if err := p.validate(); err != nil {
-		return EnumStats{}, err
-	}
-	pass := func(f float64) bool { return f >= p.Phi }
-	return enumerate(g, sliceSource(matches), mo, p, pass, math.MinInt64, math.MaxInt64, plain(visit)), nil
+	return EnumerateMatchesRange(g, mo, matches, p, math.MinInt64, math.MaxInt64, visit)
 }
 
 // Count returns the number of maximal instances of mo in g under p.
@@ -53,20 +42,29 @@ func Collect(g *temporal.Graph, mo *motif.Motif, p Params, limit int) ([]*Instan
 	return out, err
 }
 
-// enumerate drives phase P2 serially over a match source, with window
-// anchors restricted to [anchorLo, anchorHi] (pass the full int64 range
-// for an unrestricted search).
-func enumerate(g *temporal.Graph, src matchSource, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) EnumStats {
-	e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
-	src(func(m *match.Match) bool {
-		e.stats.Matches++
-		e.run(m)
-		return !e.stopped
-	})
-	return e.stats
-}
-
-func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) (EnumStats, error) {
+// search is the one dispatch behind every Algorithm-1 entry point. It
+// validates p, admits an edge-set when its flow reaches p.Phi unless pass
+// says otherwise (top-k's floating threshold), and runs phase P2 over
+// src's structural matches with window anchors restricted to [anchorLo,
+// anchorHi]. With p.Workers <= 1 it runs src's units serially, in order;
+// otherwise it is the one parallel driver: p.Workers goroutines, each with
+// its own Algorithm-1 state and unit function, pull units from one shared
+// counter, and a visitor that stops one of them stops them all.
+func search(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, src matchSource, anchorLo, anchorHi int64, visit boundVisitor) (EnumStats, error) {
+	if err := p.validate(); err != nil {
+		return EnumStats{}, err
+	}
+	if anchorLo > anchorHi || src.units == 0 {
+		return EnumStats{}, nil
+	}
+	if pass == nil {
+		pass = func(f float64) bool { return f >= p.Phi }
+	}
+	if p.Workers <= 1 {
+		e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
+		src.each(e.match)
+		return e.stats, nil
+	}
 	var (
 		total   EnumStats
 		mu      sync.Mutex
@@ -74,26 +72,24 @@ func enumerateParallel(g *temporal.Graph, mo *motif.Motif, p Params, pass passFu
 		stopped atomic.Bool
 		wg      sync.WaitGroup
 	)
+	units := int64(src.units)
 	for w := 0; w < p.Workers; w++ {
+		e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
+		unit := src.bind(func(m *match.Match) bool {
+			if !e.match(m) {
+				stopped.Store(true)
+			}
+			return !stopped.Load()
+		})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
-			// One walker per worker; start nodes are the sharding unit.
-			w := newPathWalker(g, mo, p.Delta, anchorLo, anchorHi, func(m *match.Match) bool {
-				e.stats.Matches++
-				e.run(m)
-				if e.stopped {
-					stopped.Store(true)
-				}
-				return !stopped.Load()
-			})
 			for !stopped.Load() {
 				u := next.Add(1) - 1
-				if u >= int64(g.NumNodes()) {
+				if u >= units {
 					break
 				}
-				w.from(temporal.NodeID(u))
+				unit(int(u))
 			}
 			mu.Lock()
 			total.add(&e.stats)
@@ -125,151 +121,45 @@ func plain(visit Visitor) boundVisitor {
 	return func(in *Instance, _ float64) bool { return visit(in) }
 }
 
-// matchEnum is the per-goroutine state of Algorithm 1.
+// matchEnum is the per-goroutine state of Algorithm 1: what it does with
+// each window the scan yields.
 type matchEnum struct {
-	g     *temporal.Graph
-	delta int64
-	prune bool // availability pruning enabled
-	pass  passFunc
-	visit boundVisitor
-	stats EnumStats
-
-	m      int // number of motif edges
-	series [][]temporal.Point
-	arcs   []int
-	nodes  []temporal.NodeID
-
-	// Per-anchor window bounds into each edge's series; monotone in the
-	// anchor, so they advance amortized O(1) per anchor.
-	lb []int // first index with T > anchor time (edges 1..m-1)
-	ub []int // first index with T > window end
-
-	// Anchor-time restriction: only windows anchored at timestamps within
-	// [anchorLo, anchorHi] are processed. The default (full int64 range)
-	// reproduces plain Enumerate; EnumerateRange narrows it so the
-	// streaming subsystem can finalize one watermark band at a time.
-	anchorLo, anchorHi int64
-
-	spans   []Span
+	windowScan
+	prune   bool // availability pruning enabled
+	pass    passFunc
+	visit   boundVisitor
 	stopped bool
 }
 
 func newMatchEnum(g *temporal.Graph, mo *motif.Motif, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) *matchEnum {
-	m := mo.NumEdges()
 	return &matchEnum{
-		g:        g,
-		delta:    p.Delta,
-		prune:    !p.DisableAvailPrune,
-		pass:     pass,
-		visit:    visit,
-		m:        m,
-		series:   make([][]temporal.Point, m),
-		lb:       make([]int, m),
-		ub:       make([]int, m),
-		spans:    make([]Span, m),
-		anchorLo: anchorLo,
-		anchorHi: anchorHi,
+		windowScan: newWindowScan(g, mo, p.Delta, anchorLo, anchorHi),
+		prune:      !p.DisableAvailPrune,
+		pass:       pass,
+		visit:      visit,
 	}
+}
+
+// match counts one structural match and runs Algorithm 1 on it; as a
+// match.Visitor it returns false once the enumeration's visitor stopped.
+func (e *matchEnum) match(m *match.Match) bool {
+	e.stats.Matches++
+	e.run(m)
+	return !e.stopped
 }
 
 // run applies Algorithm 1 to one structural match.
 func (e *matchEnum) run(mt *match.Match) {
-	m := e.m
-	for i := 0; i < m; i++ {
-		e.series[i] = e.g.Series(mt.Arcs[i])
-		e.lb[i] = 0
-		e.ub[i] = 0
-	}
-	e.arcs = mt.Arcs
-	e.nodes = mt.Nodes
-
-	s0 := e.series[0]
-	last := e.series[m-1]
-
-	// Fast feasibility reject: chase the minimal strictly-increasing chain
-	// of event times through the series. Most structural matches admit no
-	// time-respecting assignment at all; this check costs O(m log n)
-	// instead of a full anchor scan.
-	aStart := 0
-	lastT := last[len(last)-1].T
-	if m > 1 {
-		tprev := s0[0].T
-		for i := 1; i < m; i++ {
-			s := e.series[i]
-			idx := sort.Search(len(s), func(k int) bool { return s[k].T > tprev })
-			if idx == len(s) {
-				return
-			}
-			tprev = s[idx].T
-		}
-		// Windows ending before the chain's minimal completion time are
-		// dead; jump straight to the first anchor that can reach it.
-		aStart = sort.Search(len(s0), func(k int) bool { return temporal.SatAdd(s0[k].T, e.delta) >= tprev })
-		if aStart == len(s0) {
-			return
-		}
-	}
-	if e.anchorLo > s0[aStart].T {
-		// Anchor-range restriction: jump to the first in-range anchor. The
-		// window-skip rule below still sees pre-range predecessors (s0 is
-		// the full series), so maximality decisions are unchanged.
-		i := sort.Search(len(s0), func(k int) bool { return s0[k].T >= e.anchorLo })
-		if i > aStart {
-			aStart = i
-		}
-		if aStart == len(s0) {
-			return
-		}
-	}
-
-	for a := aStart; a < len(s0) && !e.stopped; a++ {
-		if s0[a].T > e.anchorHi {
-			break // past the anchor range
-		}
-		if m > 1 && s0[a].T >= lastT {
-			break // no final-edge event can follow this anchor
-		}
-		ts := s0[a].T
-		te := temporal.SatAdd(ts, e.delta)
-		e.stats.Anchors++
-
-		// Advance the monotone window bounds.
-		for j := 1; j < m; j++ {
-			s := e.series[j]
-			for e.lb[j] < len(s) && s[e.lb[j]].T <= ts {
-				e.lb[j]++
-			}
-		}
-		for j := 0; j < m; j++ {
-			s := e.series[j]
-			for e.ub[j] < len(s) && s[e.ub[j]].T <= te {
-				e.ub[j]++
-			}
-		}
-
-		// The final edge needs at least one in-window event...
-		lbLast := e.lb[m-1]
-		if m == 1 {
-			lbLast = a
-		}
-		if e.ub[m-1] <= lbLast {
-			continue
-		}
-		// ...and, for maximality, one beyond the previous anchor's reach
-		// (window skip rule): otherwise every combo of this window extends
-		// backwards with the previous first-edge event.
-		if a > 0 && last[e.ub[m-1]-1].T <= temporal.SatAdd(s0[a-1].T, e.delta) {
-			e.stats.WindowsSkipped++
-			continue
-		}
-
+	e.reset(mt)
+	for !e.stopped && e.next() {
+		a := e.a
 		// Availability pruning: every motif edge must be able to reach the
 		// admission threshold using all of its in-window events.
 		bound := math.Inf(1)
 		if e.prune {
 			bound = e.flowRange(0, a, e.ub[0])
 			feasible := e.pass(bound)
-			for j := 1; feasible && j < m; j++ {
+			for j := 1; feasible && j < e.m; j++ {
 				f := e.flowRange(j, e.lb[j], e.ub[j])
 				feasible = e.pass(f)
 				bound = min(bound, f)
@@ -283,11 +173,6 @@ func (e *matchEnum) run(mt *match.Match) {
 		e.stats.WindowsProcessed++
 		e.findInstances(0, a, bound)
 	}
-}
-
-// flowRange returns the aggregated flow of series[edge][i:j].
-func (e *matchEnum) flowRange(edge, i, j int) float64 {
-	return e.g.FlowRange(e.arcs[edge], i, j)
 }
 
 // findInstances is the recursive FindInstances procedure of Algorithm 1:
@@ -361,25 +246,7 @@ func (e *matchEnum) emit(bound float64) {
 	if e.visit == nil {
 		return
 	}
-	m := e.m
-	inst := &Instance{
-		Nodes:     append([]temporal.NodeID(nil), e.nodes...),
-		Arcs:      append([]int(nil), e.arcs...),
-		Spans:     append([]Span(nil), e.spans...),
-		EdgeFlows: make([]float64, m),
-	}
-	minFlow := 0.0
-	for i := 0; i < m; i++ {
-		f := e.flowRange(i, int(e.spans[i].Start), int(e.spans[i].End))
-		inst.EdgeFlows[i] = f
-		if i == 0 || f < minFlow {
-			minFlow = f
-		}
-	}
-	inst.Flow = minFlow
-	inst.Start = e.series[0][e.spans[0].Start].T
-	inst.End = e.series[m-1][e.spans[m-1].End-1].T
-	if !e.visit(inst, bound) {
+	if !e.visit(e.instance(), bound) {
 		e.stopped = true
 	}
 }

@@ -9,8 +9,6 @@ package core
 import (
 	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"flowmotif/internal/match"
 	"flowmotif/internal/motif"
@@ -30,7 +28,7 @@ func CollectMatches(g *temporal.Graph, mo *motif.Motif, delta int64) ([]match.Ma
 		return nil, err
 	}
 	var slab MatchSlab
-	fullWalk(g, mo, delta)(slab.Add)
+	fullWalk(g, mo, delta).each(slab.Add)
 	return slab.Matches(), nil
 }
 
@@ -40,7 +38,7 @@ func CollectMatches(g *temporal.Graph, mo *motif.Motif, delta int64) ([]match.Ma
 // that many goroutines and visit must be safe for concurrent use. It is
 // SweepMatchesRange with the single threshold p.Phi.
 func EnumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, anchorLo, anchorHi int64, visit Visitor) (EnumStats, error) {
-	return enumerateMatchesRange(g, mo, matches, p, anchorLo, anchorHi, plain(visit))
+	return search(g, mo, p, nil, sliceSource(matches), anchorLo, anchorHi, plain(visit))
 }
 
 // SweepVisitor receives each instance of a threshold sweep with admitted,
@@ -73,55 +71,5 @@ func SweepMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match
 			return visit(in, n)
 		}
 	}
-	return enumerateMatchesRange(g, mo, matches, p, anchorLo, anchorHi, bv)
-}
-
-func enumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, anchorLo, anchorHi int64, visit boundVisitor) (EnumStats, error) {
-	if err := p.validate(); err != nil {
-		return EnumStats{}, err
-	}
-	if anchorLo > anchorHi || len(matches) == 0 {
-		return EnumStats{}, nil
-	}
-	pass := func(f float64) bool { return f >= p.Phi }
-	if p.Workers > 1 {
-		return enumerateMatchesParallel(g, mo, matches, p, pass, anchorLo, anchorHi, visit), nil
-	}
-	return enumerate(g, sliceSource(matches), mo, p, pass, anchorLo, anchorHi, visit), nil
-}
-
-// enumerateMatchesParallel shards a match slice over p.Workers goroutines,
-// each running its own Algorithm-1 state.
-func enumerateMatchesParallel(g *temporal.Graph, mo *motif.Motif, matches []match.Match, p Params, pass passFunc, anchorLo, anchorHi int64, visit boundVisitor) EnumStats {
-	var (
-		total   EnumStats
-		mu      sync.Mutex
-		next    atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < p.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := newMatchEnum(g, mo, p, pass, anchorLo, anchorHi, visit)
-			for !stopped.Load() {
-				i := next.Add(1) - 1
-				if i >= int64(len(matches)) {
-					break
-				}
-				e.stats.Matches++
-				e.run(&matches[i])
-				if e.stopped {
-					stopped.Store(true)
-					break
-				}
-			}
-			mu.Lock()
-			total.add(&e.stats)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return total
+	return search(g, mo, p, nil, sliceSource(matches), anchorLo, anchorHi, bv)
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"flowmotif/internal/match"
 	"flowmotif/internal/motif"
 	"flowmotif/internal/temporal"
 )
@@ -20,21 +19,8 @@ import (
 // flow descending (ties broken by start time, then node binding, for
 // determinism). Fewer than k instances are returned if the graph has fewer.
 func TopK(g *temporal.Graph, mo *motif.Motif, delta int64, k int, workers int) ([]*Instance, EnumStats, error) {
-	return topK(g, mo, fullWalk(g, mo, delta), delta, k, workers)
-}
-
-// TopKMatches is TopK over pre-collected structural matches (instrumented
-// phase-P2-only mode, used for Figure 12 timings).
-func TopKMatches(g *temporal.Graph, mo *motif.Motif, matches []match.Match, delta int64, k int) ([]*Instance, EnumStats, error) {
-	return topK(g, mo, sliceSource(matches), delta, k, 1)
-}
-
-func topK(g *temporal.Graph, mo *motif.Motif, src matchSource, delta int64, k int, workers int) ([]*Instance, EnumStats, error) {
 	if k <= 0 {
 		return nil, EnumStats{}, errors.New("core: k must be positive")
-	}
-	if delta < 0 {
-		return nil, EnumStats{}, errors.New("core: Delta must be non-negative")
 	}
 	h := &topkHeap{k: k}
 	h.threshold.Store(math.Float64bits(0))
@@ -56,18 +42,10 @@ func topK(g *temporal.Graph, mo *motif.Motif, src matchSource, delta int64, k in
 		return true
 	}
 
-	var stats EnumStats
-	p := Params{Delta: delta, Workers: workers}
-	if workers > 1 {
-		var err error
-		stats, err = enumerateParallel(g, mo, p, pass, math.MinInt64, math.MaxInt64, visit)
-		if err != nil {
-			return nil, stats, err
-		}
-	} else {
-		stats = enumerate(g, src, mo, p, pass, math.MinInt64, math.MaxInt64, visit)
+	stats, err := search(g, mo, Params{Delta: delta, Workers: workers}, pass, fullWalk(g, mo, delta), math.MinInt64, math.MaxInt64, visit)
+	if err != nil {
+		return nil, stats, err
 	}
-
 	out := make([]*Instance, len(h.items))
 	copy(out, h.items)
 	sort.Slice(out, func(i, j int) bool { return instanceLess(out[j], out[i]) })

@@ -60,16 +60,13 @@ func WalkMatches(g *temporal.Graph, targets []WalkTarget) error {
 }
 
 // walkSource is the one-target walk as a matchSource: what Enumerate,
-// EnumerateRange, TopK and the DP module stream into phase P2.
+// EnumerateRange, TopK and the DP module stream into phase P2. Its units
+// are start nodes, each walked by a one-path trie.
 func walkSource(g *temporal.Graph, mo *motif.Motif, delta, anchorLo, anchorHi int64) matchSource {
-	return func(fn match.Visitor) {
-		newPathWalker(g, mo, delta, anchorLo, anchorHi, fn).run()
-	}
-}
-
-// newPathWalker builds the walker of a single target: a one-path trie.
-func newPathWalker(g *temporal.Graph, mo *motif.Motif, delta, anchorLo, anchorHi int64, fn match.Visitor) *walker {
-	return newWalker(g, []WalkTarget{{Motif: mo, Delta: delta, AnchorLo: anchorLo, AnchorHi: anchorHi, Visit: fn}})
+	return matchSource{units: g.NumNodes(), bind: func(fn match.Visitor) func(int) bool {
+		w := newWalker(g, []WalkTarget{{Motif: mo, Delta: delta, AnchorLo: anchorLo, AnchorHi: anchorHi, Visit: fn}})
+		return func(u int) bool { return w.from(temporal.NodeID(u)) }
+	}}
 }
 
 // fullWalk is walkSource over every anchor: the whole-graph searches.
@@ -170,8 +167,8 @@ func (w *walker) run() {
 	}
 }
 
-// from walks the matches rooted at one start node (the unit parallel
-// searches shard by). It returns false if a visitor stopped the walk.
+// from walks the matches rooted at one start node (the unit of a
+// walkSource). It returns false if a visitor stopped the walk.
 func (w *walker) from(start temporal.NodeID) bool {
 	w.bind[0] = start
 	w.nb = 1

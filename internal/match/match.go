@@ -14,10 +14,6 @@
 package match
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"flowmotif/internal/motif"
 	"flowmotif/internal/temporal"
 )
@@ -59,12 +55,6 @@ func Stream(g *temporal.Graph, mo *motif.Motif, fn Visitor) int64 {
 	return count
 }
 
-// StreamFrom enumerates matches whose first motif vertex is bound to start.
-// It returns false if the visitor aborted the walk.
-func StreamFrom(g *temporal.Graph, mo *motif.Motif, start temporal.NodeID, fn Visitor) bool {
-	return newDFS(g, mo).from(start, fn)
-}
-
 // Count returns the number of structural matches of mo in g.
 func Count(g *temporal.Graph, mo *motif.Motif) int64 {
 	return Stream(g, mo, func(*Match) bool { return true })
@@ -78,52 +68,6 @@ func Collect(g *temporal.Graph, mo *motif.Motif, limit int) []Match {
 		return limit <= 0 || len(out) < limit
 	})
 	return out
-}
-
-// StreamParallel enumerates matches using the given number of workers
-// (0 or negative means GOMAXPROCS), sharding by start node. The visitor is
-// invoked concurrently and must be safe for concurrent use; returning false
-// stops all workers promptly. The total visited count is returned; match
-// order is not deterministic.
-func StreamParallel(g *temporal.Graph, mo *motif.Motif, workers int, fn Visitor) int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || g.NumNodes() < 2 {
-		return Stream(g, mo, fn)
-	}
-	var (
-		count   int64
-		stopped atomic.Bool
-		next    atomic.Int64
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := newDFS(g, mo)
-			for !stopped.Load() {
-				u := next.Add(1) - 1
-				if u >= int64(g.NumNodes()) {
-					return
-				}
-				ok := d.from(temporal.NodeID(u), func(m *Match) bool {
-					atomic.AddInt64(&count, 1)
-					if !fn(m) {
-						stopped.Store(true)
-						return false
-					}
-					return !stopped.Load()
-				})
-				if !ok && stopped.Load() {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return atomic.LoadInt64(&count)
 }
 
 // dfs holds per-walk scratch state so Stream allocates once per traversal.

@@ -3,8 +3,6 @@ package match
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -288,75 +286,4 @@ func TestNoDuplicateMatches(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestParallelEqualsSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	evs := make([]temporal.Event, 400)
-	for i := range evs {
-		evs[i] = temporal.Event{
-			From: temporal.NodeID(rng.Intn(40)),
-			To:   temporal.NodeID(rng.Intn(40)),
-			T:    int64(i),
-			F:    1,
-		}
-	}
-	g, err := temporal.NewGraph(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mo := range []*motif.Motif{motif.MustPath(0, 1, 2), motif.MustPath(0, 1, 2, 0)} {
-		serial := Count(g, mo)
-		// Collect node bindings concurrently and compare as multisets.
-		var mu sortedStrings
-		got := StreamParallel(g, mo, 4, func(m *Match) bool {
-			mu.add(fmt.Sprint(m.Nodes))
-			return true
-		})
-		if got != serial {
-			t.Errorf("%v: parallel count %d != serial %d", mo, got, serial)
-		}
-		var want sortedStrings
-		Stream(g, mo, func(m *Match) bool {
-			want.add(fmt.Sprint(m.Nodes))
-			return true
-		})
-		if !mu.equal(&want) {
-			t.Errorf("%v: parallel match set differs from serial", mo)
-		}
-	}
-}
-
-func TestParallelEarlyStop(t *testing.T) {
-	g := paperGraph(t)
-	var n int64
-	StreamParallel(g, motif.MustPath(0, 1), 4, func(m *Match) bool {
-		return false
-	})
-	_ = n // the call must terminate; that's the test
-}
-
-type sortedStrings struct {
-	mu     sync.Mutex
-	muVals []string
-}
-
-func (s *sortedStrings) add(v string) {
-	s.mu.Lock()
-	s.muVals = append(s.muVals, v)
-	s.mu.Unlock()
-}
-
-func (s *sortedStrings) equal(o *sortedStrings) bool {
-	if len(s.muVals) != len(o.muVals) {
-		return false
-	}
-	sort.Strings(s.muVals)
-	sort.Strings(o.muVals)
-	for i := range s.muVals {
-		if s.muVals[i] != o.muVals[i] {
-			return false
-		}
-	}
-	return true
 }
