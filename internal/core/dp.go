@@ -271,7 +271,7 @@ func (r *dpRunner) backtrack(tau int) *Instance {
 		i = j - 1
 	}
 	r.spans[0] = Span{Start: int32(r.a), End: r.ptrs[0][i]}
-	return r.instance()
+	return r.view().Clone()
 }
 
 func grow(s []float64, n int) []float64 {

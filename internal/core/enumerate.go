@@ -110,15 +110,17 @@ type passFunc func(flow float64) bool
 // edge-set's FlowRange). The instance is emitted at threshold φ iff pass
 // held for every one of those values, so bound >= φ' decides — on exactly
 // the comparisons a separate run at φ' >= φ would make — whether that run
-// would emit it too (SweepMatchesRange, plan.go).
+// would emit it too (SweepMatchesRange, plan.go). The instance is borrowed
+// (windowScan.view): a visitor that keeps it keeps a Clone.
 type boundVisitor func(in *Instance, bound float64) bool
 
-// plain adapts a Visitor (nil stays nil: count only).
+// plain adapts a Visitor, which owns what it receives (nil stays nil: count
+// only).
 func plain(visit Visitor) boundVisitor {
 	if visit == nil {
 		return nil
 	}
-	return func(in *Instance, _ float64) bool { return visit(in) }
+	return func(in *Instance, _ float64) bool { return visit(in.Clone()) }
 }
 
 // matchEnum is the per-goroutine state of Algorithm 1: what it does with
@@ -246,7 +248,7 @@ func (e *matchEnum) emit(bound float64) {
 	if e.visit == nil {
 		return
 	}
-	if !e.visit(e.instance(), bound) {
+	if !e.visit(e.view(), bound) {
 		e.stopped = true
 	}
 }

@@ -43,6 +43,9 @@ func EnumerateMatchesRange(g *temporal.Graph, mo *motif.Motif, matches []match.M
 
 // SweepVisitor receives each instance of a threshold sweep with admitted,
 // the number of leading thresholds (>= 1) whose own search would report it.
+// Unlike a Visitor's, the instance is borrowed: it is read-only and valid
+// only until the visitor returns, so the sweep allocates nothing per
+// instance and a visitor that keeps one keeps a Clone.
 type SweepVisitor func(in *Instance, admitted int) bool
 
 // SweepMatchesRange is the fan-out half of the shared-evaluation planner:

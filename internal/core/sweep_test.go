@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -28,6 +29,7 @@ func checkSweep(t testing.TB, g *temporal.Graph, mo *motif.Motif, p Params, phis
 			return false
 		}
 		mu.Lock()
+		in = in.Clone() // borrowed
 		for i := 0; i < admitted; i++ {
 			got[i] = append(got[i], in)
 		}
@@ -220,4 +222,48 @@ func FuzzSweepMatchesRange(f *testing.F) {
 		checkSweep(t, g, mo, Params{Delta: d}, phis[len(phis)/3:], 0, 63)
 		checkSweep(t, g, mo, Params{Delta: d, Workers: 3}, phis, 10, 40)
 	})
+}
+
+// TestSweepLendsInstances: Algorithm 1 lends its visitor the instance it
+// reports — a warmed pass over a match list allocates nothing, however many
+// instances it visits — and a Clone of the borrowed instance is what the
+// owning entry points hand out: Collect's instances, in Collect's order.
+func TestSweepLendsInstances(t *testing.T) {
+	g := randomGraph(7, 4, 400, 200)
+	mo := motif.MustPath(0, 1, 2, 0)
+	p := Params{Delta: 20}
+	matches, err := CollectMatches(g, mo, p.Delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Collect(g, mo, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Instance
+	visited := 0
+	e := newMatchEnum(g, mo, p, func(f float64) bool { return f >= p.Phi }, math.MinInt64, math.MaxInt64, func(in *Instance, _ float64) bool {
+		if got != nil {
+			got = append(got, in.Clone())
+		}
+		visited++
+		return true
+	})
+	pass := func() {
+		for i := range matches {
+			e.run(&matches[i])
+		}
+	}
+	got = []*Instance{}
+	pass()
+	if len(want) < 20 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("borrowed instances (%d) differ from Collect's (%d)", len(got), len(want))
+	}
+	got = nil
+	if n := testing.AllocsPerRun(10, pass); n != 0 {
+		t.Errorf("%v allocations per warmed pass visiting %d instances, want 0", n, len(want))
+	}
+	if visited != 12*len(want) {
+		t.Fatalf("visited %d instances over 12 passes of %d", visited, len(want))
+	}
 }

@@ -107,10 +107,11 @@ func (h *topkHeap) Pop() interface{} {
 	return it
 }
 
-// push inserts in if it beats the current k-th flow; callers hold mu.
+// push inserts a Clone of the borrowed in if it beats the current k-th
+// flow; callers hold mu.
 func (h *topkHeap) push(in *Instance) {
 	if len(h.items) < h.k {
-		heap.Push(h, in)
+		heap.Push(h, in.Clone())
 		if len(h.items) == h.k {
 			h.full.Store(true)
 			h.threshold.Store(math.Float64bits(h.items[0].Flow))
@@ -120,7 +121,7 @@ func (h *topkHeap) push(in *Instance) {
 	if in.Flow <= h.items[0].Flow {
 		return
 	}
-	h.items[0] = in
+	h.items[0] = in.Clone()
 	heap.Fix(h, 0)
 	h.threshold.Store(math.Float64bits(h.items[0].Flow))
 }

@@ -53,8 +53,9 @@ type windowScan struct {
 	series [][]temporal.Point
 	arcs   []int
 	nodes  []temporal.NodeID
-	spans  []Span // edge-set per motif edge, set by the caller; see instance
-	lastT  int64  // time of the final edge's last event
+	spans  []Span   // edge-set per motif edge, set by the caller; see view
+	cur    Instance // view's storage
+	lastT  int64    // time of the final edge's last event
 
 	// The current window: its anchor a (an index into series[0]) and, per
 	// edge, its bounds, which are monotone in the anchor and so advance
@@ -183,14 +184,16 @@ func (w *windowScan) flowRange(edge, i, j int) float64 {
 	return w.g.FlowRange(w.arcs[edge], i, j)
 }
 
-// instance builds the Instance that spans denote on the current match.
-func (w *windowScan) instance() *Instance {
+// view is the one span → Instance builder: it returns the Instance that
+// spans denote on the current match, borrowed. Nodes, Arcs and Spans alias
+// the scan's own state, EdgeFlows is the scan's scratch, and the next view
+// overwrites all of it, so a caller that keeps the instance keeps a Clone.
+func (w *windowScan) view() *Instance {
 	m := w.m
-	in := &Instance{
-		Nodes:     append([]temporal.NodeID(nil), w.nodes...),
-		Arcs:      append([]int(nil), w.arcs...),
-		Spans:     append([]Span(nil), w.spans...),
-		EdgeFlows: make([]float64, m),
+	in := &w.cur
+	in.Nodes, in.Arcs, in.Spans = w.nodes, w.arcs, w.spans
+	if in.EdgeFlows == nil {
+		in.EdgeFlows = make([]float64, m)
 	}
 	minFlow := 0.0
 	for i := 0; i < m; i++ {

@@ -106,23 +106,37 @@ func (e *Engine) leaveGroupLocked(s *subState) {
 
 // dueBand is one plan group's work for a finalize round: the members whose
 // emitted bound trails the newly closed anchor bound hi (φ-ascending, like
-// the group) and the anchor range [lo, hi] they close between them.
+// the group), the anchor range [lo, hi] they close between them, and the
+// index of their shape's plan.
 type dueBand struct {
 	group  *planGroup
 	subs   []*subState
 	lo, hi int64
+	plan   int
 }
 
-// shapePlan is one shape's part of a round: the due bands watching it and
-// what phase P1 must cover for them — their largest δ and the hull of
+// shapePlan is one shape's part of a round: how many due bands watch it
+// and what phase P1 must cover for them — their largest δ and the hull of
 // their anchor ranges, a superset condition for each.
 type shapePlan struct {
 	shape    string
 	mo       *motif.Motif
-	bands    []int // indices into the round's due bands
+	bands    int
 	nsubs    int
 	maxDelta int64
 	lo, hi   int64
+}
+
+// roundScratch is a finalize round's bookkeeping — its due bands and their
+// members, its shape plans and walk targets, and one sweep's thresholds —
+// kept across rounds so that, like the arena's and the slabs', its storage
+// is reused. Only finalize and sweepBand touch it, under mu.
+type roundScratch struct {
+	due     []dueBand
+	members []*subState
+	plans   []shapePlan
+	targets []core.WalkTarget
+	phis    []float64
 }
 
 // finalize enumerates, for every subscription, the anchor band of newly
@@ -139,15 +153,15 @@ func (e *Engine) finalize(terminal bool) {
 	// Collect the round's due bands, bucketed by shape (first-seen order,
 	// so finalization order is deterministic), and the union snapshot
 	// extent: each band needs the events of [lo−δ, hi+δ] (DESIGN.md §7).
-	var due []dueBand
-	var plans []shapePlan
+	rs := &e.round
+	due, members, plans := rs.due[:0], rs.members[:0], rs.plans[:0]
 	snapLo, snapHi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, g := range e.groups {
 		hi := w
 		if !terminal {
 			hi = satSub(w, 1+g.key.delta)
 		}
-		var members []*subState
+		first := len(members)
 		lo := int64(math.MaxInt64)
 		for _, s := range g.subs {
 			if !s.primed || hi <= s.emitted {
@@ -156,24 +170,28 @@ func (e *Engine) finalize(terminal bool) {
 			members = append(members, s)
 			lo = min(lo, satAdd(s.emitted, 1))
 		}
-		if len(members) == 0 {
+		if len(members) == first {
 			continue
 		}
-		due = append(due, dueBand{group: g, subs: members, lo: lo, hi: hi})
-		snapLo = min(snapLo, satSub(lo, g.key.delta))
-		snapHi = max(snapHi, satAdd(hi, g.key.delta))
-
 		i := slices.IndexFunc(plans, func(sp shapePlan) bool { return sp.shape == g.key.shape })
 		if i < 0 {
 			i = len(plans)
-			plans = append(plans, shapePlan{shape: g.key.shape, mo: members[0].sub.Motif, lo: lo, hi: hi})
+			plans = append(plans, shapePlan{shape: g.key.shape, mo: members[first].sub.Motif, lo: lo, hi: hi})
 		}
+		// A band's members are a window of the round's member list; a later
+		// append that moves the list leaves the window on the old array.
+		db := dueBand{group: g, subs: members[first:len(members):len(members)], lo: lo, hi: hi, plan: i}
+		due = append(due, db)
+		snapLo = min(snapLo, satSub(lo, g.key.delta))
+		snapHi = max(snapHi, satAdd(hi, g.key.delta))
+
 		sp := &plans[i]
-		sp.bands = append(sp.bands, len(due)-1)
-		sp.nsubs += len(members)
+		sp.bands++
+		sp.nsubs += len(db.subs)
 		sp.maxDelta = max(sp.maxDelta, g.key.delta)
 		sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
 	}
+	rs.due, rs.members, rs.plans = due, members, plans
 	if len(due) == 0 {
 		return
 	}
@@ -207,12 +225,13 @@ func (e *Engine) finalize(terminal bool) {
 	for len(e.slabs) < len(plans) {
 		e.slabs = append(e.slabs, new(core.MatchSlab))
 	}
-	targets := make([]core.WalkTarget, len(plans))
+	targets := rs.targets[:0]
 	for i := range plans {
 		sp := &plans[i]
 		e.slabs[i].Reset()
-		targets[i] = core.WalkTarget{Motif: sp.mo, Delta: sp.maxDelta, AnchorLo: sp.lo, AnchorHi: sp.hi, Visit: e.slabs[i].Add}
+		targets = append(targets, core.WalkTarget{Motif: sp.mo, Delta: sp.maxDelta, AnchorLo: sp.lo, AnchorHi: sp.hi, Visit: e.slabs[i].Add})
 	}
+	rs.targets = targets
 	if err := core.WalkMatches(snap, targets); err != nil {
 		// Unreachable: δ was validated when the subscription was added.
 		panic(fmt.Sprintf("stream: walk matches: %v", err))
@@ -244,12 +263,14 @@ func (e *Engine) finalize(terminal bool) {
 				obs.L("shape", sp.shape),
 				obs.L("delta", strconv.FormatInt(sp.maxDelta, 10)),
 				obs.L("subs", strconv.Itoa(sp.nsubs)),
-				obs.L("bands", strconv.Itoa(len(sp.bands))),
+				obs.L("bands", strconv.Itoa(sp.bands)),
 				obs.L("matches", strconv.Itoa(len(matches))))
 		}
 		fanSpan := e.startPlanSpan("finalize.fanout", planSpan)
-		for _, bi := range sp.bands {
-			db := due[bi]
+		for _, db := range due {
+			if db.plan != i {
+				continue
+			}
 			// One sweep per run of members sharing an emitted bound — the
 			// whole band, except in the round a late joiner catches up.
 			for rest := db.subs; len(rest) > 0; {
@@ -275,29 +296,28 @@ func (e *Engine) finalize(terminal bool) {
 // emitted bound, φ-ascending — to hi with a single phase-P2 run of their
 // shape's matches over their newly closed anchor band (emitted, hi] at the
 // smallest φ (core.SweepMatchesRange), collecting detections into
-// e.pending: an instance's payload is built once, and the members whose φ
-// it meets (a prefix of subs) each get a header of their own over it. The
-// caller holds mu.
+// e.pending: the sweep lends each instance, and buildDetections copies out its
+// payload once and one header array for the members whose φ it meets (a
+// prefix of subs), five allocations per instance. The caller holds mu.
 //
 //flowmotif:hotpath
 func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*subState, hi, w int64) {
-	phis := make([]float64, len(subs))
-	for i, s := range subs {
-		phis[i] = s.sub.Phi
+	phis := e.round.phis[:0]
+	for _, s := range subs {
+		phis = append(phis, s.sub.Phi)
 		s.bandEmits = 0
 	}
+	e.round.phis = phis
 	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0], Workers: e.workers}
 	// With Workers > 1 the visitor runs concurrently; bandMu guards the
 	// pending list and counters (mu is held but not by the workers).
 	var bandMu sync.Mutex
 	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
-		payload := detectionPayload(g, in, w)
+		ds := buildDetections(g, in, w, subs[:admitted])
 		bandMu.Lock()
-		for _, s := range subs[:admitted] {
-			d := payload
-			d.Sub, d.Motif = s.sub.ID, s.sub.Motif.Name()
+		for i, s := range subs[:admitted] {
 			s.bandEmits++
-			e.pending = append(e.pending, &d)
+			e.pending = append(e.pending, &ds[i])
 		}
 		bandMu.Unlock()
 		return true

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -83,7 +84,8 @@ type Config struct {
 // embeds the matched events, not indices into some graph snapshot). The
 // struct itself belongs to whoever receives it; Nodes, Edges and EdgeFlows
 // are read-only: an instance that several subscriptions of a plan group
-// admit is built once, and their detections point at the same arrays.
+// admit is built once, and their detections are adjacent elements of one
+// array that point at the same payload arrays.
 type Detection struct {
 	Sub        string             `json:"sub"`
 	Motif      string             `json:"motif"`
@@ -184,13 +186,14 @@ type Engine struct {
 	subs    []*subState
 
 	// Shared-evaluation planner state (planner.go): subscriptions grouped
-	// by (shape, δ), the arena and per-shape match slabs recycling snapshot
-	// and phase-P1 buffers across finalize rounds, and the sharing counters
-	// surfaced through Stats.
+	// by (shape, δ); the arena, per-shape match slabs and round scratch
+	// recycling snapshot, phase-P1 and bookkeeping storage across finalize
+	// rounds; and the sharing counters surfaced through Stats.
 	groups         []*planGroup
 	groupIdx       map[planKey]*planGroup
 	arena          temporal.GraphArena
 	slabs          []*core.MatchSlab
+	round          roundScratch
 	snapshotBuilds int64
 	matchRuns      int64
 	matchesShared  int64
@@ -556,11 +559,12 @@ func (e *Engine) appendEvent(ev temporal.Event, i int) error {
 	return e.log.Append(ev)
 }
 
-// detectionPayload converts a band-graph instance into a self-contained
-// Detection with Sub and Motif left for the receiving subscription to fill
-// in: every subscriber of the instance copies the header and shares the
-// slices (in's own Nodes and EdgeFlows, and one events array cut per edge).
-func detectionPayload(g *temporal.Graph, in *core.Instance, watermark int64) Detection {
+// buildDetections converts a borrowed band-graph instance into one
+// self-contained Detection per admitted subscriber, in five allocations
+// whatever their number: the subscribers' headers are one array, and the
+// payload they share is the instance's node binding and edge flows, one
+// events array, and its cut per edge.
+func buildDetections(g *temporal.Graph, in *core.Instance, watermark int64, subs []*subState) []Detection {
 	n := 0
 	for _, sp := range in.Spans {
 		n += int(sp.End - sp.Start)
@@ -572,15 +576,21 @@ func detectionPayload(g *temporal.Graph, in *core.Instance, watermark int64) Det
 		events = append(events, g.Series(a)[sp.Start:sp.End]...)
 		edges[i] = events[len(events)-int(sp.End-sp.Start) : len(events) : len(events)]
 	}
-	return Detection{
-		Nodes:      in.Nodes,
+	payload := Detection{
+		Nodes:      slices.Clone(in.Nodes),
 		Edges:      edges,
-		EdgeFlows:  in.EdgeFlows,
+		EdgeFlows:  slices.Clone(in.EdgeFlows),
 		Flow:       in.Flow,
 		Start:      in.Start,
 		End:        in.End,
 		DetectedAt: watermark,
 	}
+	ds := make([]Detection, len(subs))
+	for i, s := range subs {
+		ds[i] = payload
+		ds[i].Sub, ds[i].Motif = s.sub.ID, s.sub.Motif.Name()
+	}
+	return ds
 }
 
 // evict drops events no subscription can ever need again: everything

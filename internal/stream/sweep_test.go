@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flowmotif/internal/core"
+	"flowmotif/internal/match"
 	"flowmotif/internal/motif"
 	"flowmotif/internal/temporal"
 )
@@ -363,5 +364,56 @@ func TestSharedPayloadContract(t *testing.T) {
 	if checked < 4*len(bySub["s3"]) || len(mem3.Recent("s1", 0)) == 0 || len(top3.Top("s1")) == 0 {
 		t.Fatalf("degenerate test: %d detections checked, handoff moved %d/%d",
 			checked, len(mem3.Recent("s1", 0)), len(top3.Top("s1")))
+	}
+}
+
+// TestSweepAllocsPerInstance: a sweep allocates five times per instance it
+// emits — the payload's node binding, edge flows, events and per-edge cuts,
+// and one array of headers — however many members admit the instance. The
+// per-sweep constant cancels between a sweep over half the match list and
+// one over all of it.
+func TestSweepAllocsPerInstance(t *testing.T) {
+	tri := motif.MustPath(0, 1, 2, 0)
+	g, err := temporal.NewGraph(streamEvents(t, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := core.CollectMatches(g, tri, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nsubs := range []int{1, 8} {
+		e, err := NewEngine(Config{DisableObs: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := make([]*subState, nsubs)
+		for i := range subs {
+			subs[i] = &subState{sub: Subscription{ID: fmt.Sprint(i), Motif: tri, Delta: 5000}}
+		}
+		sweep := func(list []match.Match) (allocs float64, instances int) {
+			run := func() {
+				for _, s := range subs {
+					s.emitted = math.MinInt64
+				}
+				clear(e.pending)
+				e.pending = e.pending[:0]
+				e.sweepBand(g, list, subs, math.MaxInt64, 0)
+			}
+			run()
+			return testing.AllocsPerRun(5, run), len(e.pending) / nsubs
+		}
+		sweep(matches) // grows the pending list to its largest
+		a1, n1 := sweep(matches[:len(matches)/2])
+		a2, n2 := sweep(matches)
+		if n2-n1 < 100 {
+			t.Fatalf("degenerate test: %d and %d instances", n1, n2)
+		}
+		per := (a2 - a1) / float64(n2-n1)
+		t.Logf("%d members: %.2f allocations per instance", nsubs, per)
+		if per > 5 {
+			t.Errorf("%d members: %.2f allocations per instance (%v over %d, %v over %d), want at most 5",
+				nsubs, per, a1, n1, a2, n2)
+		}
 	}
 }

@@ -1,18 +1,20 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // GraphArena builds time-series graphs with buffer reuse: every slice a
-// Graph needs (the sort scratch, both CSR adjacencies, the points arena and
-// its prefix sums) is kept between builds and regrown only when a build
+// Graph needs (the ordering scratch, both CSR adjacencies, the points arena
+// and its prefix sums) is kept between builds and regrown only when a build
 // outsizes the previous ones. The streaming engine's shared-evaluation
 // planner (internal/stream, DESIGN.md §11) builds one snapshot per finalize
-// round through an arena, so steady-state snapshot cost is a sort plus
-// arena fills — no per-round allocation once the arena has warmed up.
+// round through an arena, so steady-state snapshot cost is two counting
+// passes plus arena fills — no comparison sort, and no per-round
+// allocation once the arena has warmed up.
 //
 // The returned graph aliases the arena: it (and every graph previously
 // returned by the same arena, including derived views such as WithFlows)
@@ -24,7 +26,9 @@ import (
 // safe for concurrent readers between builds, like any Graph.
 type GraphArena struct {
 	sorted []Event
-	next   []int // in-CSR fill cursor scratch
+	tmp    []Event // counting-pass scatter target
+	count  []int   // counting-pass bucket offsets
+	next   []int   // in-CSR fill cursor scratch
 	g      *Graph
 }
 
@@ -36,8 +40,12 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 	if numNodes < 0 {
 		return nil, errNegativeNode
 	}
+	inTimeOrder := true
 	for i := range events {
 		e := &events[i]
+		if i > 0 && e.T < events[i-1].T {
+			inTimeOrder = false
+		}
 		if e.From < 0 || e.To < 0 {
 			return nil, errNegativeNode
 		}
@@ -49,21 +57,7 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 		}
 	}
 
-	a.sorted = append(a.sorted[:0], events...)
-	sorted := a.sorted
-	sort.Slice(sorted, func(i, j int) bool {
-		x, y := sorted[i], sorted[j]
-		if x.From != y.From {
-			return x.From < y.From
-		}
-		if x.To != y.To {
-			return x.To < y.To
-		}
-		if x.T != y.T {
-			return x.T < y.T
-		}
-		return x.F < y.F
-	})
+	sorted := a.order(numNodes, events, inTimeOrder)
 
 	if a.g == nil {
 		a.g = &Graph{}
@@ -111,6 +105,58 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 
 	a.buildInCSR(g)
 	return g, nil
+}
+
+// order returns events sorted by (From, To, T, F) in the arena's sorted
+// buffer. A time-ordered input — every snapshot the stream engine builds,
+// since a WindowLog holds its events in time order — is ordered by two
+// stable counting passes, by To and then by From, which leave each
+// (From, To) pair's events in time order; any other input is first sorted
+// by T. Runs of equal (From, To, T) are then put in F order, the tie-break
+// of a full comparison sort.
+func (a *GraphArena) order(numNodes int, events []Event, inTimeOrder bool) []Event {
+	src := events
+	if !inTimeOrder {
+		a.sorted = append(a.sorted[:0], events...)
+		slices.SortFunc(a.sorted, func(x, y Event) int { return cmp.Compare(x.T, y.T) })
+		src = a.sorted
+	}
+	a.tmp = resizeSlice(a.tmp, len(events))
+	a.sorted = resizeSlice(a.sorted, len(events))
+	a.countingPass(numNodes, src, a.tmp, false)
+	a.countingPass(numNodes, a.tmp, a.sorted, true)
+
+	s := a.sorted
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j].F < s[j-1].F && s[j].T == s[j-1].T && s[j].To == s[j-1].To && s[j].From == s[j-1].From; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+	return s
+}
+
+// countingPass scatters src into dst stably by From (byFrom) or To, both
+// node ids below numNodes.
+func (a *GraphArena) countingPass(numNodes int, src, dst []Event, byFrom bool) {
+	key := func(e *Event) NodeID {
+		if byFrom {
+			return e.From
+		}
+		return e.To
+	}
+	a.count = zeroedInts(a.count, numNodes+1)
+	count := a.count
+	for i := range src {
+		count[key(&src[i])+1]++
+	}
+	for v := 0; v < numNodes; v++ {
+		count[v+1] += count[v]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[count[k]] = src[i]
+		count[k]++
+	}
 }
 
 // buildInCSR fills the reverse adjacency from the forward one, reusing the
