@@ -45,14 +45,17 @@
 // restart recovers the exact pre-crash state — snapshot plus WAL-tail
 // replay (see internal/store and DESIGN.md §8).
 //
-// API (see internal/server):
+// API (see internal/server), the same on a daemon and a coordinator:
 //
 //	POST /ingest    {"events":[{"from":0,"to":1,"t":10,"f":5}, ...]}
+//	                (a daemon takes "seq" as its resend tag; a
+//	                coordinator assigns it and refuses a client's)
 //	POST /flush     close all still-open windows
-//	POST /snapshot  checkpoint engine + sink state (durable mode)
-//	GET  /instances?sub=ID&limit=N
-//	GET  /topk?sub=ID&k=N
-//	GET  /subs | /stats | /healthz
+//	GET  /instances?sub=ID&limit=N   recent detections (limit 50)
+//	GET  /topk?sub=ID&k=N            best by flow (k 10)
+//	                an empty sub is every subscription, merged
+//	GET  /subs | /stats | /healthz | /metrics | /debug/traces | /debug/top
+//	POST /snapshot  checkpoint engine + sink state (durable daemon)
 package main
 
 import (

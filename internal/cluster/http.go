@@ -183,12 +183,7 @@ func (m *HTTPMember) TopK(sub string, k int) (QueryResult, error) {
 // TopKTraced implements tracedQuerier.
 func (m *HTTPMember) TopKTraced(sub string, k int, sc obs.SpanContext) (QueryResult, error) {
 	var resp queryResponse
-	var path string
-	if sub == "" {
-		path = "/topk?all=1&k=" + strconv.Itoa(k)
-	} else {
-		path = "/topk?k=" + strconv.Itoa(k) + "&sub=" + url.QueryEscape(sub)
-	}
+	path := "/topk?k=" + strconv.Itoa(k) + "&sub=" + url.QueryEscape(sub)
 	if err := m.doTraced(http.MethodGet, path, nil, &resp, traceparentOf(sc)); err != nil {
 		return QueryResult{}, err
 	}

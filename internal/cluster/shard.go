@@ -316,14 +316,16 @@ func (s *Shard) knownSub(sub string) error {
 	return nil
 }
 
-// Instances returns recent detections, newest first (sub "" = all local
-// subscriptions).
+// Instances returns recent detections (sub "" = all local subscriptions),
+// newest first in the order a coordinator's gather merges them, so one
+// shard and a cluster answer alike.
 func (s *Shard) Instances(sub string, limit int) (QueryResult, error) {
 	if err := s.knownSub(sub); err != nil {
 		return QueryResult{}, err
 	}
 	w, ok := s.eng.Watermark()
-	return QueryResult{Watermark: w, Started: ok, Detections: s.recent.Recent(sub, limit)}, nil
+	ds := mergeRecent([][]*stream.Detection{s.recent.Recent(sub, limit)}, limit)
+	return QueryResult{Watermark: w, Started: ok, Detections: ds}, nil
 }
 
 // TopK returns the best detections by flow. With sub "" the lists of every

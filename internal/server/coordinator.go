@@ -3,30 +3,27 @@ package server
 import (
 	"errors"
 	"log/slog"
+	"maps"
 	"net/http"
-	"sort"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"flowmotif/internal/cluster"
 	"flowmotif/internal/obs"
+	"flowmotif/internal/stream"
 	"flowmotif/internal/temporal"
 )
 
-// Coordinator serves a cluster coordinator (internal/cluster) over the
-// flowmotifd HTTP/JSON API: the data-plane endpoints match a single
-// server's (POST /ingest, /flush; GET /instances, /topk, /subs, /stats,
-// /metrics, /healthz), so clients need not know whether they talk to one
-// engine or a cluster, plus membership administration. POST /ingest acks
-// are pipelined ("pipelined": true with the replication-log "seq"): the
-// batch is durable in the coordinator's replication log and applied by
-// the shards asynchronously, so "detections" is 0 — watch each member's
-// replLagEntries on /stats (flowmotif_cluster_member_repl_lag_entries on
-// /metrics) instead. Query responses
-// carry "started" (false until any shard has seen an event — an empty
-// answer from a fresh cluster is not the same as an empty stream) and
-// "degraded" (shards dropped from the gather, subscriptions unplaced, or
-// a member awaiting failover). Membership administration —
+// Coordinator serves a cluster coordinator (internal/cluster) through the
+// same front door as a single daemon, so clients need not know whether
+// they talk to one engine or a cluster. POST /ingest acks are pipelined
+// ("pipelined": true with the replication-log "seq"): the batch is in the
+// coordinator's replication log and the shards apply it asynchronously,
+// so "detections" is 0 — watch each member's replLagEntries on /stats
+// (flowmotif_cluster_member_repl_lag_entries on /metrics) instead. Query
+// answers are "degraded" when shards dropped from the gather,
+// subscriptions are unplaced, or a member awaits failover. Membership
+// administration —
 //
 //	POST /members/add     {"id": "m4", "url": "http://10.0.0.7:8089"}
 //	                      register a member daemon and rebalance onto it.
@@ -36,12 +33,8 @@ import (
 //
 // cmd/flowmotifd serves one with -cluster-coordinator.
 type Coordinator struct {
-	c       *cluster.Coordinator
-	maxBody int64
-	started time.Time
-	reqs    atomic.Int64
-	runtime *obs.RuntimeStats
-	ro      requestObs
+	frontDoor
+	c *cluster.Coordinator
 }
 
 // CoordinatorConfig parameterizes the HTTP serving wrapper around a
@@ -67,224 +60,99 @@ func NewCoordinator(c *cluster.Coordinator, maxBodyBytes int64) *Coordinator {
 // NewCoordinatorWith is NewCoordinator with the full serving config
 // (slow-request tail sampling and its logger).
 func NewCoordinatorWith(c *cluster.Coordinator, cfg CoordinatorConfig) *Coordinator {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	cs := &Coordinator{
-		c:       c,
-		maxBody: cfg.MaxBodyBytes,
-		started: time.Now(),
-		ro:      requestObs{reg: c.Obs(), tracer: c.Tracer(), slow: cfg.SlowRequest, logger: cfg.Logger},
-	}
-	if c.Obs() != nil {
-		cs.runtime = obs.NewRuntimeStats()
-	}
+	cs := &Coordinator{c: c}
+	// Request histograms land in the cluster coordinator's registry, next
+	// to the replication-pipeline instruments.
+	cs.init(cs, cfg.MaxBodyBytes, requestObs{reg: c.Obs(), tracer: c.Tracer(), slow: cfg.SlowRequest, logger: cfg.Logger})
 	return cs
 }
 
 // Cluster returns the wrapped coordinator.
 func (cs *Coordinator) Cluster() *cluster.Coordinator { return cs.c }
 
-// Handler returns the HTTP API handler.
+// Handler returns the HTTP API handler: the front door's endpoints plus
+// the /members/* administration.
 func (cs *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", cs.count("ingest", cs.handleIngest))
-	mux.HandleFunc("/flush", cs.count("flush", cs.handleFlush))
-	mux.HandleFunc("/instances", cs.count("instances", cs.handleInstances))
-	mux.HandleFunc("/topk", cs.count("topk", cs.handleTopK))
-	mux.HandleFunc("/subs", cs.count("subs", cs.handleSubs))
-	mux.HandleFunc("/stats", cs.count("stats", cs.handleStats))
-	mux.HandleFunc("/metrics", cs.count("metrics", cs.handleMetrics))
-	mux.HandleFunc("/healthz", cs.count("healthz", cs.handleHealthz))
-	mux.HandleFunc("/debug/traces", cs.count("debug.traces", cs.handleTraces))
-	mux.HandleFunc("/debug/top", cs.count("debug.top", cs.handleTop))
-	mux.HandleFunc("/members/add", cs.count("members.add", cs.handleMemberAdd))
-	mux.HandleFunc("/members/remove", cs.count("members.remove", cs.handleMemberRemove))
-	mux.HandleFunc("/members/fail", cs.count("members.fail", cs.handleMemberFail))
+	mux := cs.routes()
+	mux.HandleFunc("/members/add", cs.count("members.add", http.MethodPost, cs.handleMemberAdd))
+	mux.HandleFunc("/members/remove", cs.count("members.remove", http.MethodPost, cs.handleMemberRemove))
+	mux.HandleFunc("/members/fail", cs.count("members.fail", http.MethodPost, cs.handleMemberFail))
 	return mux
 }
 
-func (cs *Coordinator) count(name string, h http.HandlerFunc) http.HandlerFunc {
-	// Request histograms land in the cluster coordinator's registry, next
-	// to the replication-pipeline instruments.
-	return cs.ro.wrap(&cs.reqs, name, h)
-}
-
-// handleTraces serves GET /debug/traces. The per-trace fetch goes through
-// the cluster coordinator's stitcher, so one batch's tree spans the
-// coordinator append, every member's replication delivery, and the
-// member-side finalize/emit stages.
-func (cs *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
-	serveTraces(w, r, cs.c.Tracer(), cs.c.Traces)
-}
-
-// ingestResponse is the coordinator's pipelined ingest ack (a single
-// server answers with the shard's cluster.IngestAck as is).
+// ingestResponse is the coordinator's pipelined ingest ack (a daemon
+// answers with the shard's cluster.IngestAck as is).
 type ingestResponse struct {
 	cluster.IngestAck
 	Pipelined bool `json:"pipelined"` // applied asynchronously
 }
 
-func (cs *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
+// errClientSeq refuses a client's seq: a coordinator's batches are tagged
+// by its own replication log.
+var errClientSeq = errors.New("seq is assigned by the coordinator's log")
+
+// The backend methods: the front door's data plane over the cluster.
+
+func (cs *Coordinator) ingest(evs []temporal.Event, seq int64, parent obs.SpanContext) (any, error) {
+	if seq != 0 {
+		return nil, errClientSeq
 	}
-	var req ingestRequest
-	if !decodeBody(w, r, cs.maxBody, &req) {
-		return
-	}
-	evs := make([]temporal.Event, len(req.Events))
-	for i, e := range req.Events {
-		evs[i] = temporal.Event{From: e.From, To: e.To, T: e.T, F: e.F}
-	}
-	ack, err := cs.c.IngestTraced(evs, requestSpan(r).Context())
-	if err != nil {
-		writeErr(w, errStatus(err), err)
-		return
-	}
-	// Pipelined ack: the batch is appended to the replication log and
-	// will be applied by every shard asynchronously; seq is its log
-	// position and detections finalize later (GET /stats, /metrics).
-	// trace keys the batch's stitched span tree in GET /debug/traces once
-	// the shards apply it.
-	writeJSON(w, http.StatusOK, ingestResponse{IngestAck: ack, Pipelined: true})
+	ack, err := cs.c.IngestTraced(evs, parent)
+	// Pipelined ack: seq is the batch's log position and detections
+	// finalize later (GET /stats, /metrics); trace keys the batch's
+	// stitched span tree in GET /debug/traces once the shards apply it.
+	return ingestResponse{IngestAck: ack, Pipelined: true}, err
 }
 
-func (cs *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	ack, err := cs.c.Flush()
-	if err != nil {
-		writeErr(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
+func (cs *Coordinator) flush(obs.SpanContext) (cluster.IngestAck, error) { return cs.c.Flush() }
+
+func (cs *Coordinator) instances(sub string, limit int, parent obs.SpanContext) ([]*stream.Detection, cluster.Gather, error) {
+	return cs.c.InstancesTraced(sub, limit, parent)
 }
 
-func (cs *Coordinator) handleInstances(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	limit, err := intParam(r, "limit", 50)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ds, g, err := cs.c.InstancesTraced(r.URL.Query().Get("sub"), limit, requestSpan(r).Context())
-	if err != nil {
-		writeErr(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":     len(ds),
-		"watermark": g.Watermark,
-		"started":   g.Started,
-		"degraded":  g.Degraded,
-		"instances": ds,
-	})
+func (cs *Coordinator) topK(sub string, k int, parent obs.SpanContext) ([]*stream.Detection, cluster.Gather, error) {
+	return cs.c.TopKTraced(sub, k, parent)
 }
 
-func (cs *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sub := r.URL.Query().Get("sub")
-	ds, g, err := cs.c.TopKTraced(sub, k, requestSpan(r).Context())
-	if err != nil {
-		writeErr(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"sub":       sub,
-		"count":     len(ds),
-		"watermark": g.Watermark,
-		"started":   g.Started,
-		"degraded":  g.Degraded,
-		"instances": ds,
-	})
+func (cs *Coordinator) subs() ([]cluster.SubSpec, map[string]string) {
+	return slices.Collect(maps.Values(cs.c.Subscriptions())), cs.c.Placement()
 }
 
-func (cs *Coordinator) handleSubs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	specs := cs.c.Subscriptions()
-	placement := cs.c.Placement()
-	type wireSub struct {
-		ID     string  `json:"id"`
-		Motif  string  `json:"motif"`
-		Path   string  `json:"path"`
-		Delta  int64   `json:"delta"`
-		Phi    float64 `json:"phi"`
-		Member string  `json:"member,omitempty"`
-	}
-	ids := make([]string, 0, len(specs))
-	for id := range specs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]wireSub, 0, len(ids))
-	for _, id := range ids {
-		sp := specs[id]
-		out = append(out, wireSub{
-			ID:     sp.ID,
-			Motif:  sp.Name,
-			Path:   sp.Motif,
-			Delta:  sp.Delta,
-			Phi:    sp.Phi,
-			Member: placement[id],
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"subs": out})
+func (cs *Coordinator) stats(parent obs.SpanContext) map[string]any {
+	return map[string]any{"cluster": cs.c.StatsTraced(parent)}
 }
 
-func (cs *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
+func (cs *Coordinator) health() map[string]any {
+	st := cs.c.Stats()
+	status := "ok"
+	if st.Degraded || len(st.Members) == 0 {
+		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"cluster":       cs.c.StatsTraced(requestSpan(r).Context()),
-		"uptimeSeconds": time.Since(cs.started).Seconds(),
-		"httpRequests":  cs.reqs.Load(),
-	})
+	return map[string]any{
+		"status":     status,
+		"role":       "coordinator",
+		"members":    len(st.Members),
+		"unplaced":   len(st.Unplaced),
+		"watermark":  st.Watermark,
+		"started":    st.Started,
+		"downs":      st.Downs,
+		"headSeq":    st.HeadSeq,
+		"logEntries": st.LogEntries,
+	}
 }
 
-// handleMetrics serves GET /metrics, the Prometheus text exposition: the
-// replication-pipeline and request histograms, every member's engine/store
-// histograms bucket-merged into cluster-wide distributions (member gauges
-// stay distinguishable under a member="id" label), and the cluster gauges.
-func (cs *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveMetrics(w, r, cs.prometheusSnapshots)
-}
-
-// prometheusSnapshots assembles the coordinator's exposition set: its own
-// registry (replication + request histograms), every member's metric
-// snapshot merged in (histograms bucket-merged, gauges labeled by member),
-// and the cluster-level gauges from Stats.
-func (cs *Coordinator) prometheusSnapshots() []obs.MetricSnapshot {
+// metrics is the coordinator's exposition set: its own registry
+// (replication + request histograms), every member's metric snapshot
+// merged in (histograms bucket-merged into cluster-wide distributions,
+// gauges labeled member="id"), and the cluster gauges from Stats.
+func (cs *Coordinator) metrics() []obs.MetricSnapshot {
 	st := cs.c.Stats()
 	acc := obs.NewAccum()
 	acc.Add(cs.c.Obs().Snapshot())
-	if cs.runtime != nil {
-		acc.Add(cs.runtime.Collect())
-	}
 	for _, m := range st.Members {
 		acc.Add(m.Metrics, obs.L("member", m.ID))
 	}
-	snaps := acc.Snapshots()
-	snaps = append(snaps,
+	snaps := append(acc.Snapshots(),
 		gaugeSnap("flowmotif_cluster_watermark", "Cluster stream watermark (event time).", float64(st.Watermark)),
 		gaugeSnap("flowmotif_cluster_members", "Live cluster members.", float64(len(st.Members))),
 		gaugeSnap("flowmotif_cluster_subscriptions", "Subscriptions placed across the cluster.", float64(st.Subscriptions)),
@@ -293,8 +161,6 @@ func (cs *Coordinator) prometheusSnapshots() []obs.MetricSnapshot {
 		gaugeSnap("flowmotif_cluster_log_entries", "Replication-log entries awaiting at least one member.", float64(st.LogEntries)),
 		counterSnap("flowmotif_cluster_backpressure_waits_total", "Ingest calls that blocked on a full member queue.", float64(st.Backpressure)),
 		gaugeSnap("flowmotif_cluster_degraded", "1 when query answers may be incomplete.", boolGauge(st.Degraded)),
-		counterSnap("flowmotif_http_requests_total", "HTTP requests served.", float64(cs.reqs.Load())),
-		gaugeSnap("flowmotif_uptime_seconds", "Seconds since the coordinator started.", time.Since(cs.started).Seconds()),
 	)
 	for _, m := range st.Members {
 		lbl := obs.L("member", m.ID)
@@ -314,34 +180,13 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-func (cs *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	st := cs.c.Stats()
-	status := "ok"
-	if st.Degraded || len(st.Members) == 0 {
-		status = "degraded"
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":     status,
-		"role":       "coordinator",
-		"members":    len(st.Members),
-		"unplaced":   len(st.Unplaced),
-		"watermark":  st.Watermark,
-		"started":    st.Started,
-		"downs":      st.Downs,
-		"headSeq":    st.HeadSeq,
-		"logEntries": st.LogEntries,
-	})
+func (cs *Coordinator) spans(trace string) []obs.SpanRecord { return cs.c.Traces(trace) }
+
+func (cs *Coordinator) members(parent obs.SpanContext) []cluster.MemberInfo {
+	return cs.c.StatsTraced(parent).Members
 }
 
 func (cs *Coordinator) handleMemberAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var req struct {
 		ID  string `json:"id"`
 		URL string `json:"url"`
@@ -369,10 +214,6 @@ func (cs *Coordinator) handleMemberFail(w http.ResponseWriter, r *http.Request) 
 }
 
 func (cs *Coordinator) memberOp(w http.ResponseWriter, r *http.Request, op func(string) error) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var req struct {
 		ID string `json:"id"`
 	}

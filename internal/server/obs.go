@@ -12,19 +12,14 @@ import (
 	"flowmotif/internal/obs"
 )
 
-var (
-	errGetRequired     = errors.New("GET required")
-	errTracingDisabled = errors.New("tracing disabled")
-)
+var errTracingDisabled = errors.New("tracing disabled")
 
-// This file is the serving layer's observability plumbing, shared by the
-// single-engine Server and the cluster Coordinator: a status-capturing
+// This file is the front door's request accounting: a status-capturing
 // ResponseWriter so request counts split by response class, per-endpoint
 // latency histograms (flowmotif_http_request_seconds{endpoint,code}), the
 // per-request trace span ("http.<endpoint>", continuing an incoming W3C
 // traceparent or rooting a new trace), slow-request tail sampling, and
-// the helpers that render metrics into the flat JSON map and the
-// Prometheus exposition.
+// the helpers that lift Stats scalars into the Prometheus exposition.
 
 // statusWriter records the response status the handler committed, so the
 // request accounting can split by class. A handler that never calls
@@ -81,8 +76,7 @@ func requestSpan(r *http.Request) *obs.TraceSpan {
 
 // requestObs bundles what the request-accounting middleware needs: the
 // metrics registry, the trace flight recorder, and the slow-request
-// tail-sampling policy. Shared by the single-engine Server and the cluster
-// Coordinator.
+// tail-sampling policy.
 type requestObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -164,65 +158,4 @@ func gaugeSnap(name, help string, v float64, labels ...obs.Label) obs.MetricSnap
 
 func counterSnap(name, help string, v float64, labels ...obs.Label) obs.MetricSnapshot {
 	return obs.MetricSnapshot{Name: name, Help: help, Kind: obs.KindCounter, Labels: labels, Value: v}
-}
-
-// serveMetrics answers GET /metrics for both server roles: the role's
-// exposition set in the Prometheus text format, the only format there is
-// (scrape configs that still pass ?format=prometheus get the same answer).
-func serveMetrics(w http.ResponseWriter, r *http.Request, snaps func() []obs.MetricSnapshot) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errGetRequired)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = obs.WritePrometheus(w, snaps())
-}
-
-// maxTraceLimit caps GET /debug/traces responses: the flight recorder
-// retains thousands of spans, and an unbounded listing would ship them
-// all to a curious client.
-const maxTraceLimit = 500
-
-// serveTraces answers GET /debug/traces for both server roles. Without
-// parameters it lists recent trace summaries (?limit=N, default 50,
-// capped; ?slowest=1 ranks by root-span duration instead of recency).
-// With ?trace=<id> it returns that trace's spans — via fetch, which the
-// coordinator points at its cross-member stitcher — plus the assembled
-// span tree.
-func serveTraces(w http.ResponseWriter, r *http.Request, tracer *obs.Tracer, fetch func(string) []obs.SpanRecord) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errGetRequired)
-		return
-	}
-	if tracer == nil {
-		writeErr(w, http.StatusNotFound, errTracingDisabled)
-		return
-	}
-	if trace := r.URL.Query().Get("trace"); trace != "" {
-		spans := fetch(trace)
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"trace": trace,
-			"count": len(spans),
-			"spans": spans,
-			"tree":  obs.BuildSpanTree(spans),
-		})
-		return
-	}
-	limit, err := intParam(r, "limit", 50)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if limit > maxTraceLimit {
-		limit = maxTraceLimit
-	}
-	slowest := r.URL.Query().Get("slowest") != ""
-	sums := tracer.Summaries(limit, slowest)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"total":   tracer.Total(),
-		"count":   len(sums),
-		"slowest": slowest,
-		"traces":  sums,
-	})
 }

@@ -301,9 +301,9 @@ func TestServerErrors(t *testing.T) {
 	if resp := getJSON(t, client, ts.URL+"/instances?sub=nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown sub: status %d, want 404", resp.StatusCode)
 	}
-	// Ambiguous topk (two subs, none named) -> 400.
-	if resp := getJSON(t, client, ts.URL+"/topk", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("ambiguous topk: status %d, want 400", resp.StatusCode)
+	// Topk with no sub names every subscription, merged.
+	if resp := getJSON(t, client, ts.URL+"/topk", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("merged topk: status %d, want 200", resp.StatusCode)
 	}
 	// Bad limit -> 400.
 	if resp := getJSON(t, client, ts.URL+"/instances?limit=x", nil); resp.StatusCode != http.StatusBadRequest {
@@ -313,6 +313,14 @@ func TestServerErrors(t *testing.T) {
 	if resp := getJSON(t, client, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d, want 200", resp.StatusCode)
 	}
+}
+
+// wireEvent is the JSON shape of one interaction event as clients send it.
+type wireEvent struct {
+	From temporal.NodeID `json:"from"`
+	To   temporal.NodeID `json:"to"`
+	T    int64           `json:"t"`
+	F    float64         `json:"f"`
 }
 
 func wireEvents(evs []temporal.Event) []wireEvent {

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"sort"
 
-	"flowmotif/internal/cluster"
 	"flowmotif/internal/stream"
 )
 
@@ -95,24 +94,8 @@ func costKey(by string, seconds, rate float64, emits int64) float64 {
 	return seconds
 }
 
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	serveTop(w, r, func() []cluster.MemberInfo {
-		return []cluster.MemberInfo{{MemberStats: s.shard.Stats("")}}
-	})
-}
-
-func (cs *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
-	serveTop(w, r, func() []cluster.MemberInfo {
-		return cs.c.StatsTraced(requestSpan(r).Context()).Members
-	})
-}
-
-// serveTop renders /debug/top from the member rows.
-func serveTop(w http.ResponseWriter, r *http.Request, members func() []cluster.MemberInfo) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errGetRequired)
-		return
-	}
+// handleTop renders /debug/top from the backend's member rows.
+func (fd *frontDoor) handleTop(w http.ResponseWriter, r *http.Request) {
 	by, err := topBy(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -124,7 +107,7 @@ func serveTop(w http.ResponseWriter, r *http.Request, members func() []cluster.M
 		return
 	}
 	limit = min(limit, maxTopLimit)
-	rows := members()
+	rows := fd.be.members(requestSpan(r).Context())
 	var seconds float64
 	var rounds int64
 	accounts := 0

@@ -222,12 +222,12 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		var root *obs.TraceSpan
 		var evs []temporal.Event
 		var derr error
-		if s.tracer != nil {
+		if s.ro.tracer != nil {
 			parent, _ := obs.ParseTraceparent(frame.Traceparent)
-			root = s.tracer.StartSpan("wire.ingest", parent,
+			root = s.ro.tracer.StartSpan("wire.ingest", parent,
 				obs.L("events", strconv.Itoa(frame.Count)),
 				obs.L("seq", strconv.FormatInt(frame.Seq, 10)))
-			dsp := s.tracer.StartSpan("wire.decode", root.Context(),
+			dsp := s.ro.tracer.StartSpan("wire.decode", root.Context(),
 				obs.L("bytes", strconv.Itoa(frame.PayloadLen)))
 			evs, derr = dec.Events()
 			dsp.End()
