@@ -6,7 +6,7 @@
 // Usage:
 //
 //	flowmotifd -addr :8089 -sub "M(3,3):600:5" -sub "chain3:300:0" \
-//	           [-workers N] [-data-dir DIR [-snapshot-every 5m] [-fsync]]
+//	           [-data-dir DIR [-snapshot-every 5m] [-fsync]]
 //	flowmotifd -member -addr :8090 [-data-dir DIR]           # cluster shard
 //	flowmotifd -cluster-coordinator -shards 3 -sub ...       # local cluster
 //	flowmotifd -cluster-coordinator -join m1=http://h1:8090 \
@@ -181,7 +181,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8089", "listen address")
 		wireAddr = flag.String("wire-addr", "", "also serve the binary wire-protocol ingest listener on this TCP address (e.g. :9089), advertised on /healthz; empty disables, except that -member always serves one (coordinators replicate over it only) and picks a free port")
-		workers  = flag.Int("workers", 1, "per-band enumeration parallelism")
 		recent   = flag.Int("recent", 4096, "recent-detection ring capacity (GET /instances)")
 		topk     = flag.Int("topk", 50, "retained best detections per subscription (GET /topk)")
 		dataDir  = flag.String("data-dir", "", "durable mode: WAL + snapshot directory (empty: in-memory only)")
@@ -250,7 +249,7 @@ func main() {
 		})
 		runCoordinator(coordOptions{
 			addr: *addr, subs: subs, joins: joins, shards: *shards,
-			workers: *workers, recent: *recent, topk: *topk,
+			recent: *recent, topk: *topk,
 			dataDir: *dataDir, fsync: *fsync, histCap: *histCap,
 			queueDepth: *queueCap, coalesce: *coalesce,
 			logger: logger, slowReq: *slowReq,
@@ -266,7 +265,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Subs:        subs,
-		Workers:     *workers,
 		Recent:      *recent,
 		TopK:        *topk,
 		DataDir:     *dataDir,
@@ -379,7 +377,6 @@ type coordOptions struct {
 	subs       subFlags
 	joins      joinFlags
 	shards     int
-	workers    int
 	recent     int
 	topk       int
 	dataDir    string
@@ -406,7 +403,7 @@ func runCoordinator(o coordOptions) {
 	var members []cluster.Member
 	var locals []*cluster.LocalMember
 	for i := 0; i < o.shards; i++ {
-		opts := cluster.LocalOptions{Workers: o.workers, Recent: o.recent, TopK: o.topk, SyncWrites: o.fsync}
+		opts := cluster.LocalOptions{Recent: o.recent, TopK: o.topk, SyncWrites: o.fsync}
 		if o.dataDir != "" {
 			opts.DataDir = filepath.Join(o.dataDir, fmt.Sprintf("shard-%d", i))
 		}

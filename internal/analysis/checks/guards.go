@@ -178,7 +178,7 @@ func (g *gateSet) gateType(t types.Type) bool {
 // boolean combination (&&, ||, !) of
 //
 //   - nil comparisons of gate expressions (sp != nil, e.mx == nil),
-//   - bare boolean gate expressions (rc.on, !e.costOn),
+//   - bare boolean gate expressions (m.on, !t.on),
 //   - comparisons of a gate expression against a literal
 //     (e.slowRound <= 0),
 //   - mentions of the DisableObs config flag.

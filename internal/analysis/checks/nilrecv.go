@@ -23,7 +23,7 @@ var Nilrecv = &flowvet.Analyzer{
 // helper types (registry internals, ring buffers) are exempt.
 var instrumentTypes = map[string]bool{
 	"Counter": true, "FloatCounter": true, "Gauge": true, "Histogram": true,
-	"Tracer": true, "TraceSpan": true, "Timer": true, "Span": true,
+	"Tracer": true, "TraceSpan": true, "Span": true,
 }
 
 func runNilrecv(pass *flowvet.Pass) error {

@@ -495,6 +495,58 @@ func TestClusterGlobalTopK(t *testing.T) {
 	}
 }
 
+// TestClusterInstancesIndependentOfPlacement: /instances over every
+// subscription answers one newest-first sequence whatever the member
+// count. Finalize rounds here emit more than the limit at one watermark,
+// so a shard that cut its ring to the limit in emission order before
+// sorting would answer with a prefix that depends on which subscriptions
+// it holds. Coalescing is capped at the batch size, so every member sees
+// the same rounds.
+func TestClusterInstancesIndependentOfPlacement(t *testing.T) {
+	const batch, limit = 300, 20
+	evs := clusterEvents(t, 5)
+	subs := catalogSubs()
+	var answers [][]*stream.Detection
+	for _, n := range []int{1, 3} {
+		members := make([]Member, n)
+		for i := range members {
+			lm, err := NewLocalMember(fmt.Sprintf("m%d", i), LocalOptions{Recent: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[i] = lm
+		}
+		c, err := New(Config{Members: members, Subs: subs, RetryDelay: time.Millisecond, CoalesceEvents: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		for lo := 0; lo < len(evs); lo += batch {
+			if _, err := c.Ingest(evs[lo:min(lo+batch, len(evs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		ds, _, err := c.Instances("", limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != limit {
+			t.Fatalf("%d members: %d detections, want %d", n, len(ds), limit)
+		}
+		answers = append(answers, ds)
+	}
+	for i := range limit {
+		a, b := answers[0][i], answers[1][i]
+		if a.Sub != b.Sub || a.DetectedAt != b.DetectedAt || detKey(a) != detKey(b) {
+			t.Errorf("instances[%d]: 1 member (%s, %d, %s), 3 members (%s, %d, %s)",
+				i, a.Sub, a.DetectedAt, detKey(a), b.Sub, b.DetectedAt, detKey(b))
+		}
+	}
+}
+
 // TestClusterOrderContract: the coordinator enforces the engines' batch
 // admission rules before broadcasting, so a bad batch is all-or-nothing
 // cluster-wide.

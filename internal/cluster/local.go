@@ -11,8 +11,6 @@ import (
 
 // LocalOptions parameterizes an in-process member.
 type LocalOptions struct {
-	// Workers is the member engine's per-band enumeration parallelism.
-	Workers int
 	// Recent and TopK bound the member's recent-detection ring and its
 	// per-subscription top list (defaults: NewQuerySinks).
 	Recent int
@@ -51,7 +49,7 @@ func NewLocalMember(id string, opts LocalOptions) (*LocalMember, error) {
 	// One registry per member: the engine's and store's instruments land
 	// together, and Stats ships the whole snapshot to the coordinator.
 	reg := obs.NewRegistry()
-	eng, err := stream.NewEngine(stream.Config{Workers: opts.Workers, Obs: reg},
+	eng, err := stream.NewEngine(stream.Config{Obs: reg},
 		stream.MultiSink{recent, topk})
 	if err != nil {
 		return nil, err

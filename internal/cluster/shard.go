@@ -318,13 +318,14 @@ func (s *Shard) knownSub(sub string) error {
 
 // Instances returns recent detections (sub "" = all local subscriptions),
 // newest first in the order a coordinator's gather merges them, so one
-// shard and a cluster answer alike.
+// shard and a cluster answer alike: the whole ring is sorted before the
+// cut to limit, which emission order would otherwise decide.
 func (s *Shard) Instances(sub string, limit int) (QueryResult, error) {
 	if err := s.knownSub(sub); err != nil {
 		return QueryResult{}, err
 	}
 	w, ok := s.eng.Watermark()
-	ds := mergeRecent([][]*stream.Detection{s.recent.Recent(sub, limit)}, limit)
+	ds := mergeRecent([][]*stream.Detection{s.recent.Recent(sub, 0)}, limit)
 	return QueryResult{Watermark: w, Started: ok, Detections: ds}, nil
 }
 

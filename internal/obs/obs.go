@@ -271,30 +271,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// Timer measures consecutive stages of one operation: each Stage call
-// records the time since the previous mark into the given histogram and
-// advances the mark. The zero Timer is inert.
-type Timer struct {
-	on   bool //flowmotif:obsgate
-	last time.Time
-}
-
-// StartTimer opens a stage timer.
-func StartTimer() Timer { return Timer{on: true, last: time.Now()} }
-
-// Stage records the time since the last mark into h (nil h: the duration
-// is still returned) and advances the mark.
-func (t *Timer) Stage(h *Histogram) time.Duration {
-	if t == nil || !t.on {
-		return 0
-	}
-	now := time.Now()
-	d := now.Sub(t.last)
-	t.last = now
-	h.ObserveDuration(d)
-	return d
-}
-
 // ExpBuckets returns log-scale bucket upper bounds spanning [lo, hi] with
 // perDecade bounds per factor of 10. lo and hi must be positive with
 // lo < hi and perDecade >= 1; the final bound is >= hi.

@@ -19,8 +19,6 @@ import (
 type Config struct {
 	// Subs are the motif subscriptions served by the engine.
 	Subs []stream.Subscription
-	// Workers is the per-band enumeration parallelism (<= 1 serial).
-	Workers int
 	// Recent bounds the in-memory ring of recent detections served by
 	// GET /instances, TopK the per-subscription top list served by GET
 	// /topk (defaults: cluster.NewQuerySinks).
@@ -127,7 +125,6 @@ func New(cfg Config) (*Server, error) {
 	recent, topk := cluster.NewQuerySinks(cfg.Recent, cfg.TopK)
 	eng, err := stream.NewEngine(stream.Config{
 		Subs:       cfg.Subs,
-		Workers:    cfg.Workers,
 		Obs:        reg,
 		DisableObs: cfg.DisableObs,
 		Logger:     cfg.Logger,

@@ -3,16 +3,16 @@ package stream
 // Per-subscription cost attribution (DESIGN.md §14). The shared-evaluation
 // planner deliberately blurs who pays for what: one snapshot and one
 // phase-P1 walk serve every due subscription, so a subscription's real
-// cost is invisible to per-call accounting. This file meters each finalize
-// round's actual work — snapshot build, the phase-P1 walk, every plan
-// group's phase-P2 sweep — splits the walk across shapes by the matches it
-// delivered to each and each sweep across its members by the detections
-// they received, and splits the shared stage costs back onto member
-// subscriptions proportionally to their fan-out time (equal split when the
-// weights are all zero). The attributed totals surface as SubCost and
-// GroupCostStats in Stats, as flowmotif_sub_cost_seconds_total{shape,sub}
-// and flowmotif_group_cost_seconds_total{delta,shape} counters, and feed
-// GET /debug/top.
+// cost is invisible to per-call accounting. This file takes the round
+// meter's (obs.go) readings of the snapshot build, the phase-P1 walk and
+// every plan group's phase-P2 sweep, splits the walk across shapes by the
+// matches it delivered to each and each sweep across its members by the
+// detections they received, and splits the shared stage costs back onto
+// member subscriptions proportionally to their fan-out time (equal split
+// when the weights are all zero). The attributed totals surface as
+// SubCost and GroupCostStats in Stats, as the counters
+// flowmotif_sub_cost_seconds_total{shape,sub} and
+// flowmotif_group_cost_seconds_total{delta,shape}, and feed GET /debug/top.
 
 import (
 	"math"
@@ -95,7 +95,7 @@ type groupCostState struct {
 // attachCostLocked registers the cost counters for a subscription entering
 // a plan group. The caller holds mu (or the engine is under construction).
 func (e *Engine) attachCostLocked(s *subState, g *planGroup) {
-	if !e.costOn {
+	if e.mx == nil {
 		return
 	}
 	s.cost.ctr = e.obsReg.FloatCounter("flowmotif_sub_cost_seconds_total",
@@ -108,122 +108,72 @@ func (e *Engine) attachCostLocked(s *subState, g *planGroup) {
 	}
 }
 
-// roundCost collects one finalize round's raw stage measurements; the
-// proportional split happens once at round end (applyCostLocked). It stays
-// off — zero clock reads — unless cost attribution is on.
-type roundCost struct {
-	on     bool //flowmotif:obsgate
-	t0     time.Time
-	snapNs int64 // snapshot build
-	walkNs int64 // the round's phase-P1 walk, all shapes
-	shapes []shapeCost
-	cur    *shapeCost
-}
-
-// shapeCost is one shape's part of a round: the matches the walk delivered
-// to it (its weight in the walk's time) and the per-subscription fan-outs
-// its share is split across.
+// shapeCost is one shape's part of a round: the matches the walk
+// delivered to it (its weight in the walk's time), and its members'
+// fan-out time and count.
 type shapeCost struct {
 	matches int
-	samples []costSample
+	fanNs   int64
+	members int
 }
 
-// costSample is one subscription's part of a sweep: its group, its share
-// of the walk's wall time, and the instances it received.
+// costSample is one subscription's part of a sweep: its group, its shape,
+// and its share of the sweep's wall time.
 type costSample struct {
-	g        *planGroup
-	s        *subState
-	fanoutNs int64
-	emits    int64
+	g     *planGroup
+	s     *subState
+	shape int
+	ns    int64
 }
 
-func (rc *roundCost) begin(e *Engine) {
-	if !e.costOn {
+// shape opens the next shape's account: the walk delivered it the given
+// number of matches, and the sweeps that follow replay them.
+func (m *roundMeter) shape(matches int) {
+	if m.on {
+		m.shapes = append(m.shapes, shapeCost{matches: matches})
+	}
+}
+
+// sweep closes one sweep of the current shape — group g's members subs —
+// with a clock reading, and splits its time across the members by the
+// detections each received (equally when the band emitted none), so the
+// members' samples sum to the measured sweep.
+func (m *roundMeter) sweep(g *planGroup, subs []*subState) {
+	if !m.on {
 		return
 	}
-	rc.on = true
-	rc.t0 = time.Now()
-}
-
-// now returns the current time when metering is on (zero otherwise), the
-// single branch every measurement site pays.
-func (rc *roundCost) now() time.Time {
-	if !rc.on {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (rc *roundCost) addSnap(t0 time.Time) {
-	if rc.on {
-		rc.snapNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-func (rc *roundCost) addWalk(t0 time.Time) {
-	if rc.on {
-		rc.walkNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// shape opens the account of the next shape, to which the walk delivered
-// the given number of matches; later sample calls land in it.
-func (rc *roundCost) shape(matches int) {
-	if !rc.on {
-		return
-	}
-	rc.shapes = append(rc.shapes, shapeCost{matches: matches})
-	rc.cur = &rc.shapes[len(rc.shapes)-1]
-}
-
-// sample records one sweep: a single clock read for the whole walk, split
-// across the members by the detections each received (equally when the
-// band emitted none), so the per-subscription samples applyCostLocked
-// weighs still sum to the measured fan-out time.
-func (rc *roundCost) sample(g *planGroup, subs []*subState, t0 time.Time) {
-	if !rc.on {
-		return
-	}
-	ns := time.Since(t0).Nanoseconds()
+	d := m.lap()
+	m.fanout += d
 	var emits int64
 	for _, s := range subs {
 		emits += s.bandEmits
 	}
-	g.cost.matches += int64(rc.cur.matches) // the sweep replayed the list once, whoever paid
+	i := len(m.shapes) - 1
+	sc := &m.shapes[i]
+	g.cost.matches += int64(sc.matches) // the sweep replayed the list once, whoever paid
 	for _, s := range subs {
-		share := ns / int64(len(subs))
+		ns := d.Nanoseconds() / int64(len(subs))
 		if emits > 0 {
-			share = int64(float64(ns) * float64(s.bandEmits) / float64(emits))
+			ns = int64(float64(d.Nanoseconds()) * float64(s.bandEmits) / float64(emits))
 		}
-		rc.cur.samples = append(rc.cur.samples, costSample{g: g, s: s, fanoutNs: share, emits: s.bandEmits})
+		sc.fanNs += ns
+		sc.members++
+		m.samples = append(m.samples, costSample{g: g, s: s, shape: i, ns: ns})
 	}
 }
 
-// applyCostLocked performs the round's proportional split and folds it
-// into the per-subscription, per-group, and engine accounts plus the cost
-// counters. The walk's time splits across shapes by matches delivered,
-// then each shape's share across that shape's fan-outs by fan-out time;
-// the snapshot splits across every fan-out of the round. Weights that are
-// all zero (no matches; fan-outs under the clock resolution) split
-// equally. The caller holds mu.
-func (e *Engine) applyCostLocked(rc *roundCost) {
-	if !rc.on {
-		return
-	}
-	roundNs := time.Since(rc.t0).Nanoseconds()
-	now := time.Now()
-
-	var roundFan, roundMatches int64
-	var nSamples int
-	for i := range rc.shapes {
-		roundMatches += int64(rc.shapes[i].matches)
-		for _, sm := range rc.shapes[i].samples {
-			roundFan += sm.fanoutNs
-			nSamples++
-		}
-	}
-	if nSamples == 0 {
-		return
+// applyCostLocked performs the round's proportional split over the
+// meter's readings and folds it into the per-subscription, per-group, and
+// engine accounts plus the cost counters. The walk's time splits across
+// shapes by matches delivered, then each shape's share across that
+// shape's fan-outs by fan-out time; the snapshot splits across every
+// fan-out of the round. Weights that are all zero (no matches; fan-outs
+// under the clock resolution) split equally. The caller holds mu.
+func (e *Engine) applyCostLocked(m *roundMeter, round time.Duration, now time.Time) {
+	var roundMatches, roundFan int64
+	for _, sc := range m.shapes {
+		roundMatches += int64(sc.matches)
+		roundFan += sc.fanNs
 	}
 	// weight returns one part's share of a pool of n parts weighing total.
 	weight := func(part, total int64, n int) float64 {
@@ -234,47 +184,39 @@ func (e *Engine) applyCostLocked(rc *roundCost) {
 	}
 
 	var attributed int64
-	var touched []*planGroup
-	for i := range rc.shapes {
-		sc := &rc.shapes[i]
-		matchNs := float64(rc.walkNs) * weight(int64(sc.matches), roundMatches, len(rc.shapes))
-		var shapeFan int64
-		for _, sm := range sc.samples {
-			shapeFan += sm.fanoutNs
-		}
-		for _, sm := range sc.samples {
-			matchShare := int64(matchNs * weight(sm.fanoutNs, shapeFan, len(sc.samples)))
-			snapShare := int64(float64(rc.snapNs) * weight(sm.fanoutNs, roundFan, nSamples))
-			total := sm.fanoutNs + matchShare + snapShare
+	for _, sm := range m.samples {
+		sc := &m.shapes[sm.shape]
+		matchNs := float64(m.walk) * weight(int64(sc.matches), roundMatches, len(m.shapes))
+		matchShare := int64(matchNs * weight(sm.ns, sc.fanNs, sc.members))
+		snapShare := int64(float64(m.snap) * weight(sm.ns, roundFan, len(m.samples)))
+		total := sm.ns + matchShare + snapShare
 
-			st := &sm.s.cost
-			st.attribNs += total
-			st.fanoutNs += sm.fanoutNs
-			sec := float64(total) / 1e9
-			updateCostRate(&st.rate, &st.rateAt, sec, now)
-			st.ctr.Add(sec)
+		st := &sm.s.cost
+		st.attribNs += total
+		st.fanoutNs += sm.ns
+		sec := float64(total) / 1e9
+		updateCostRate(&st.rate, &st.rateAt, sec, now)
+		st.ctr.Add(sec)
 
-			gc := &sm.g.cost
-			if gc.roundNs == 0 {
-				touched = append(touched, sm.g)
-			}
-			gc.roundNs += total
-			gc.attribNs += total
-			gc.fanoutNs += sm.fanoutNs
-			gc.matchNs += matchShare
-			gc.snapNs += snapShare
-			gc.emits += sm.emits
-			gc.ctr.Add(sec)
+		gc := &sm.g.cost
+		gc.roundNs += total
+		gc.attribNs += total
+		gc.fanoutNs += sm.ns
+		gc.matchNs += matchShare
+		gc.snapNs += snapShare
+		gc.emits += sm.s.bandEmits
+		gc.ctr.Add(sec)
 
-			attributed += total
-		}
+		attributed += total
 	}
-	for _, g := range touched {
-		updateCostRate(&g.cost.rate, &g.cost.rateAt, float64(g.cost.roundNs)/1e9, now)
-		g.cost.roundNs = 0
+	for _, g := range e.groups {
+		if g.cost.roundNs != 0 {
+			updateCostRate(&g.cost.rate, &g.cost.rateAt, float64(g.cost.roundNs)/1e9, now)
+			g.cost.roundNs = 0
+		}
 	}
 	e.attribNs += attributed
-	e.roundNs += roundNs
+	e.roundNs += round.Nanoseconds()
 	e.costRounds++
 }
 
@@ -293,7 +235,7 @@ func updateCostRate(rate *float64, at *time.Time, addSec float64, now time.Time)
 
 // costStatsLocked builds the Stats cost section. The caller holds mu.
 func (e *Engine) costStatsLocked(st *Stats) {
-	if !e.costOn {
+	if e.mx == nil {
 		return
 	}
 	st.Cost = EngineCostStats{

@@ -6,7 +6,7 @@ package stream
 // detection lag (batch arrival wall-clock → detection emit), the number a
 // latency SLO is written against. All instruments are nil-safe, so a
 // Config.DisableObs engine carries a nil *engineMetrics and pays nothing
-// (no clock reads either: roundTrace stays off).
+// (no clock reads either: roundMeter stays off).
 
 import (
 	"log/slog"
@@ -43,97 +43,94 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	}
 }
 
-// emitHist and lagHist are nil-safe accessors for the two instruments
-// observed outside finalize (emitPending runs with mu released).
-func (m *engineMetrics) emitHist() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.stageEmit
+// roundMeter times one finalize round. It reads the clock once per stage
+// boundary — round start, after the snapshot, after the walk, after each
+// sweep, round end — and those readings feed everything that times a
+// round: the stage and round histograms, the round's spans, the slow-round
+// warning, and cost attribution (applyCostLocked). It stays off — zero
+// clock reads — unless metrics, tracing, or slow-round logging want it.
+// It lives in roundScratch, so its per-shape and per-sample storage is
+// reused across rounds.
+type roundMeter struct {
+	on                 bool //flowmotif:obsgate
+	t0, last           time.Time
+	snap, walk, fanout time.Duration
+	// span is the round's real span ("finalize.round", child of the
+	// batch's root span), the parent of the planner's stage spans; nil
+	// with tracing off or no batch trace.
+	span    *obs.TraceSpan
+	tracer  *obs.Tracer
+	shapes  []shapeCost  // the round's shapes, in plan order
+	samples []costSample // the round's sweeps, member by member
 }
 
-func (m *engineMetrics) lagHist() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.detectionLag
-}
-
-// startPlanSpan opens a child span under parent (nil parent — tracing
-// off or no batch trace — returns an inert nil span). The caller holds
-// mu.
-func (e *Engine) startPlanSpan(name string, parent *obs.TraceSpan, attrs ...obs.Label) *obs.TraceSpan {
-	if parent == nil {
-		return nil
-	}
-	return e.tracer.StartSpan(name, parent.Context(), attrs...)
-}
-
-// roundTrace accumulates one finalize round's stage durations — snapshot
-// build, the phase-P1 walk, and the fan-out summed over shapes — recorded
-// once at round end. It stays off — zero clock reads — unless metrics,
-// tracing, or slow-round logging want it. With tracing on it also carries
-// the round's real span ("finalize.round", child of the batch's root
-// span), the parent of the planner's stage spans.
-type roundTrace struct {
-	on                  bool //flowmotif:obsgate
-	t0, last            time.Time
-	snap, match, fanout time.Duration
-	span                *obs.TraceSpan
-}
-
-func (t *roundTrace) begin(e *Engine) {
+func (m *roundMeter) begin(e *Engine) {
+	*m = roundMeter{shapes: m.shapes[:0], samples: m.samples[:0]}
 	if e.mx == nil && e.curSpan == nil && (e.logger == nil || e.slowRound <= 0) {
 		return
 	}
-	t.on = true
-	t.t0 = time.Now()
-	t.last = t.t0
+	m.on = true
+	m.t0 = time.Now()
+	m.last = m.t0
 	if e.curSpan != nil {
-		t.span = e.tracer.StartSpan("finalize.round", e.curSpan.Context())
+		m.tracer = e.tracer
+		m.span = e.tracer.StartSpan("finalize.round", e.curSpan.Context())
 	}
 }
 
-// mark adds the time since the previous mark to one stage accumulator.
-func (t *roundTrace) mark(d *time.Duration) {
-	if !t.on {
+// lap reads the clock and returns the time since the previous reading.
+func (m *roundMeter) lap() time.Duration {
+	if !m.on {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(m.last)
+	m.last = now
+	return d
+}
+
+// child opens a span under parent (nil parent — tracing off or no batch
+// trace — returns an inert nil span).
+func (m *roundMeter) child(name string, parent *obs.TraceSpan, attrs ...obs.Label) *obs.TraceSpan {
+	if parent == nil {
+		return nil
+	}
+	return m.tracer.StartSpan(name, parent.Context(), attrs...)
+}
+
+// end reads the clock a last time, records the round into the engine's
+// histograms (offering the round's trace as the histogram exemplar) and
+// cost accounts, closes the round span, and — when the round exceeded the
+// slow-round threshold — retains the trace in the flight recorder and
+// logs a warning whose trace ID keys the same trace as the exemplar and
+// /debug/traces. The caller holds mu.
+func (m *roundMeter) end(e *Engine, watermark int64, bands int) {
+	if !m.on {
 		return
 	}
 	now := time.Now()
-	*d += now.Sub(t.last)
-	t.last = now
-}
-
-// end records the round into the engine's histograms (offering the
-// round's trace as the histogram exemplar), closes the round span, and —
-// when the round exceeded the slow-round threshold — retains the trace
-// in the flight recorder and logs a warning whose trace ID keys the same
-// trace as the exemplar and /debug/traces. The caller holds mu.
-func (t *roundTrace) end(e *Engine, watermark int64, bands int) {
-	if !t.on {
-		return
-	}
-	total := time.Since(t.t0)
-	trace := t.span.Context().Trace
+	total := now.Sub(m.t0)
+	trace := m.span.Context().Trace
 	if mx := e.mx; mx != nil {
-		mx.stageSnapshot.ObserveDuration(t.snap)
-		mx.stageMatch.ObserveDuration(t.match)
-		mx.stageFanout.ObserveDuration(t.fanout)
+		mx.stageSnapshot.ObserveDuration(m.snap)
+		mx.stageMatch.ObserveDuration(m.walk)
+		mx.stageFanout.ObserveDuration(m.fanout)
 		mx.round.ObserveExemplar(total.Seconds(), trace)
+		e.applyCostLocked(m, total, now)
 	}
-	t.span.Annotate(
+	m.span.Annotate(
 		obs.L("watermark", strconv.FormatInt(watermark, 10)),
 		obs.L("bands", strconv.Itoa(bands)))
-	t.span.End()
+	m.span.End()
 	if e.slowRound > 0 && total > e.slowRound {
 		// Tail sampling: a slow round's trace survives ring wraparound.
 		e.tracer.Retain(trace)
 		if e.logger != nil {
 			e.logger.Warn("slow finalize round",
 				slog.Duration("total", total),
-				slog.Duration("snapshot", t.snap),
-				slog.Duration("match", t.match),
-				slog.Duration("fanout", t.fanout),
+				slog.Duration("snapshot", m.snap),
+				slog.Duration("match", m.walk),
+				slog.Duration("fanout", m.fanout),
 				slog.Int64("watermark", watermark),
 				slog.Int("bands", bands),
 				slog.Int64("retained_events", int64(e.log.Len())),

@@ -32,7 +32,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"flowmotif/internal/core"
 	"flowmotif/internal/match"
@@ -50,9 +49,11 @@ type planKey struct {
 
 // planGroup is the set of live subscriptions under one plan key, kept
 // φ-ascending (add order among equal φ) so a sweep's fan-out is a prefix
-// of it. With Workers <= 1 finalization order is deterministic: groups in
-// creation order, instances in enumeration order, and each instance's
-// detections in member order.
+// of it. Finalization order follows from it: groups in creation order,
+// shape by shape (a shape's groups together, where its first one stands);
+// each group's instances in enumeration order (the walk's match order,
+// each match's windows in anchor order); each instance's detections in
+// member order.
 type planGroup struct {
 	key  planKey
 	subs []*subState
@@ -137,6 +138,7 @@ type roundScratch struct {
 	plans   []shapePlan
 	targets []core.WalkTarget
 	phis    []float64
+	meter   roundMeter
 }
 
 // finalize enumerates, for every subscription, the anchor band of newly
@@ -195,33 +197,28 @@ func (e *Engine) finalize(terminal bool) {
 	if len(due) == 0 {
 		return
 	}
-	var tr roundTrace
-	tr.begin(e)
-	var rc roundCost
-	rc.begin(e)
+	m := &rs.meter
+	m.begin(e)
 
 	// One snapshot per round over the union extent of every due band;
 	// every group reads the same arena-backed graph through its own anchor
 	// range, and the arena recycles the previous round's buffers.
-	snapSpan := e.startPlanSpan("finalize.snapshot", tr.span)
-	ct := rc.now()
+	snapSpan := m.child("finalize.snapshot", m.span)
 	snap, err := e.log.BuildGraphArena(&e.arena, snapLo, snapHi)
 	if err != nil {
 		// Unreachable: the log only holds validated events.
 		panic(fmt.Sprintf("stream: round snapshot: %v", err))
 	}
-	rc.addSnap(ct)
 	e.snapshotBuilds++
 	if snapSpan != nil {
 		snapSpan.Annotate(obs.L("events", strconv.Itoa(snap.NumEvents())))
 	}
 	snapSpan.End()
-	tr.mark(&tr.snap)
+	m.snap = m.lap()
 
 	// Phase P1, one walk per round: every due shape's matches, band-
 	// anchored, into that shape's slab (storage recycled like the arena's).
-	matchSpan := e.startPlanSpan("finalize.match", tr.span)
-	ct = rc.now()
+	matchSpan := m.child("finalize.match", m.span)
 	for len(e.slabs) < len(plans) {
 		e.slabs = append(e.slabs, new(core.MatchSlab))
 	}
@@ -237,7 +234,6 @@ func (e *Engine) finalize(terminal bool) {
 		panic(fmt.Sprintf("stream: walk matches: %v", err))
 	}
 	e.matchRuns++
-	rc.addWalk(ct)
 	total := 0
 	for i := range plans {
 		n := e.slabs[i].Len()
@@ -248,25 +244,25 @@ func (e *Engine) finalize(terminal bool) {
 		matchSpan.Annotate(obs.L("shapes", strconv.Itoa(len(plans))), obs.L("matches", strconv.Itoa(total)))
 	}
 	matchSpan.End()
-	tr.mark(&tr.match)
+	m.walk = m.lap()
 
 	// Phase P2: every due group sweeps its shape's list over its own band.
 	for i := range plans {
 		sp := &plans[i]
 		matches := e.slabs[i].Matches()
-		rc.shape(len(matches))
+		m.shape(len(matches))
 		// One span per shape: at what δ, for how many consumers — the unit
 		// a slow round decomposes into.
 		var planSpan *obs.TraceSpan
-		if tr.span != nil {
-			planSpan = e.startPlanSpan("finalize.plan", tr.span,
+		if m.span != nil {
+			planSpan = m.child("finalize.plan", m.span,
 				obs.L("shape", sp.shape),
 				obs.L("delta", strconv.FormatInt(sp.maxDelta, 10)),
 				obs.L("subs", strconv.Itoa(sp.nsubs)),
 				obs.L("bands", strconv.Itoa(sp.bands)),
 				obs.L("matches", strconv.Itoa(len(matches))))
 		}
-		fanSpan := e.startPlanSpan("finalize.fanout", planSpan)
+		fanSpan := m.child("finalize.fanout", planSpan)
 		for _, db := range due {
 			if db.plan != i {
 				continue
@@ -278,18 +274,15 @@ func (e *Engine) finalize(terminal bool) {
 				for n < len(rest) && rest[n].emitted == rest[0].emitted {
 					n++
 				}
-				ct := rc.now()
 				e.sweepBand(snap, matches, rest[:n], db.hi, w)
-				rc.sample(db.group, rest[:n], ct)
+				m.sweep(db.group, rest[:n])
 				rest = rest[n:]
 			}
 		}
 		fanSpan.End()
 		planSpan.End()
-		tr.mark(&tr.fanout)
 	}
-	tr.end(e, w, len(due))
-	e.applyCostLocked(&rc)
+	m.end(e, w, len(due))
 }
 
 // sweepBand advances subs — due members of one plan group that share an
@@ -308,18 +301,13 @@ func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*sub
 		s.bandEmits = 0
 	}
 	e.round.phis = phis
-	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0], Workers: e.workers}
-	// With Workers > 1 the visitor runs concurrently; bandMu guards the
-	// pending list and counters (mu is held but not by the workers).
-	var bandMu sync.Mutex
+	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0]}
 	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
 		ds := buildDetections(g, in, w, subs[:admitted])
-		bandMu.Lock()
 		for i, s := range subs[:admitted] {
 			s.bandEmits++
 			e.pending = append(e.pending, &ds[i])
 		}
-		bandMu.Unlock()
 		return true
 	})
 	if err != nil {

@@ -24,8 +24,7 @@ import (
 // late joiner): the member that leaves and comes back is its smallest φ —
 // the threshold the sweep runs at — resuming from an Emitted behind its
 // group-mates, and the late joiner's bound sits ahead of theirs, so for one
-// round the group's due band holds two emitted bounds. The whole scenario
-// runs with serial and parallel workers.
+// round the group's due band holds two emitted bounds.
 func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 	evs := streamEvents(t, 21)
 	g, err := temporal.NewGraph(evs)
@@ -51,152 +50,144 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 	}
 	late := Subscription{ID: "late", Motif: tri, Delta: 500, Phi: 1}
 
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"shared", 1},
-		{"shared-parallel", 4},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			got := map[string]map[string]bool{}
-			sink := FuncSink(func(d *Detection) {
-				set := got[d.Sub]
-				if set == nil {
-					set = map[string]bool{}
-					got[d.Sub] = set
-				}
-				k := detKey(d)
-				if set[k] {
-					t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
-				}
-				set[k] = true
-			})
-			eng, err := NewEngine(Config{Subs: subs, Workers: mode.workers}, sink)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("shared", func(t *testing.T) {
+		got := map[string]map[string]bool{}
+		sink := FuncSink(func(d *Detection) {
+			set := got[d.Sub]
+			if set == nil {
+				set = map[string]bool{}
+				got[d.Sub] = set
 			}
+			k := detKey(d)
+			if set[k] {
+				t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
+			}
+			set[k] = true
+		})
+		eng, err := NewEngine(Config{Subs: subs}, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			feed := func(evs []temporal.Event, seed int64) {
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < len(evs); {
-					n := 1 + rng.Intn(50)
-					if i+n > len(evs) {
-						n = len(evs) - i
-					}
-					batch := append([]temporal.Event(nil), evs[i:i+n]...)
-					rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
-					if _, err := eng.Ingest(batch); err != nil {
-						t.Fatal(err)
-					}
-					i += n
+		feed := func(evs []temporal.Event, seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < len(evs); {
+				n := 1 + rng.Intn(50)
+				if i+n > len(evs) {
+					n = len(evs) - i
 				}
-			}
-
-			half := len(evs) / 2
-			feed(evs[:half], 7)
-			// Churn a shared-shape member: remove it, keep streaming a
-			// little, then resume it exactly where it left off (the cluster
-			// re-placement protocol, here within one engine). Its plan
-			// group must give it up and take it back without disturbing the
-			// siblings sharing the shape.
-			rem, err := eng.RemoveSubscription("tri2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rem.Sub.Delta != 500 || rem.Sub.Phi != 0 {
-				t.Fatalf("tri2 is (δ=%d, φ=%v), want its group's smallest φ", rem.Sub.Delta, rem.Sub.Phi)
-			}
-			// Stream on for a bounded stretch (< the survivors' retention
-			// horizon) so the handoff's catch-up still meets the engine's
-			// retained suffix when the subscription comes back.
-			gap := half
-			for gap < 2*len(evs)/3 && evs[gap].T-evs[half-1].T < 600 {
-				gap++
-			}
-			feed(evs[half:gap], 8)
-			err = eng.AddSubscription(rem.Sub, AddOptions{
-				Catchup: rem.Events,
-				Emitted: rem.Emitted,
-				Primed:  rem.Primed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			twoThirds := 2 * len(evs) / 3
-			feed(evs[gap:twoThirds], 9)
-			// A fresh shared-shape subscription joins unprimed: it observes
-			// only windows anchored after the join watermark.
-			wJoin, ok := eng.Watermark()
-			if !ok {
-				t.Fatal("engine not started at join time")
-			}
-			if err := eng.AddSubscription(late, AddOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range eng.Stats().Subs {
-				if s.ID == "tri3" && s.EmittedThrough >= wJoin {
-					t.Fatalf("late joiner's bound %d is not ahead of its group-mates' %d", wJoin, s.EmittedThrough)
-				}
-			}
-			feed(evs[twoThirds:], 10)
-			eng.Flush()
-
-			check := func(sub Subscription, anchorLo int64) {
-				p := core.Params{Delta: sub.Delta, Phi: sub.Phi}
-				want, err := core.CollectRange(g, sub.Motif, p, anchorLo, math.MaxInt64)
-				if err != nil {
+				batch := append([]temporal.Event(nil), evs[i:i+n]...)
+				rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+				if _, err := eng.Ingest(batch); err != nil {
 					t.Fatal(err)
 				}
-				wantKeys := map[string]bool{}
-				for _, in := range want {
-					wantKeys[batchKey(g, in)] = true
-				}
-				if len(wantKeys) == 0 {
-					t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
-				}
-				for k := range wantKeys {
-					if !got[sub.ID][k] {
-						t.Errorf("sub %s: missing %s", sub.ID, k)
-					}
-				}
-				for k := range got[sub.ID] {
-					if !wantKeys[k] {
-						t.Errorf("sub %s: spurious %s", sub.ID, k)
-					}
-				}
+				i += n
 			}
-			for _, sub := range subs {
-				check(sub, math.MinInt64)
-			}
-			check(late, wJoin+1)
+		}
 
-			st := eng.Stats()
-			// tri δ∈{200,500,900} (late joined the 500 group) + chain
-			// δ∈{200,500}: five plan groups.
-			if st.PlanGroups != 5 {
-				t.Errorf("PlanGroups = %d, want 5", st.PlanGroups)
-			}
-			if st.SnapshotBuilds == 0 {
-				t.Error("SnapshotBuilds = 0: no snapshot accounting")
-			}
-			// The whole point of the planner: one snapshot serves many
-			// bands and one match walk serves many subscriptions.
-			if st.SnapshotReuse < 2 {
-				t.Errorf("SnapshotReuse = %.2f under the shared planner, want >= 2", st.SnapshotReuse)
-			}
-			if st.MatchesShared == 0 {
-				t.Error("MatchesShared = 0: shared-shape subscriptions did not share phase P1")
-			}
-			var bands int64
-			for _, s := range st.Subs {
-				bands += s.Bands
-			}
-			if st.MatchRuns >= bands {
-				t.Errorf("MatchRuns = %d not below bands = %d: phase P1 is not shared", st.MatchRuns, bands)
-			}
+		half := len(evs) / 2
+		feed(evs[:half], 7)
+		// Churn a shared-shape member: remove it, keep streaming a
+		// little, then resume it exactly where it left off (the cluster
+		// re-placement protocol, here within one engine). Its plan
+		// group must give it up and take it back without disturbing the
+		// siblings sharing the shape.
+		rem, err := eng.RemoveSubscription("tri2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rem.Sub.Delta != 500 || rem.Sub.Phi != 0 {
+			t.Fatalf("tri2 is (δ=%d, φ=%v), want its group's smallest φ", rem.Sub.Delta, rem.Sub.Phi)
+		}
+		// Stream on for a bounded stretch (< the survivors' retention
+		// horizon) so the handoff's catch-up still meets the engine's
+		// retained suffix when the subscription comes back.
+		gap := half
+		for gap < 2*len(evs)/3 && evs[gap].T-evs[half-1].T < 600 {
+			gap++
+		}
+		feed(evs[half:gap], 8)
+		err = eng.AddSubscription(rem.Sub, AddOptions{
+			Catchup: rem.Events,
+			Emitted: rem.Emitted,
+			Primed:  rem.Primed,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoThirds := 2 * len(evs) / 3
+		feed(evs[gap:twoThirds], 9)
+		// A fresh shared-shape subscription joins unprimed: it observes
+		// only windows anchored after the join watermark.
+		wJoin, ok := eng.Watermark()
+		if !ok {
+			t.Fatal("engine not started at join time")
+		}
+		if err := eng.AddSubscription(late, AddOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range eng.Stats().Subs {
+			if s.ID == "tri3" && s.EmittedThrough >= wJoin {
+				t.Fatalf("late joiner's bound %d is not ahead of its group-mates' %d", wJoin, s.EmittedThrough)
+			}
+		}
+		feed(evs[twoThirds:], 10)
+		eng.Flush()
+
+		check := func(sub Subscription, anchorLo int64) {
+			p := core.Params{Delta: sub.Delta, Phi: sub.Phi}
+			want, err := core.CollectRange(g, sub.Motif, p, anchorLo, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKeys := map[string]bool{}
+			for _, in := range want {
+				wantKeys[batchKey(g, in)] = true
+			}
+			if len(wantKeys) == 0 {
+				t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+			}
+			for k := range wantKeys {
+				if !got[sub.ID][k] {
+					t.Errorf("sub %s: missing %s", sub.ID, k)
+				}
+			}
+			for k := range got[sub.ID] {
+				if !wantKeys[k] {
+					t.Errorf("sub %s: spurious %s", sub.ID, k)
+				}
+			}
+		}
+		for _, sub := range subs {
+			check(sub, math.MinInt64)
+		}
+		check(late, wJoin+1)
+
+		st := eng.Stats()
+		// tri δ∈{200,500,900} (late joined the 500 group) + chain
+		// δ∈{200,500}: five plan groups.
+		if st.PlanGroups != 5 {
+			t.Errorf("PlanGroups = %d, want 5", st.PlanGroups)
+		}
+		if st.SnapshotBuilds == 0 {
+			t.Error("SnapshotBuilds = 0: no snapshot accounting")
+		}
+		// The whole point of the planner: one snapshot serves many
+		// bands and one match walk serves many subscriptions.
+		if st.SnapshotReuse < 2 {
+			t.Errorf("SnapshotReuse = %.2f under the shared planner, want >= 2", st.SnapshotReuse)
+		}
+		if st.MatchesShared == 0 {
+			t.Error("MatchesShared = 0: shared-shape subscriptions did not share phase P1")
+		}
+		var bands int64
+		for _, s := range st.Subs {
+			bands += s.Bands
+		}
+		if st.MatchRuns >= bands {
+			t.Errorf("MatchRuns = %d not below bands = %d: phase P1 is not shared", st.MatchRuns, bands)
+		}
+	})
 }
 
 // TestIngestAppendFailStop is the regression for the partial-append error

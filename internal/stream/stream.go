@@ -55,16 +55,13 @@ type Subscription struct {
 type Config struct {
 	// Subs are the motif subscriptions; at least one is required.
 	Subs []Subscription
-	// Workers is the parallelism of per-band enumeration (<= 1 serial).
-	// With Workers > 1 sinks must tolerate detections out of anchor order
-	// (they are still each emitted exactly once).
-	Workers int
 	// Obs is the metrics registry the engine's stage and detection-lag
 	// histograms register into; nil creates a private registry (readable
 	// via Engine.Obs) unless DisableObs is set.
 	Obs *obs.Registry
 	// DisableObs turns engine instrumentation off entirely — no metrics, no
 	// spans, no cost attribution, and no clock reads on the ingest path
+	// unless Logger and SlowRound ask for slow-round warnings
 	// (bench/e2e's obs.stack_overhead_frac compares against this).
 	DisableObs bool
 	// Logger receives structured engine logs (currently slow-round
@@ -102,9 +99,10 @@ type Detection struct {
 // Detection that the sink may retain and whose scalar fields it may set,
 // but whose Nodes, Edges and EdgeFlows it must not write through — they
 // may be shared with detections of other subscriptions (see Detection).
-// The engine serializes Emit calls, in finalization order, outside its
-// ingestion lock: a sink may query the engine (Stats, Watermark,
-// Subscriptions) from within Emit, but must not call Ingest or Flush there
+// The engine serializes Emit calls outside its ingestion lock, in
+// finalization order (planGroup): the same batches give the same
+// sequence. A sink may query the engine (Stats, Watermark, Subscriptions)
+// from within Emit, but must not call Ingest or Flush there
 // (self-deadlock).
 type Sink interface {
 	Emit(d *Detection)
@@ -179,11 +177,10 @@ type subState struct {
 
 // Engine is the streaming motif detector.
 type Engine struct {
-	mu      sync.Mutex // guards all engine state below
-	log     *temporal.WindowLog
-	sink    Sink
-	workers int
-	subs    []*subState
+	mu   sync.Mutex // guards all engine state below
+	log  *temporal.WindowLog
+	sink Sink
+	subs []*subState
 
 	// Shared-evaluation planner state (planner.go): subscriptions grouped
 	// by (shape, δ); the arena, per-shape match slabs and round scratch
@@ -216,10 +213,9 @@ type Engine struct {
 	slowRound time.Duration  //flowmotif:obsgate
 	arrivedAt time.Time
 
-	// Cost attribution (cost.go, DESIGN.md §14). costOn gates the per-stage
-	// clock reads; attribNs/roundNs/costRounds are the engine-level
-	// attributed-vs-measured account the oracle test compares.
-	costOn     bool //flowmotif:obsgate
+	// Cost attribution (cost.go, DESIGN.md §14), on with mx:
+	// attribNs/roundNs/costRounds are the engine-level attributed-vs-
+	// measured account the oracle test compares.
 	attribNs   int64
 	roundNs    int64
 	costRounds int64
@@ -253,7 +249,6 @@ func NewEngine(cfg Config, sink Sink) (*Engine, error) {
 	e := &Engine{
 		log:       temporal.NewWindowLog(),
 		sink:      sink,
-		workers:   cfg.Workers,
 		groupIdx:  map[planKey]*planGroup{},
 		minNextT:  math.MinInt64,
 		logger:    cfg.Logger,
@@ -265,7 +260,6 @@ func NewEngine(cfg Config, sink Sink) (*Engine, error) {
 			e.obsReg = obs.NewRegistry()
 		}
 		e.mx = newEngineMetrics(e.obsReg)
-		e.costOn = true
 		e.tracer = cfg.Tracer
 		if e.tracer == nil {
 			e.tracer = obs.NewTracer(0)
@@ -505,7 +499,11 @@ func (e *Engine) emitPending() {
 		es = e.tracer.StartSpan("finalize.emit", root.Context(),
 			obs.L("detections", strconv.Itoa(len(pend))))
 	}
-	sp := e.mx.emitHist().Start()
+	var emitH, lagH *obs.Histogram
+	if e.mx != nil {
+		emitH, lagH = e.mx.stageEmit, e.mx.detectionLag
+	}
+	sp := emitH.Start()
 	if e.sink != nil {
 		for _, d := range pend {
 			e.sink.Emit(d)
@@ -515,7 +513,7 @@ func (e *Engine) emitPending() {
 	es.End()
 	n := len(pend)
 	clear(pend)
-	if lagH := e.mx.lagHist(); lagH != nil && !arrived.IsZero() {
+	if lagH != nil && !arrived.IsZero() {
 		// All of the batch's detections reach the sink in this one drain;
 		// they share the batch's arrival → emit lag. The first observation
 		// offers the batch's trace as the histogram exemplar.

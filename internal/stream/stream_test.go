@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -179,55 +181,55 @@ func TestStreamBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamParallelWorkers checks band enumeration with Workers > 1 emits
-// the same detection set.
-func TestStreamParallelWorkers(t *testing.T) {
+// TestStreamEmissionSequenceDeterministic pins the finalization-order
+// contract (Sink, planGroup): two engines fed the same batches emit the
+// same detections in the same sequence, byte for byte — across plan groups
+// of two shapes, a group of several φ thresholds, and members added in no
+// φ order.
+func TestStreamEmissionSequenceDeterministic(t *testing.T) {
 	evs := streamEvents(t, 13)
-	g, err := temporal.NewGraph(evs)
-	if err != nil {
-		t.Fatal(err)
+	tri, chain := motif.MustPath(0, 1, 2, 0), motif.MustPath(0, 1, 2)
+	subs := []Subscription{
+		{ID: "tri-hi", Motif: tri, Delta: 600, Phi: 3},
+		{ID: "chain", Motif: chain, Delta: 300, Phi: 1},
+		{ID: "tri-lo", Motif: tri, Delta: 600, Phi: 0},
+		{ID: "tri-short", Motif: tri, Delta: 200, Phi: 1},
+		{ID: "tri-mid", Motif: tri, Delta: 600, Phi: 2},
 	}
-	mo := motif.MustPath(0, 1, 2, 0)
-	p := core.Params{Delta: 600, Phi: 2}
-
-	want, err := core.Collect(g, mo, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := map[string]bool{}
-	for _, in := range want {
-		wantKeys[batchKey(g, in)] = true
-	}
-	if len(wantKeys) == 0 {
-		t.Fatal("degenerate test: no instances")
-	}
-
-	gotKeys := map[string]bool{}
-	sink := FuncSink(func(d *Detection) { gotKeys[detKey(d)] = true })
-	eng, err := NewEngine(Config{
-		Subs:    []Subscription{{Motif: mo, Delta: p.Delta, Phi: p.Phi}},
-		Workers: 4,
-	}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(evs); i += 64 {
-		end := i + 64
-		if end > len(evs) {
-			end = len(evs)
-		}
-		if _, err := eng.Ingest(evs[i:end]); err != nil {
+	run := func() ([]byte, int) {
+		var buf bytes.Buffer
+		n := 0
+		enc := json.NewEncoder(&buf)
+		eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
+			n++
+			if err := enc.Encode(d); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	eng.Flush()
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("parallel stream found %d instances, want %d", len(gotKeys), len(wantKeys))
-	}
-	for k := range wantKeys {
-		if !gotKeys[k] {
-			t.Errorf("missing %s", k)
+		for i := 0; i < len(evs); i += 64 {
+			if _, err := eng.Ingest(evs[i:min(i+64, len(evs))]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		eng.Flush()
+		return buf.Bytes(), n
+	}
+	a, n := run()
+	b, _ := run()
+	if n < 50 {
+		t.Fatalf("degenerate test: %d detections", n)
+	}
+	if !bytes.Equal(a, b) {
+		la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+		for i := range min(len(la), len(lb)) {
+			if !bytes.Equal(la[i], lb[i]) {
+				t.Fatalf("emission sequences differ at detection %d of %d:\n%s\n%s", i, n, la[i], lb[i])
+			}
+		}
+		t.Fatalf("emission sequences differ in length: %d vs %d lines", len(la), len(lb))
 	}
 }
 

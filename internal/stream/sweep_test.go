@@ -16,10 +16,10 @@ import (
 
 // runSubs streams evs through a fresh engine in 64-event batches plus a
 // final flush and returns each subscription's detections in emission order.
-func runSubs(t *testing.T, subs []Subscription, workers int, evs []temporal.Event) map[string][]*Detection {
+func runSubs(t *testing.T, subs []Subscription, evs []temporal.Event) map[string][]*Detection {
 	t.Helper()
 	got := map[string][]*Detection{}
-	eng, err := NewEngine(Config{Subs: subs, Workers: workers}, FuncSink(func(d *Detection) {
+	eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
 		got[d.Sub] = append(got[d.Sub], d)
 	}))
 	if err != nil {
@@ -64,9 +64,9 @@ func exactFlows(evs []temporal.Event) []temporal.Event {
 //   - with raw float flows, an engine holding that subscription alone (the
 //     fused core.EnumerateRange walk over the same snapshots — a whole-graph
 //     search sums the same events from another prefix base, so it may land
-//     an ulp to the other side of a tied threshold). Serial runs must agree
-//     in emission order too: the sweep moves only how subscriptions
-//     interleave, never one subscription's own sequence;
+//     an ulp to the other side of a tied threshold), in emission order too:
+//     the sweep moves only how subscriptions interleave, never one
+//     subscription's own sequence;
 //   - with exact flows, also core.CollectRange over the whole event log.
 func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 	for ci, c := range []struct {
@@ -84,7 +84,7 @@ func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 			if c.exact {
 				evs = exactFlows(evs)
 			}
-			own := func(s Subscription) []*Detection { return runSubs(t, []Subscription{s}, 1, evs)[s.ID] }
+			own := func(s Subscription) []*Detection { return runSubs(t, []Subscription{s}, evs)[s.ID] }
 			all := own(Subscription{ID: "all", Motif: c.mo, Delta: c.delta})
 			if len(all) < 20 {
 				t.Fatalf("degenerate test: %d instances at φ=0", len(all))
@@ -111,8 +111,7 @@ func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 			}
 			subs = append(subs, Subscription{ID: "rider", Motif: c.mo, Delta: c.delta / 2, Phi: phis[3]})
 
-			serial := runSubs(t, subs, 1, evs)
-			sharded := runSubs(t, subs, 4, evs)
+			swept := runSubs(t, subs, evs)
 			var g *temporal.Graph
 			if c.exact {
 				var err error
@@ -122,19 +121,15 @@ func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 			}
 			for _, s := range subs {
 				want := detKeys(own(s))
-				if got := detKeys(serial[s.ID]); !reflect.DeepEqual(got, want) {
+				got := detKeys(swept[s.ID])
+				if !reflect.DeepEqual(got, want) {
 					t.Errorf("sub %s (φ=%v): sweep emitted %d detections, its own engine %d, or in another order",
 						s.ID, s.Phi, len(got), len(want))
-				}
-				got := detKeys(sharded[s.ID])
-				sort.Strings(got)
-				sort.Strings(want)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("sub %s (φ=%v), Workers=4: sweep set (%d) != own engine's (%d)", s.ID, s.Phi, len(got), len(want))
 				}
 				if !c.exact {
 					continue
 				}
+				sort.Strings(got)
 				ins, err := core.CollectRange(g, s.Motif, core.Params{Delta: s.Delta, Phi: s.Phi}, math.MinInt64, math.MaxInt64)
 				if err != nil {
 					t.Fatal(err)
@@ -178,91 +173,87 @@ func TestSweepMixedEmittedBounds(t *testing.T) {
 	}
 	tri := motif.MustPath(0, 1, 2, 0)
 
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := map[string]map[string]bool{}
-			var subs []Subscription
-			for i, phi := range []float64{0, 1, 2.5, 4, 4} {
-				subs = append(subs, Subscription{ID: fmt.Sprintf("m%d", i), Motif: tri, Delta: delta, Phi: phi})
-			}
-			eng, err := NewEngine(Config{Subs: subs, Workers: workers}, FuncSink(func(d *Detection) {
-				if got[d.Sub] == nil {
-					got[d.Sub] = map[string]bool{}
-				}
-				if k := detKey(d); got[d.Sub][k] {
-					t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
-				} else {
-					got[d.Sub][k] = true
-				}
-			}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed := func(evs []temporal.Event) {
-				for i := 0; i < len(evs); i += 40 {
-					if _, err := eng.Ingest(evs[i:min(i+40, len(evs))]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			feed(first)
-			eng.Flush()
-
-			// Handoff from "elsewhere": anchors through t1−3δ are done.
-			behind := Subscription{ID: "behind", Motif: tri, Delta: delta, Phi: 2}
-			emitted := t1 - 3*delta
-			var catchup []temporal.Event
-			for _, ev := range first {
-				if ev.T >= emitted+1-delta {
-					catchup = append(catchup, ev)
-				}
-			}
-			if err := eng.AddSubscription(behind, AddOptions{Catchup: catchup, Emitted: emitted, Primed: true}); err != nil {
-				t.Fatal(err)
-			}
-			rem, err := eng.RemoveSubscription("m0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			through := map[string]int64{}
-			for _, s := range eng.Stats().Subs {
-				through[s.ID] = s.EmittedThrough
-			}
-			if !(emitted < through["behind"] && through["behind"] < through["m1"]) {
-				t.Fatalf("scenario lost: newcomer through %d (handed off at %d), mates through %d",
-					through["behind"], emitted, through["m1"])
-			}
-			feed(second)
-			eng.Flush()
-			for _, s := range eng.Stats().Subs {
-				if s.EmittedThrough != second[len(second)-1].T {
-					t.Errorf("sub %s finalized through %d, want the final watermark", s.ID, s.EmittedThrough)
-				}
-			}
-
-			check := func(sub Subscription, lo, hi int64) {
-				ins, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ins) == 0 {
-					t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
-				}
-				want := map[string]bool{}
-				for _, in := range ins {
-					want[batchKey(g, in)] = true
-				}
-				if !reflect.DeepEqual(got[sub.ID], want) {
-					t.Errorf("sub %s: %d detections, batch search has %d (or other ones)", sub.ID, len(got[sub.ID]), len(want))
-				}
-			}
-			check(subs[0], math.MinInt64, rem.Emitted)
-			for _, s := range subs[1:] {
-				check(s, math.MinInt64, math.MaxInt64)
-			}
-			check(behind, emitted+1, math.MaxInt64)
-		})
+	got := map[string]map[string]bool{}
+	var subs []Subscription
+	for i, phi := range []float64{0, 1, 2.5, 4, 4} {
+		subs = append(subs, Subscription{ID: fmt.Sprintf("m%d", i), Motif: tri, Delta: delta, Phi: phi})
 	}
+	eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
+		if got[d.Sub] == nil {
+			got[d.Sub] = map[string]bool{}
+		}
+		if k := detKey(d); got[d.Sub][k] {
+			t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
+		} else {
+			got[d.Sub][k] = true
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(evs []temporal.Event) {
+		for i := 0; i < len(evs); i += 40 {
+			if _, err := eng.Ingest(evs[i:min(i+40, len(evs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(first)
+	eng.Flush()
+
+	// Handoff from "elsewhere": anchors through t1−3δ are done.
+	behind := Subscription{ID: "behind", Motif: tri, Delta: delta, Phi: 2}
+	emitted := t1 - 3*delta
+	var catchup []temporal.Event
+	for _, ev := range first {
+		if ev.T >= emitted+1-delta {
+			catchup = append(catchup, ev)
+		}
+	}
+	if err := eng.AddSubscription(behind, AddOptions{Catchup: catchup, Emitted: emitted, Primed: true}); err != nil {
+		t.Fatal(err)
+	}
+	rem, err := eng.RemoveSubscription("m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	through := map[string]int64{}
+	for _, s := range eng.Stats().Subs {
+		through[s.ID] = s.EmittedThrough
+	}
+	if !(emitted < through["behind"] && through["behind"] < through["m1"]) {
+		t.Fatalf("scenario lost: newcomer through %d (handed off at %d), mates through %d",
+			through["behind"], emitted, through["m1"])
+	}
+	feed(second)
+	eng.Flush()
+	for _, s := range eng.Stats().Subs {
+		if s.EmittedThrough != second[len(second)-1].T {
+			t.Errorf("sub %s finalized through %d, want the final watermark", s.ID, s.EmittedThrough)
+		}
+	}
+
+	check := func(sub Subscription, lo, hi int64) {
+		ins, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ins) == 0 {
+			t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+		}
+		want := map[string]bool{}
+		for _, in := range ins {
+			want[batchKey(g, in)] = true
+		}
+		if !reflect.DeepEqual(got[sub.ID], want) {
+			t.Errorf("sub %s: %d detections, batch search has %d (or other ones)", sub.ID, len(got[sub.ID]), len(want))
+		}
+	}
+	check(subs[0], math.MinInt64, rem.Emitted)
+	for _, s := range subs[1:] {
+		check(s, math.MinInt64, math.MaxInt64)
+	}
+	check(behind, emitted+1, math.MaxInt64)
 }
 
 // cloneDetection builds a private deep copy sharing no memory with d.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,8 +15,8 @@ import (
 // the trie of all ten catalog shapes, with same-shape subscriptions at other
 // (δ, φ) widening some trie nodes' δ and anchor hull beyond what their
 // neighbours need, and a subscription that joins mid-stream. Every
-// subscription must detect exactly the batch instance set, serial and
-// sharded, and the walk must have run once per snapshot built.
+// subscription must detect exactly the batch instance set, and the walk
+// must have run once per snapshot built.
 func TestLongStreamOneWalkPerRound(t *testing.T) {
 	evs := exactFlows(streamEvents(t, 11))
 	g, err := temporal.NewGraph(evs)
@@ -37,76 +36,72 @@ func TestLongStreamOneWalkPerRound(t *testing.T) {
 	)
 	late := Subscription{ID: "late", Motif: catalog[4], Delta: 200, Phi: 1}
 
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := map[string]map[string]bool{}
-			eng, err := NewEngine(Config{Subs: subs, Workers: workers}, FuncSink(func(d *Detection) {
-				if got[d.Sub] == nil {
-					got[d.Sub] = map[string]bool{}
-				}
-				k := detKey(d)
-				if got[d.Sub][k] {
-					t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
-				}
-				got[d.Sub][k] = true
-			}))
-			if err != nil {
+	got := map[string]map[string]bool{}
+	eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
+		if got[d.Sub] == nil {
+			got[d.Sub] = map[string]bool{}
+		}
+		k := detKey(d)
+		if got[d.Sub][k] {
+			t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
+		}
+		got[d.Sub][k] = true
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var wJoin int64
+	for i, joined := 0, false; i < len(evs); {
+		if !joined && i >= len(evs)/2 {
+			wJoin, _ = eng.Watermark()
+			if err := eng.AddSubscription(late, AddOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(5))
-			var wJoin int64
-			for i, joined := 0, false; i < len(evs); {
-				if !joined && i >= len(evs)/2 {
-					wJoin, _ = eng.Watermark()
-					if err := eng.AddSubscription(late, AddOptions{}); err != nil {
-						t.Fatal(err)
-					}
-					joined = true
-				}
-				n := min(1+rng.Intn(8), len(evs)-i)
-				if _, err := eng.Ingest(evs[i : i+n]); err != nil {
-					t.Fatal(err)
-				}
-				i += n
-			}
-			eng.Flush()
+			joined = true
+		}
+		n := min(1+rng.Intn(8), len(evs)-i)
+		if _, err := eng.Ingest(evs[i : i+n]); err != nil {
+			t.Fatal(err)
+		}
+		i += n
+	}
+	eng.Flush()
 
-			check := func(sub Subscription, anchorLo int64) {
-				want, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 {
-					t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
-				}
-				wantKeys := map[string]bool{}
-				for _, in := range want {
-					wantKeys[batchKey(g, in)] = true
-				}
-				for k := range wantKeys {
-					if !got[sub.ID][k] {
-						t.Errorf("sub %s: missing %s", sub.ID, k)
-					}
-				}
-				for k := range got[sub.ID] {
-					if !wantKeys[k] {
-						t.Errorf("sub %s: spurious %s", sub.ID, k)
-					}
-				}
+	check := func(sub Subscription, anchorLo int64) {
+		want, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+		}
+		wantKeys := map[string]bool{}
+		for _, in := range want {
+			wantKeys[batchKey(g, in)] = true
+		}
+		for k := range wantKeys {
+			if !got[sub.ID][k] {
+				t.Errorf("sub %s: missing %s", sub.ID, k)
 			}
-			for _, sub := range subs {
-				check(sub, math.MinInt64)
+		}
+		for k := range got[sub.ID] {
+			if !wantKeys[k] {
+				t.Errorf("sub %s: spurious %s", sub.ID, k)
 			}
-			check(late, wJoin+1)
+		}
+	}
+	for _, sub := range subs {
+		check(sub, math.MinInt64)
+	}
+	check(late, wJoin+1)
 
-			st := eng.Stats()
-			if st.MatchRuns < 200 {
-				t.Errorf("only %d finalize rounds: not a long stream", st.MatchRuns)
-			}
-			if st.MatchRuns != st.SnapshotBuilds {
-				t.Errorf("MatchRuns = %d, SnapshotBuilds = %d: want one walk per round", st.MatchRuns, st.SnapshotBuilds)
-			}
-		})
+	st := eng.Stats()
+	if st.MatchRuns < 200 {
+		t.Errorf("only %d finalize rounds: not a long stream", st.MatchRuns)
+	}
+	if st.MatchRuns != st.SnapshotBuilds {
+		t.Errorf("MatchRuns = %d, SnapshotBuilds = %d: want one walk per round", st.MatchRuns, st.SnapshotBuilds)
 	}
 }
 
