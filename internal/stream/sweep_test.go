@@ -173,87 +173,91 @@ func TestSweepMixedEmittedBounds(t *testing.T) {
 	}
 	tri := motif.MustPath(0, 1, 2, 0)
 
-	got := map[string]map[string]bool{}
-	var subs []Subscription
-	for i, phi := range []float64{0, 1, 2.5, 4, 4} {
-		subs = append(subs, Subscription{ID: fmt.Sprintf("m%d", i), Motif: tri, Delta: delta, Phi: phi})
-	}
-	eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
-		if got[d.Sub] == nil {
-			got[d.Sub] = map[string]bool{}
+	// The engine finalizes on one goroutine; the subtest keeps the name the
+	// serial run has always been reported under.
+	t.Run("workers=1", func(t *testing.T) {
+		got := map[string]map[string]bool{}
+		var subs []Subscription
+		for i, phi := range []float64{0, 1, 2.5, 4, 4} {
+			subs = append(subs, Subscription{ID: fmt.Sprintf("m%d", i), Motif: tri, Delta: delta, Phi: phi})
 		}
-		if k := detKey(d); got[d.Sub][k] {
-			t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
-		} else {
-			got[d.Sub][k] = true
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(evs []temporal.Event) {
-		for i := 0; i < len(evs); i += 40 {
-			if _, err := eng.Ingest(evs[i:min(i+40, len(evs))]); err != nil {
-				t.Fatal(err)
+		eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
+			if got[d.Sub] == nil {
+				got[d.Sub] = map[string]bool{}
 			}
-		}
-	}
-	feed(first)
-	eng.Flush()
-
-	// Handoff from "elsewhere": anchors through t1−3δ are done.
-	behind := Subscription{ID: "behind", Motif: tri, Delta: delta, Phi: 2}
-	emitted := t1 - 3*delta
-	var catchup []temporal.Event
-	for _, ev := range first {
-		if ev.T >= emitted+1-delta {
-			catchup = append(catchup, ev)
-		}
-	}
-	if err := eng.AddSubscription(behind, AddOptions{Catchup: catchup, Emitted: emitted, Primed: true}); err != nil {
-		t.Fatal(err)
-	}
-	rem, err := eng.RemoveSubscription("m0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	through := map[string]int64{}
-	for _, s := range eng.Stats().Subs {
-		through[s.ID] = s.EmittedThrough
-	}
-	if !(emitted < through["behind"] && through["behind"] < through["m1"]) {
-		t.Fatalf("scenario lost: newcomer through %d (handed off at %d), mates through %d",
-			through["behind"], emitted, through["m1"])
-	}
-	feed(second)
-	eng.Flush()
-	for _, s := range eng.Stats().Subs {
-		if s.EmittedThrough != second[len(second)-1].T {
-			t.Errorf("sub %s finalized through %d, want the final watermark", s.ID, s.EmittedThrough)
-		}
-	}
-
-	check := func(sub Subscription, lo, hi int64) {
-		ins, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
+			if k := detKey(d); got[d.Sub][k] {
+				t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
+			} else {
+				got[d.Sub][k] = true
+			}
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ins) == 0 {
-			t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+		feed := func(evs []temporal.Event) {
+			for i := 0; i < len(evs); i += 40 {
+				if _, err := eng.Ingest(evs[i:min(i+40, len(evs))]); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		want := map[string]bool{}
-		for _, in := range ins {
-			want[batchKey(g, in)] = true
+		feed(first)
+		eng.Flush()
+
+		// Handoff from "elsewhere": anchors through t1−3δ are done.
+		behind := Subscription{ID: "behind", Motif: tri, Delta: delta, Phi: 2}
+		emitted := t1 - 3*delta
+		var catchup []temporal.Event
+		for _, ev := range first {
+			if ev.T >= emitted+1-delta {
+				catchup = append(catchup, ev)
+			}
 		}
-		if !reflect.DeepEqual(got[sub.ID], want) {
-			t.Errorf("sub %s: %d detections, batch search has %d (or other ones)", sub.ID, len(got[sub.ID]), len(want))
+		if err := eng.AddSubscription(behind, AddOptions{Catchup: catchup, Emitted: emitted, Primed: true}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	check(subs[0], math.MinInt64, rem.Emitted)
-	for _, s := range subs[1:] {
-		check(s, math.MinInt64, math.MaxInt64)
-	}
-	check(behind, emitted+1, math.MaxInt64)
+		rem, err := eng.RemoveSubscription("m0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		through := map[string]int64{}
+		for _, s := range eng.Stats().Subs {
+			through[s.ID] = s.EmittedThrough
+		}
+		if !(emitted < through["behind"] && through["behind"] < through["m1"]) {
+			t.Fatalf("scenario lost: newcomer through %d (handed off at %d), mates through %d",
+				through["behind"], emitted, through["m1"])
+		}
+		feed(second)
+		eng.Flush()
+		for _, s := range eng.Stats().Subs {
+			if s.EmittedThrough != second[len(second)-1].T {
+				t.Errorf("sub %s finalized through %d, want the final watermark", s.ID, s.EmittedThrough)
+			}
+		}
+
+		check := func(sub Subscription, lo, hi int64) {
+			ins, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ins) == 0 {
+				t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+			}
+			want := map[string]bool{}
+			for _, in := range ins {
+				want[batchKey(g, in)] = true
+			}
+			if !reflect.DeepEqual(got[sub.ID], want) {
+				t.Errorf("sub %s: %d detections, batch search has %d (or other ones)", sub.ID, len(got[sub.ID]), len(want))
+			}
+		}
+		check(subs[0], math.MinInt64, rem.Emitted)
+		for _, s := range subs[1:] {
+			check(s, math.MinInt64, math.MaxInt64)
+		}
+		check(behind, emitted+1, math.MaxInt64)
+	})
 }
 
 // cloneDetection builds a private deep copy sharing no memory with d.

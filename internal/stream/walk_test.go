@@ -36,73 +36,77 @@ func TestLongStreamOneWalkPerRound(t *testing.T) {
 	)
 	late := Subscription{ID: "late", Motif: catalog[4], Delta: 200, Phi: 1}
 
-	got := map[string]map[string]bool{}
-	eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
-		if got[d.Sub] == nil {
-			got[d.Sub] = map[string]bool{}
-		}
-		k := detKey(d)
-		if got[d.Sub][k] {
-			t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
-		}
-		got[d.Sub][k] = true
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	var wJoin int64
-	for i, joined := 0, false; i < len(evs); {
-		if !joined && i >= len(evs)/2 {
-			wJoin, _ = eng.Watermark()
-			if err := eng.AddSubscription(late, AddOptions{}); err != nil {
-				t.Fatal(err)
+	// The engine finalizes on one goroutine; the subtest keeps the name the
+	// serial run has always been reported under.
+	t.Run("workers=1", func(t *testing.T) {
+		got := map[string]map[string]bool{}
+		eng, err := NewEngine(Config{Subs: subs}, FuncSink(func(d *Detection) {
+			if got[d.Sub] == nil {
+				got[d.Sub] = map[string]bool{}
 			}
-			joined = true
-		}
-		n := min(1+rng.Intn(8), len(evs)-i)
-		if _, err := eng.Ingest(evs[i : i+n]); err != nil {
-			t.Fatal(err)
-		}
-		i += n
-	}
-	eng.Flush()
-
-	check := func(sub Subscription, anchorLo int64) {
-		want, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
+			k := detKey(d)
+			if got[d.Sub][k] {
+				t.Errorf("sub %s: duplicate detection %s", d.Sub, k)
+			}
+			got[d.Sub][k] = true
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want) == 0 {
-			t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
-		}
-		wantKeys := map[string]bool{}
-		for _, in := range want {
-			wantKeys[batchKey(g, in)] = true
-		}
-		for k := range wantKeys {
-			if !got[sub.ID][k] {
-				t.Errorf("sub %s: missing %s", sub.ID, k)
+		rng := rand.New(rand.NewSource(5))
+		var wJoin int64
+		for i, joined := 0, false; i < len(evs); {
+			if !joined && i >= len(evs)/2 {
+				wJoin, _ = eng.Watermark()
+				if err := eng.AddSubscription(late, AddOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				joined = true
 			}
-		}
-		for k := range got[sub.ID] {
-			if !wantKeys[k] {
-				t.Errorf("sub %s: spurious %s", sub.ID, k)
+			n := min(1+rng.Intn(8), len(evs)-i)
+			if _, err := eng.Ingest(evs[i : i+n]); err != nil {
+				t.Fatal(err)
 			}
+			i += n
 		}
-	}
-	for _, sub := range subs {
-		check(sub, math.MinInt64)
-	}
-	check(late, wJoin+1)
+		eng.Flush()
 
-	st := eng.Stats()
-	if st.MatchRuns < 200 {
-		t.Errorf("only %d finalize rounds: not a long stream", st.MatchRuns)
-	}
-	if st.MatchRuns != st.SnapshotBuilds {
-		t.Errorf("MatchRuns = %d, SnapshotBuilds = %d: want one walk per round", st.MatchRuns, st.SnapshotBuilds)
-	}
+		check := func(sub Subscription, anchorLo int64) {
+			want, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("degenerate test: no batch instances for %s", sub.ID)
+			}
+			wantKeys := map[string]bool{}
+			for _, in := range want {
+				wantKeys[batchKey(g, in)] = true
+			}
+			for k := range wantKeys {
+				if !got[sub.ID][k] {
+					t.Errorf("sub %s: missing %s", sub.ID, k)
+				}
+			}
+			for k := range got[sub.ID] {
+				if !wantKeys[k] {
+					t.Errorf("sub %s: spurious %s", sub.ID, k)
+				}
+			}
+		}
+		for _, sub := range subs {
+			check(sub, math.MinInt64)
+		}
+		check(late, wJoin+1)
+
+		st := eng.Stats()
+		if st.MatchRuns < 200 {
+			t.Errorf("only %d finalize rounds: not a long stream", st.MatchRuns)
+		}
+		if st.MatchRuns != st.SnapshotBuilds {
+			t.Errorf("MatchRuns = %d, SnapshotBuilds = %d: want one walk per round", st.MatchRuns, st.SnapshotBuilds)
+		}
+	})
 }
 
 // TestEngineAtTimelineEnds: a triangle whose window reaches past either end
