@@ -3,8 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -59,8 +59,7 @@ type memberState struct {
 	ackedSeq int64 // newest replication-log entry applied and acked
 	ackedW   int64 // member watermark at that ack
 	failed   bool  // replicator gave up; awaiting failover reap
-	failErr  error
-	stopped  bool // replicator told to exit (removed / reaped / closed)
+	stopped  bool  // replicator told to exit (removed / reaped / closed)
 	done     chan struct{}
 }
 
@@ -89,7 +88,7 @@ type Coordinator struct {
 	members  map[string]*memberState
 	subs     map[string]stream.Subscription
 	owner    map[string]string // subID -> memberID
-	unplaced map[string]bool   // subs that lost their member with no survivor
+	unplaced map[string]bool   // subs with no member: lost, rejected or in flight
 
 	// placeKey maps subID -> group-aware rendezvous key (the motif shape,
 	// see GroupKey): same-shape subscriptions hash identically and so
@@ -121,8 +120,9 @@ type Coordinator struct {
 }
 
 // New builds a coordinator over the given members and places the
-// subscriptions by rendezvous hashing. Member failures during construction
-// are fatal (there is nothing to fail over from yet).
+// subscriptions by rendezvous hashing. A member lost or a subscription
+// rejected during construction is fatal (there is nothing to fail over
+// from yet).
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("cluster: at least one member required")
@@ -165,12 +165,7 @@ func New(cfg Config) (*Coordinator, error) {
 		if _, dup := c.members[m.ID()]; dup {
 			return nil, fmt.Errorf("cluster: duplicate member id %q", m.ID())
 		}
-		c.members[m.ID()] = &memberState{
-			m:      m,
-			subs:   map[string]bool{},
-			ackedW: math.MinInt64,
-			done:   make(chan struct{}),
-		}
+		c.registerLocked(m.ID(), m)
 	}
 	for i, sub := range cfg.Subs {
 		if sub.Motif == nil {
@@ -188,15 +183,12 @@ func New(cfg Config) (*Coordinator, error) {
 			c.maxDelta = sub.Delta
 		}
 	}
-	ids := c.memberIDsLocked()
-	for _, subID := range sortedKeys(c.subs) {
-		target := rendezvousOwner(c.groupKeyOf(subID), ids)
-		h := Handoff{Sub: SpecOf(c.subs[subID])}
-		if err := c.members[target].m.AddSubscription(h); err != nil {
-			return nil, fmt.Errorf("cluster: placing %q on %q: %w", subID, target, err)
-		}
-		c.members[target].subs[subID] = true
-		c.owner[subID] = target
+	if err := c.placeLocked(""); err != nil {
+		return nil, err
+	}
+	if len(c.members) < len(cfg.Members) {
+		return nil, fmt.Errorf("%w: %d of %d members lost during the initial placement",
+			ErrMemberDown, len(cfg.Members)-len(c.members), len(cfg.Members))
 	}
 	for _, ms := range c.members {
 		go c.replicate(ms)
@@ -204,29 +196,13 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-func (c *Coordinator) memberIDsLocked() []string {
-	return sortedKeys(c.members)
-}
-
-// groupKeyOf resolves a subscription to its group-aware rendezvous key
-// (placeKey is immutable after New; safe without mu).
-func (c *Coordinator) groupKeyOf(subID string) string {
-	if k, ok := c.placeKey[subID]; ok {
-		return k
-	}
-	return subID
-}
-
 // retry calls fn up to 1+retries times while it keeps failing with
 // ErrMemberDown; any other outcome returns immediately. Only *idempotent*
 // member calls may be retried: queries, stats, Flush (a second flush at
 // the same watermark is a no-op), and — since batches became seq-tagged —
-// replicated ingest (deliver, in replication.go). The handoff calls remain
-// deliberately single-attempt: a member may have applied AddSubscription
-// before the ack was lost, and resending would be rejected as a
-// duplicate, so a transport failure marks the member down instead;
-// failover regeneration from history is safe regardless of whether the
-// lost call was applied.
+// replicated ingest (deliver, in replication.go). The handoff calls are
+// single-attempt: a member may have applied one before its ack was lost,
+// so a transport failure fails the member over instead (placeLocked).
 func (c *Coordinator) retry(fn func() error) error {
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -359,7 +335,7 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 		c.mu.Unlock()
 		return IngestAck{}, errors.Join(ErrNoMembers, reapErr)
 	}
-	ids := c.memberIDsLocked()
+	ids := sortedKeys(c.members)
 	states := make([]*memberState, 0, len(ids))
 	for _, id := range ids {
 		states = append(states, c.members[id])
@@ -396,7 +372,7 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 	}
 	agg.Watermark = wm
 	if len(failed) > 0 {
-		if err := c.failLocked(failed); err != nil {
+		if err := c.reapFailedLocked(failed...); err != nil {
 			return agg, errors.Join(err, reapErr)
 		}
 		// The re-placed subscriptions were regenerated on members that had
@@ -414,313 +390,6 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 		}
 	}
 	return agg, reapErr
-}
-
-// failLocked marks members down and re-places their subscriptions onto
-// survivors, regenerating each from the history of the coordinator's log.
-// The caller holds ingestMu. Cascading failures (a re-placement target
-// dying mid-handoff) feed back into the queue until every subscription is
-// placed or no member remains; a subscription whose re-placement is
-// rejected semantically stays parked as unplaced (adopted by the next
-// AddMember) and is reported in the returned error without aborting the
-// rest of the queue.
-func (c *Coordinator) failLocked(ids []string) error {
-	var errs []error
-	var catchup []temporal.Event // built once, shared read-only by every orphan
-	queue := append([]string(nil), ids...)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		c.mu.Lock()
-		ms, ok := c.members[id]
-		if !ok {
-			c.mu.Unlock()
-			continue
-		}
-		delete(c.members, id)
-		if ms.failed {
-			c.failedCount--
-		}
-		ms.stopped = true
-		c.downs++
-		// The departed member no longer gates log trimming or backpressure.
-		c.trimLogLocked()
-		c.cond.Broadcast()
-		orphans := sortedKeys(ms.subs)
-		// Unown the orphans immediately: until re-placement succeeds they
-		// are unplaced, never owner entries pointing at a deleted member
-		// (queries for them fail cleanly instead of dereferencing it).
-		for _, subID := range orphans {
-			delete(c.owner, subID)
-			c.unplaced[subID] = true
-		}
-		survivors := c.memberIDsLocked()
-		if catchup == nil && len(orphans) > 0 {
-			catchup = c.log.catchup()
-		}
-		c.mu.Unlock()
-		// Index loop: a target dying mid-handoff re-queues the subscription
-		// by appending to orphans, which a range clause would never visit.
-		for i := 0; i < len(orphans); i++ {
-			subID := orphans[i]
-			target, err := c.replaceLocked(subID, survivors, catchup)
-			if err != nil {
-				if target != "" {
-					// The chosen target died mid-handoff: fail it too and
-					// retry this subscription against the rest.
-					queue = append(queue, target)
-					orphans = append(orphans, subID)
-					c.mu.Lock()
-					survivors = slices.DeleteFunc(c.memberIDsLocked(), func(s string) bool { return s == target })
-					c.mu.Unlock()
-					continue
-				}
-				// Semantic rejection: the subscription stays unplaced
-				// (replaceLocked parked it); keep draining the queue.
-				errs = append(errs, err)
-			}
-		}
-	}
-	c.mu.Lock()
-	if len(c.members) == 0 && len(c.subs) > 0 {
-		errs = append(errs, fmt.Errorf("%w: %d subscriptions unplaced", ErrNoMembers, len(c.unplaced)))
-	}
-	c.mu.Unlock()
-	return errors.Join(errs...)
-}
-
-// replaceLocked re-creates one subscription (whose previous member is
-// gone) on a survivor, regenerated from catchup — the coordinator's
-// history, flattened once per pass by the caller (the member copies or
-// marshals it, so one slice serves every orphan). It returns the chosen
-// target with a non-nil error when the target itself failed, so the
-// caller can cascade; on a semantic rejection the subscription stays
-// parked as unplaced (a later AddMember adopts it) rather than being
-// dropped. The caller holds ingestMu.
-func (c *Coordinator) replaceLocked(subID string, survivors []string, catchup []temporal.Event) (string, error) {
-	c.mu.Lock()
-	sub, ok := c.subs[subID]
-	if !ok {
-		c.mu.Unlock()
-		return "", fmt.Errorf("%w: %q", ErrUnknownSub, subID)
-	}
-	delete(c.owner, subID)
-	c.unplaced[subID] = true
-	target := rendezvousOwner(c.groupKeyOf(subID), survivors)
-	if target == "" {
-		c.mu.Unlock()
-		return "", nil
-	}
-	h := Handoff{Sub: SpecOf(sub)}
-	if len(catchup) > 0 {
-		h.Primed = true
-		h.Emitted = temporal.SatSub(catchup[0].T, 1)
-		h.Catchup = catchup
-	}
-	tm := c.members[target]
-	c.mu.Unlock()
-	// Single attempt: AddSubscription is not idempotent (a resend after a
-	// lost ack would be rejected as a duplicate).
-	if err := tm.m.AddSubscription(h); err != nil {
-		if errors.Is(err, ErrMemberDown) {
-			return target, err
-		}
-		return "", fmt.Errorf("cluster: re-placing %q on %q: %w", subID, target, err)
-	}
-	c.mu.Lock()
-	tm.subs[subID] = true
-	c.owner[subID] = target
-	delete(c.unplaced, subID)
-	c.moves++
-	c.mu.Unlock()
-	return target, nil
-}
-
-// FailMember marks a member down immediately (without waiting for its
-// replicator to give up) and re-places its subscriptions. The member's
-// already-reported detections are regenerated on the survivors from the
-// coordinator's history. Survivors are drained to the log head first so
-// the regenerated handoffs carry the complete stream.
-func (c *Coordinator) FailMember(id string) error {
-	c.ingestMu.Lock()
-	defer c.ingestMu.Unlock()
-	c.mu.Lock()
-	_, ok := c.members[id]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: unknown member %q", id)
-	}
-	// The drain barrier excludes members whose replicators failed along
-	// the way; they are reaped together with the explicit target.
-	return c.reapFailedLocked(id)
-}
-
-// AddMember registers a new member and rebalances: rendezvous hashing
-// moves exactly the subscriptions the new member now wins, each handed off
-// live (finalization bound + catch-up events + sink state) from its
-// current owner. Ingest is quiesced for the duration.
-func (c *Coordinator) AddMember(m Member) error {
-	// Resolve the ID once before taking any lock: Member is the RPC
-	// surface, so for a remote member ID() may leave the process.
-	id := m.ID()
-	c.ingestMu.Lock()
-	defer c.ingestMu.Unlock()
-	c.mu.Lock()
-	if _, dup := c.members[id]; dup || id == "" {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: member id %q empty or already registered", id)
-	}
-	c.mu.Unlock()
-	// Quiesce the pipeline: survivors at the log head, failed members
-	// reaped, history complete. Reap errors (e.g. the last old member died
-	// leaving subscriptions unplaced) are deliberately not fatal — the
-	// member being added is about to adopt the orphans.
-	_ = c.reapFailedLocked()
-	c.mu.Lock()
-	ms := &memberState{
-		m:        m,
-		subs:     map[string]bool{},
-		ackedSeq: c.log.head(), // joins at the head; history arrives via handoffs
-		ackedW:   math.MinInt64,
-		done:     make(chan struct{}),
-	}
-	c.members[id] = ms
-	ids := c.memberIDsLocked()
-	subIDs := sortedKeys(c.subs)
-	c.mu.Unlock()
-	go c.replicate(ms)
-
-	// Give previously unplaced subscriptions (a total-failure remnant) a
-	// home first: they regenerate from history.
-	c.mu.Lock()
-	orphans := sortedKeys(c.unplaced)
-	var catchup []temporal.Event
-	if len(orphans) > 0 {
-		catchup = c.log.catchup()
-	}
-	c.mu.Unlock()
-	for _, subID := range orphans {
-		if _, err := c.replaceLocked(subID, ids, catchup); err != nil {
-			return err
-		}
-	}
-
-	for _, subID := range subIDs {
-		c.mu.Lock()
-		from, placed := c.owner[subID]
-		c.mu.Unlock()
-		if !placed {
-			continue
-		}
-		target := rendezvousOwner(c.groupKeyOf(subID), ids)
-		if target == from {
-			continue
-		}
-		if err := c.moveLocked(subID, from, target); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RemoveMember drains a member gracefully: every subscription it owns is
-// handed off live to its rendezvous owner among the remaining members,
-// then the member is deregistered (the caller keeps the Member object and
-// may close it). Removing the last member while subscriptions exist is
-// refused.
-func (c *Coordinator) RemoveMember(id string) error {
-	c.ingestMu.Lock()
-	defer c.ingestMu.Unlock()
-	// Quiesce: the departing member and every survivor must have applied
-	// the full log before handoffs move live subscription state between
-	// them. Members that failed during the drain are reaped first (the
-	// drain target itself may be among them, turning the graceful drain
-	// into a failover — the correct degradation).
-	if err := c.reapFailedLocked(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	ms, ok := c.members[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: unknown member %q", id)
-	}
-	if len(c.members) == 1 && len(c.subs) > 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: cannot drain the last member (%d subscriptions placed)", len(c.subs))
-	}
-	owned := sortedKeys(ms.subs)
-	rest := slices.DeleteFunc(c.memberIDsLocked(), func(s string) bool { return s == id })
-	c.mu.Unlock()
-	for _, subID := range owned {
-		target := rendezvousOwner(c.groupKeyOf(subID), rest)
-		if err := c.moveLocked(subID, id, target); err != nil {
-			return err
-		}
-	}
-	c.mu.Lock()
-	if ms, ok := c.members[id]; ok {
-		delete(c.members, id)
-		ms.stopped = true
-		c.trimLogLocked()
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// moveLocked hands one subscription off between two live members. If the
-// source turns out to be dead, the move degrades to a history-regenerated
-// re-placement (failover semantics); if the installation on the target
-// fails, the handoff is restored to the source, and when even that is
-// impossible the subscription is parked as unplaced (adopted by the next
-// AddMember) rather than dropped. The caller holds ingestMu. Handoff
-// calls are single-attempt — neither RemoveSubscription nor
-// AddSubscription is idempotent under a lost ack.
-func (c *Coordinator) moveLocked(subID, from, to string) error {
-	c.mu.Lock()
-	src, okFrom := c.members[from]
-	dst, okTo := c.members[to]
-	c.mu.Unlock()
-	if !okFrom || !okTo {
-		return fmt.Errorf("cluster: move %q: member missing (%s -> %s)", subID, from, to)
-	}
-	h, err := src.m.RemoveSubscription(subID)
-	if errors.Is(err, ErrMemberDown) {
-		return c.failLocked([]string{from})
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: move %q off %q: %w", subID, from, err)
-	}
-	c.mu.Lock()
-	delete(src.subs, subID)
-	delete(c.owner, subID)
-	c.unplaced[subID] = true // in flight; cleared on successful install
-	c.mu.Unlock()
-	place := func(ms *memberState, id string) bool {
-		if err := ms.m.AddSubscription(h); err != nil {
-			return false
-		}
-		c.mu.Lock()
-		ms.subs[subID] = true
-		c.owner[subID] = id
-		delete(c.unplaced, subID)
-		c.moves++
-		c.mu.Unlock()
-		return true
-	}
-	if place(dst, to) {
-		return nil
-	}
-	// Installation on the target failed (down or rejected): put the
-	// handoff back on the live source.
-	if place(src, from) {
-		return c.failLocked([]string{to})
-	}
-	// Both sides refused: the subscription stays unplaced and will be
-	// regenerated from history by the next AddMember.
-	return fmt.Errorf("cluster: move %q: install failed on %q and restore failed on %q; parked unplaced",
-		subID, to, from)
 }
 
 // Instances answers the recent-detections query. With sub set it routes to
@@ -886,7 +555,7 @@ func (c *Coordinator) healthyMembers() ([]Member, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	members := make([]Member, 0, len(c.members))
-	for _, id := range c.memberIDsLocked() {
+	for _, id := range sortedKeys(c.members) {
 		if ms := c.members[id]; !ms.failed {
 			members = append(members, ms.m)
 		}
@@ -910,11 +579,7 @@ func (c *Coordinator) Subscriptions() map[string]SubSpec {
 func (c *Coordinator) Placement() map[string]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.owner))
-	for sub, id := range c.owner {
-		out[sub] = id
-	}
-	return out
+	return maps.Clone(c.owner)
 }
 
 // Obs returns the coordinator's metrics registry, so the serving layer can
@@ -992,29 +657,45 @@ func (c *Coordinator) Stats() ClusterStats {
 func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 	root := c.spanIf("query.stats", parent)
 	defer root.End()
-	c.mu.Lock()
-	ids := c.memberIDsLocked()
-	ms := make([]Member, len(ids))
-	repl := make([]MemberInfo, len(ids))
-	for i, id := range ids {
-		s := c.members[id]
-		ms[i] = s.m
-		repl[i] = MemberInfo{
-			MemberStats:    MemberStats{ID: id},
-			Lag:            -1,
-			AckedSeq:       s.ackedSeq,
-			AckedWatermark: s.ackedW,
-			ReplLagEntries: c.log.head() - s.ackedSeq,
-			ReplLagEvents:  c.log.lagEvents(s.ackedSeq),
-			Failing:        s.failed,
+	st, ms := c.snapshot()
+	for i, m := range ms {
+		info := &st.Members[i]
+		sp := c.spanIf("query.shard", root.Context(), obs.L("member", info.ID))
+		if s, err := memberStats(m, sp.Context()); err == nil {
+			s.ID = info.ID
+			info.MemberStats = s
+			if s.Started {
+				info.Lag = st.Watermark - s.Watermark
+			}
 		}
+		sp.End()
 	}
+	return st
+}
+
+// Health is Stats without the member probes: only what the coordinator
+// records itself, so it never waits on a member. Each member row keeps its
+// id and replication position, with Lag −1.
+func (c *Coordinator) Health() ClusterStats {
+	st, _ := c.snapshot()
+	return st
+}
+
+// snapshot copies the coordinator's own record under mu and returns the
+// members to probe, in the order of st.Members.
+func (c *Coordinator) snapshot() (ClusterStats, []Member) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := sortedKeys(c.members)
+	ms := make([]Member, len(ids))
 	groups := map[string]bool{}
 	for _, k := range c.placeKey {
 		groups[k] = true
 	}
 	st := ClusterStats{
-		Placement:       map[string]string{},
+		Members:         make([]MemberInfo, len(ids)),
+		Placement:       maps.Clone(c.owner),
+		Unplaced:        sortedKeys(c.unplaced),
 		PlacementGroups: len(groups),
 		Subscriptions:   len(c.subs),
 		Watermark:       c.watermark,
@@ -1031,24 +712,20 @@ func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
 		Backpressure:    c.backpressure,
 		Degraded:        len(c.unplaced) > 0 || c.failedCount > 0,
 	}
-	for sub, id := range c.owner {
-		st.Placement[sub] = id
-	}
-	st.Unplaced = sortedKeys(c.unplaced)
-	c.mu.Unlock()
-	for i, m := range ms {
-		info := repl[i]
-		sp := c.spanIf("query.shard", root.Context(), obs.L("member", ids[i]))
-		if s, err := memberStats(m, sp.Context()); err == nil {
-			info.MemberStats, info.ID = s, ids[i]
-			if s.Started {
-				info.Lag = st.Watermark - s.Watermark
-			}
+	for i, id := range ids {
+		s := c.members[id]
+		ms[i] = s.m
+		st.Members[i] = MemberInfo{
+			MemberStats:    MemberStats{ID: id},
+			Lag:            -1,
+			AckedSeq:       s.ackedSeq,
+			AckedWatermark: s.ackedW,
+			ReplLagEntries: c.log.head() - s.ackedSeq,
+			ReplLagEvents:  c.log.lagEvents(s.ackedSeq),
+			Failing:        s.failed,
 		}
-		sp.End()
-		st.Members = append(st.Members, info)
 	}
-	return st
+	return st, ms
 }
 
 // spanIf starts a child span only under a real parent context: the

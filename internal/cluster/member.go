@@ -19,14 +19,16 @@
 // (Kosyfaki et al., EDBT 2019, Definition 3.1), so the expensive part —
 // per-subscription δ-window enumeration — partitions perfectly by
 // subscription, while ingest (cheap: an append into a retention log) is
-// replicated. Because every member observes the identical stream, a
-// subscription can move between members at any time: the handoff carries
-// its finalization bound plus the catch-up events the receiver's log no
-// longer retains (or never saw), and the receiver splices them in front of
-// its log (temporal.WindowLog.Prepend). The cluster therefore reports
+// replicated. A subscription's state is a function of (subscription,
+// stream prefix), so where it should live depends only on the live member
+// set. Every membership change — the first placement, a join, a drain, a
+// failover — updates that set and runs one placement pass (placement.go):
+// a subscription on a live member moves by handoff (its finalization
+// bound, the catch-up events the receiver's log lacks, spliced in front
+// by temporal.WindowLog.Prepend, and its sink state); one whose member died
+// is regenerated from the log's history. The cluster therefore reports
 // exactly the instance set of a single engine with the same subscriptions
-// — the equivalence oracle in cluster_test.go — including across member
-// adds, graceful drains, and failovers.
+// — the equivalence oracle in cluster_test.go — across all of them.
 //
 // A member is one Shard (shard.go): engine, query sinks and optional store,
 // the only place a batch is deduplicated, applied, logged, checkpointed and

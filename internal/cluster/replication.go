@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -131,7 +129,6 @@ func (c *Coordinator) replicate(ms *memberState) {
 		}
 		if err != nil {
 			ms.failed = true
-			ms.failErr = err
 			c.failedCount++
 			c.cond.Broadcast()
 			c.mu.Unlock()
@@ -207,32 +204,6 @@ func (c *Coordinator) drainLocked() {
 	}
 	c.trimLogLocked()
 	c.mu.Unlock()
-}
-
-// reapFailedLocked drains the pipeline and then fails over every member
-// whose replicator gave up, plus any named in ids: survivors reach the
-// log head first (so history is complete and handoff catch-up is exact),
-// then those members are marked down and their subscriptions re-placed.
-// The caller holds ingestMu.
-func (c *Coordinator) reapFailedLocked(ids ...string) error {
-	c.drainLocked()
-	c.mu.Lock()
-	for id, ms := range c.members {
-		if ms.failed && !slices.Contains(ids, id) {
-			ids = append(ids, id)
-		}
-	}
-	c.mu.Unlock()
-	if len(ids) == 0 {
-		return nil
-	}
-	sort.Strings(ids)
-	// A successful failover is the designed response to a member death,
-	// not an error: the death itself shows up in Downs and the member's
-	// failErr is gone with its state. Only re-placement problems (e.g.
-	// the last member died and subscriptions are parked unplaced) reach
-	// the caller.
-	return c.failLocked(ids)
 }
 
 // reapAsync runs a failover pass from a replicator goroutine so a member

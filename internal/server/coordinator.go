@@ -122,8 +122,10 @@ func (cs *Coordinator) stats(parent obs.SpanContext) map[string]any {
 	return map[string]any{"cluster": cs.c.StatsTraced(parent)}
 }
 
+// health answers from the coordinator's own record (cluster.Health): a
+// probe of the coordinator never waits on a member.
 func (cs *Coordinator) health() map[string]any {
-	st := cs.c.Stats()
+	st := cs.c.Health()
 	status := "ok"
 	if st.Degraded || len(st.Members) == 0 {
 		status = "degraded"

@@ -221,6 +221,58 @@ func TestCoordinatorDegradedResponses(t *testing.T) {
 	}
 }
 
+// stuckStatsMember is a member whose Stats hangs until released, as a
+// remote member's GET /stats does when the member is wedged.
+type stuckStatsMember struct {
+	*cluster.LocalMember
+	release chan struct{}
+}
+
+func (m *stuckStatsMember) Stats() (cluster.MemberStats, error) {
+	<-m.release
+	return m.LocalMember.Stats()
+}
+
+// TestCoordinatorHealthzSkipsMembers: a coordinator's /healthz answers
+// from its own record, so a member whose stats probe hangs does not hold
+// the health probe up.
+func TestCoordinatorHealthzSkipsMembers(t *testing.T) {
+	lm, err := cluster.NewLocalMember("m0", cluster.LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &stuckStatsMember{LocalMember: lm, release: make(chan struct{})}
+	c, err := cluster.New(cluster.Config{
+		Members:    []cluster.Member{m},
+		Subs:       []stream.Subscription{{ID: "s", Motif: motif.MustPath(0, 1), Delta: 5}},
+		RetryDelay: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	front := httptest.NewServer(NewCoordinator(c, 0).Handler())
+	defer front.Close()
+	defer close(m.release) // before front.Close, which waits for handlers
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Get(front.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz with a member whose stats hang: %v", err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Status  string `json:"status"`
+		Role    string `json:"role"`
+		Members int    `json:"members"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Role != "coordinator" || hz.Members != 1 {
+		t.Fatalf("/healthz = %d %+v, want 200 ok from a one-member coordinator", resp.StatusCode, hz)
+	}
+}
+
 // TestServerClusterPipelineStress interleaves pipelined coordinator
 // ingest with member snapshots, flushes, and membership churn on a mixed
 // transport set (a durable HTTP member daemon + local members), under
