@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -198,11 +197,12 @@ func New(cfg Config) (*Coordinator, error) {
 
 // retry calls fn up to 1+retries times while it keeps failing with
 // ErrMemberDown; any other outcome returns immediately. Only *idempotent*
-// member calls may be retried: queries, stats, Flush (a second flush at
-// the same watermark is a no-op), and — since batches became seq-tagged —
-// replicated ingest (deliver, in replication.go). The handoff calls are
-// single-attempt: a member may have applied one before its ack was lost,
-// so a transport failure fails the member over instead (placeLocked).
+// member calls may be retried: queries, stats, traces, Flush (a second
+// flush at the same watermark is a no-op), and — since batches became
+// seq-tagged — replicated ingest (deliver, in replication.go). The handoff
+// calls are single-attempt: a member may have applied one before its ack
+// was lost, so a transport failure fails the member over instead
+// (placeLocked).
 func (c *Coordinator) retry(fn func() error) error {
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -324,43 +324,23 @@ func (c *Coordinator) IngestTraced(events []temporal.Event, parent obs.SpanConte
 // Flush broadcasts the end-of-stream marker: the replication pipeline is
 // drained (every member applies the full log; members whose replicators
 // gave up are failed over), then every member closes its still-open
-// windows. Later batches must clear the watermark by more than the
-// largest subscription δ cluster-wide.
+// windows. Members that fail the flush with ErrMemberDown are failed over
+// and the survivors flushed again. Ingest is quiesced throughout by
+// design — the marker must not interleave with new batches — so the
+// member calls run under ingestMu (never under mu). Later batches must
+// clear the watermark by more than the largest subscription δ
+// cluster-wide.
 func (c *Coordinator) Flush() (IngestAck, error) {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
 	reapErr := c.reapFailedLocked()
-	c.mu.Lock()
-	if len(c.members) == 0 {
-		c.mu.Unlock()
-		return IngestAck{}, errors.Join(ErrNoMembers, reapErr)
+	members, _ := c.asked("")
+	agg, down, err := c.flushRound(members)
+	if err != nil {
+		return IngestAck{}, err
 	}
-	ids := sortedKeys(c.members)
-	states := make([]*memberState, 0, len(ids))
-	for _, id := range ids {
-		states = append(states, c.members[id])
-	}
-	c.mu.Unlock()
-	var agg IngestAck
-	var failed []string
-	for i, ms := range states {
-		var ack IngestAck
-		err := c.retry(func() error {
-			var e error
-			ack, e = ms.m.Flush()
-			return e
-		})
-		if errors.Is(err, ErrMemberDown) {
-			failed = append(failed, ids[i])
-			continue
-		}
-		if err != nil {
-			return IngestAck{}, err
-		}
-		agg.Detections += ack.Detections
-	}
-	if len(failed) == len(states) {
-		return IngestAck{}, fmt.Errorf("%w: all %d members failed the flush", ErrNoMembers, len(states))
+	if len(down) == len(members) {
+		return IngestAck{}, errors.Join(fmt.Errorf("%w: no member flushed", ErrNoMembers), reapErr)
 	}
 	c.mu.Lock()
 	wm, started := c.watermark, c.started
@@ -371,196 +351,42 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 		}
 	}
 	agg.Watermark = wm
-	if len(failed) > 0 {
-		if err := c.reapFailedLocked(failed...); err != nil {
+	if len(down) > 0 {
+		if err := c.reapFailedLocked(down...); err != nil {
 			return agg, errors.Join(err, reapErr)
 		}
 		// The re-placed subscriptions were regenerated on members that had
 		// already flushed, so close their windows too. Terminal bands are
 		// only re-enumerated for the moved subscriptions (the survivors'
 		// own emitted bounds are already at the watermark).
-		members, _ := c.healthyMembers()
-		for _, m := range members {
-			// Ingest is quiesced for the whole flush by design: the
-			// marker must not interleave with new batches, so this RPC
-			// intentionally runs under ingestMu (never under c.mu).
-			if ack, err := m.Flush(); err == nil { //flowvet:ignore lockhold flush quiesces ingest by design
-				agg.Detections += ack.Detections
-			}
-		}
+		survivors, _ := c.asked("")
+		more, _, _ := c.flushRound(survivors)
+		agg.Detections += more.Detections
 	}
 	return agg, reapErr
 }
 
-// Instances answers the recent-detections query. With sub set it routes to
-// the owning shard; with sub empty it scatter-gathers every shard,
-// aligns to the slowest shard's watermark, and concatenates newest-first.
-// Returns the detections and the Gather status they are aligned to: a
-// fresh-but-healthy cluster answers (nil, {Started: false}), which is
-// distinguishable from a degraded gather (Degraded set when shards failed
-// the query, subscriptions are unplaced, or a member awaits failover).
-func (c *Coordinator) Instances(sub string, limit int) ([]*stream.Detection, Gather, error) {
-	return c.InstancesTraced(sub, limit, obs.SpanContext{})
-}
-
-// InstancesTraced is Instances under a caller-provided span context (the
-// serving layer's request span): the query gets a "query.instances" span
-// with one "query.shard" child per member asked, each shard's context
-// propagated over the traced transport. A zero parent records no spans —
-// query traces exist only inside a request trace.
-func (c *Coordinator) InstancesTraced(sub string, limit int, parent obs.SpanContext) ([]*stream.Detection, Gather, error) {
-	return c.query("query.instances", sub, limit, parent, memberInstances, mergeRecent)
-}
-
-// TopK answers the best-detections query. With sub set it routes to the
-// owning shard; with sub empty every shard contributes its local best k
-// (merged across its own subscriptions) and the coordinator merges them
-// into the global top k — correct because a subscription lives on exactly
-// one shard, so the global best k is a subset of the union of local best
-// ks. Returns the detections and the aligned Gather status (see
-// Instances for its no-data/degraded semantics).
-func (c *Coordinator) TopK(sub string, k int) ([]*stream.Detection, Gather, error) {
-	return c.TopKTraced(sub, k, obs.SpanContext{})
-}
-
-// TopKTraced is TopK under a caller-provided span context (see
-// InstancesTraced for the span shape).
-func (c *Coordinator) TopKTraced(sub string, k int, parent obs.SpanContext) ([]*stream.Detection, Gather, error) {
-	return c.query("query.topk", sub, k, parent, memberTopK, MergeTopK)
-}
-
-// query is the one routed-or-gathered detections query: with sub set, ask
-// the owning shard for its n; with sub empty, ask every shard, hold back
-// what lies beyond the slowest one's watermark (alignWatermark) and merge
-// the lists down to n.
-func (c *Coordinator) query(span, sub string, n int, parent obs.SpanContext,
-	ask func(Member, string, int, obs.SpanContext) (QueryResult, error),
-	merge func([][]*stream.Detection, int) []*stream.Detection,
-) ([]*stream.Detection, Gather, error) {
-	root := c.spanIf(span, parent, obs.L("sub", sub))
-	defer root.End()
-	if sub != "" {
-		m, err := c.ownerOf(sub)
-		if err != nil {
-			endSpanErr(root, err)
-			return nil, Gather{}, err
-		}
-		sp := c.spanIf("query.shard", root.Context(), obs.L("member", m.ID()))
-		var r QueryResult
-		if err := c.retry(func() error {
-			var e error
-			r, e = ask(m, sub, n, sp.Context())
-			return e
-		}); err != nil {
-			endSpanErr(sp, err)
-			endSpanErr(root, err)
-			return nil, Gather{}, err
-		}
-		sp.End()
-		return r.Detections, Gather{Watermark: r.Watermark, Started: r.Started, Degraded: c.degraded()}, nil
-	}
-	results, dropped, err := c.gather(root.Context(), func(m Member, sc obs.SpanContext) (QueryResult, error) {
-		return ask(m, "", n, sc)
+// flushRound flushes members through the fan-out and sums the detections
+// of those that flushed. It returns the ids of the members that failed
+// with ErrMemberDown or, once every call has returned, the first other
+// error.
+func (c *Coordinator) flushRound(members []Member) (IngestAck, []string, error) {
+	acks, errs := fanOut(c, obs.SpanContext{}, members, func(m Member, _ obs.SpanContext) (IngestAck, error) {
+		return m.Flush()
 	})
-	if err != nil {
-		endSpanErr(root, err)
-		return nil, Gather{}, err
-	}
-	alignedW, started, lists := alignWatermark(results)
-	g := Gather{Watermark: alignedW, Started: started, Degraded: dropped > 0 || c.degraded()}
-	return merge(lists, n), g, nil
-}
-
-// degraded reports whether query answers may be incomplete: subscriptions
-// are unplaced (their member died with no survivor to adopt them) or a
-// member is flagged failed and awaiting failover.
-func (c *Coordinator) degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.unplaced) > 0 || c.failedCount > 0
-}
-
-// ownerOf resolves a subscription to its owning member.
-func (c *Coordinator) ownerOf(sub string) (Member, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.owner[sub]
-	if !ok {
-		if c.unplaced[sub] {
-			return nil, fmt.Errorf("%w: subscription %q lost its member", ErrNoMembers, sub)
-		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSub, sub)
-	}
-	ms, live := c.members[id]
-	if !live {
-		// Defensive: an owner entry must never outlive its member.
-		return nil, fmt.Errorf("%w: subscription %q owner %q is gone", ErrNoMembers, sub, id)
-	}
-	return ms.m, nil
-}
-
-// gather fans a query out to every member concurrently. Members flagged
-// failed (awaiting failover) are skipped up front, and a member that
-// fails the query is dropped from the answer rather than failing the
-// whole gather — the caller reports the answer as degraded instead of
-// stalling on a flapping shard. Only a gather nobody answers is an error.
-// Queries never mutate membership; repair belongs to the replication
-// pipeline's reap.
-func (c *Coordinator) gather(parent obs.SpanContext, q func(Member, obs.SpanContext) (QueryResult, error)) ([]QueryResult, int, error) {
-	members, dropped := c.healthyMembers()
-	if len(members) == 0 {
-		return nil, dropped, ErrNoMembers
-	}
-	results := make([]QueryResult, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m Member) {
-			defer wg.Done()
-			sp := c.spanIf("query.shard", parent, obs.L("member", m.ID()))
-			errs[i] = c.retry(func() error {
-				var e error
-				results[i], e = q(m, sp.Context())
-				return e
-			})
-			if errs[i] != nil {
-				sp.Annotate(obs.L("error", errs[i].Error()))
-			}
-			sp.End()
-		}(i, m)
-	}
-	wg.Wait()
-	kept := results[:0]
-	var firstErr error
+	var agg IngestAck
+	var down []string
 	for i, err := range errs {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: gather from %s: %w", members[i].ID(), err)
-			}
-			dropped++
-			continue
-		}
-		kept = append(kept, results[i])
-	}
-	if len(kept) == 0 {
-		return nil, dropped, errors.Join(ErrNoMembers, firstErr)
-	}
-	return kept, dropped, nil
-}
-
-// healthyMembers lists the members not flagged failed, in id order, and
-// how many were skipped.
-func (c *Coordinator) healthyMembers() ([]Member, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	members := make([]Member, 0, len(c.members))
-	for _, id := range sortedKeys(c.members) {
-		if ms := c.members[id]; !ms.failed {
-			members = append(members, ms.m)
+		switch {
+		case err == nil:
+			agg.Detections += acks[i].Detections
+		case errors.Is(err, ErrMemberDown):
+			down = append(down, members[i].ID())
+		default:
+			return IngestAck{}, nil, err
 		}
 	}
-	return members, len(c.members) - len(members)
+	return agg, down, nil
 }
 
 // Subscriptions lists the cluster's subscriptions with their current
@@ -594,195 +420,4 @@ func (c *Coordinator) Watermark() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.watermark
-}
-
-// MemberInfo is one member's row in ClusterStats: the member's own
-// progress snapshot plus what only the coordinator knows about it.
-type MemberInfo struct {
-	MemberStats
-	Lag int64 `json:"lag"` // cluster watermark − member watermark (-1: stats probe failed)
-	// Replication-pipeline position (DESIGN.md §10): the newest log entry
-	// this member has applied and acked, the watermark it reported with
-	// that ack (the coordinator's own record — available even when the
-	// live Stats probe fails and Lag reads -1), and how far behind the log
-	// head it is in entries and events. Failing marks a member whose
-	// replicator gave up, pending failover reap.
-	AckedSeq       int64 `json:"ackedSeq"`
-	AckedWatermark int64 `json:"ackedWatermark"`
-	ReplLagEntries int64 `json:"replLagEntries"`
-	ReplLagEvents  int64 `json:"replLagEvents"`
-	Failing        bool  `json:"failing,omitempty"`
-}
-
-// ClusterStats snapshots cluster progress and health.
-type ClusterStats struct {
-	Members   []MemberInfo      `json:"members"`
-	Placement map[string]string `json:"placement"`
-	Unplaced  []string          `json:"unplaced,omitempty"`
-	// PlacementGroups is the number of distinct group-aware placement keys
-	// (motif shapes) across the subscription set — the unit rendezvous
-	// hashing distributes, so same-shape subscriptions co-locate and share
-	// their member's evaluation plan.
-	PlacementGroups int   `json:"placementGroups"`
-	Subscriptions   int   `json:"subscriptions"`
-	Watermark       int64 `json:"watermark"`
-	Started         bool  `json:"started"`
-	Batches         int64 `json:"batches"`
-	Events          int64 `json:"events"`
-	HistoryEvents   int   `json:"historyEvents"`
-	HistoryTrim     int64 `json:"historyTrimmed"`
-	Downs           int64 `json:"downs"`
-	Moves           int64 `json:"moves"`
-	// Log gauges: the newest appended sequence, the entries and events
-	// still queued for at least one member (the history above is the
-	// rest of the same log), how often Ingest blocked on a full member
-	// queue, and whether query answers may be incomplete right now.
-	HeadSeq      int64 `json:"headSeq"`
-	LogEntries   int   `json:"logEntries"`
-	LogEvents    int   `json:"logEvents"`
-	Backpressure int64 `json:"backpressureWaits"`
-	Degraded     bool  `json:"degraded"`
-}
-
-// Stats gathers live per-member statistics. Members that fail the stats
-// probe are reported with Started=false and Lag −1 rather than failing the
-// whole snapshot.
-func (c *Coordinator) Stats() ClusterStats {
-	return c.StatsTraced(obs.SpanContext{})
-}
-
-// StatsTraced is Stats under a caller-provided span context: the
-// per-member probes become "query.shard" spans under a "query.stats"
-// span, each shard's context propagated over the traced transport.
-func (c *Coordinator) StatsTraced(parent obs.SpanContext) ClusterStats {
-	root := c.spanIf("query.stats", parent)
-	defer root.End()
-	st, ms := c.snapshot()
-	for i, m := range ms {
-		info := &st.Members[i]
-		sp := c.spanIf("query.shard", root.Context(), obs.L("member", info.ID))
-		if s, err := memberStats(m, sp.Context()); err == nil {
-			s.ID = info.ID
-			info.MemberStats = s
-			if s.Started {
-				info.Lag = st.Watermark - s.Watermark
-			}
-		}
-		sp.End()
-	}
-	return st
-}
-
-// Health is Stats without the member probes: only what the coordinator
-// records itself, so it never waits on a member. Each member row keeps its
-// id and replication position, with Lag −1.
-func (c *Coordinator) Health() ClusterStats {
-	st, _ := c.snapshot()
-	return st
-}
-
-// snapshot copies the coordinator's own record under mu and returns the
-// members to probe, in the order of st.Members.
-func (c *Coordinator) snapshot() (ClusterStats, []Member) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := sortedKeys(c.members)
-	ms := make([]Member, len(ids))
-	groups := map[string]bool{}
-	for _, k := range c.placeKey {
-		groups[k] = true
-	}
-	st := ClusterStats{
-		Members:         make([]MemberInfo, len(ids)),
-		Placement:       maps.Clone(c.owner),
-		Unplaced:        sortedKeys(c.unplaced),
-		PlacementGroups: len(groups),
-		Subscriptions:   len(c.subs),
-		Watermark:       c.watermark,
-		Started:         c.started,
-		Batches:         c.batches,
-		Events:          c.events,
-		HistoryEvents:   int(c.log.historyEvents()),
-		HistoryTrim:     c.log.dropped,
-		Downs:           c.downs,
-		Moves:           c.moves,
-		HeadSeq:         c.log.head(),
-		LogEntries:      int(c.log.head() - c.log.acked),
-		LogEvents:       int(c.log.lagEvents(c.log.acked)),
-		Backpressure:    c.backpressure,
-		Degraded:        len(c.unplaced) > 0 || c.failedCount > 0,
-	}
-	for i, id := range ids {
-		s := c.members[id]
-		ms[i] = s.m
-		st.Members[i] = MemberInfo{
-			MemberStats:    MemberStats{ID: id},
-			Lag:            -1,
-			AckedSeq:       s.ackedSeq,
-			AckedWatermark: s.ackedW,
-			ReplLagEntries: c.log.head() - s.ackedSeq,
-			ReplLagEvents:  c.log.lagEvents(s.ackedSeq),
-			Failing:        s.failed,
-		}
-	}
-	return st, ms
-}
-
-// spanIf starts a child span only under a real parent context: the
-// coordinator's query spans exist only inside a request trace, never as
-// roots of their own (the pipeline's ingest.append is the only span the
-// coordinator roots itself).
-func (c *Coordinator) spanIf(name string, parent obs.SpanContext, attrs ...obs.Label) *obs.TraceSpan {
-	if !parent.Valid() {
-		return nil
-	}
-	return c.tracer.StartSpan(name, parent, attrs...)
-}
-
-// endSpanErr annotates a span with the error and closes it (nil-safe).
-func endSpanErr(s *obs.TraceSpan, err error) {
-	if s == nil {
-		return
-	}
-	s.Annotate(obs.L("error", err.Error()))
-	s.End()
-}
-
-// Tracer returns the coordinator's flight recorder; the serving layer
-// records request spans into it, so they land in one ring with the
-// pipeline's.
-func (c *Coordinator) Tracer() *obs.Tracer {
-	return c.tracer
-}
-
-// Traces stitches the full span set for one trace ID: the coordinator's
-// own spans (append, deliveries, query fan-out) plus every member's
-// fragments (request, engine ingest, finalize stages, emit), fetched by
-// trace ID, deduplicated by span ID, and sorted by start time. Members
-// that fail the probe (down, or no /debug/traces endpoint) contribute
-// nothing rather than failing the stitch.
-func (c *Coordinator) Traces(trace string) []obs.SpanRecord {
-	spans := c.tracer.Spans(trace)
-	if trace == "" {
-		return spans
-	}
-	seen := make(map[string]bool, len(spans))
-	for _, s := range spans {
-		seen[s.Span] = true
-	}
-	members, _ := c.healthyMembers()
-	for _, m := range members {
-		frag, err := m.Traces(trace)
-		if err != nil {
-			continue
-		}
-		for _, s := range frag {
-			if !seen[s.Span] {
-				seen[s.Span] = true
-				spans = append(spans, s)
-			}
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return spans
 }

@@ -13,14 +13,14 @@ import (
 	"flowmotif/internal/temporal"
 )
 
-// faultyMember wraps a LocalMember and fails one handoff call on cue: the
-// n-th RemoveSubscription or AddSubscription after cue fails with err. A
+// faultyMember wraps a LocalMember and fails one call on cue: the n-th
+// RemoveSubscription, AddSubscription or Flush after cue fails with err. A
 // member failing with ErrMemberDown has died and stays down; any other
 // error is a semantic rejection that leaves the member as it was.
 type faultyMember struct {
 	*LocalMember
 	mu  sync.Mutex
-	op  string // "remove" or "add"
+	op  string // "remove", "add" or "flush"
 	n   int    // calls of op until the fault
 	err error
 }
@@ -60,6 +60,13 @@ func (m *faultyMember) RemoveSubscription(id string) (Handoff, error) {
 		return Handoff{}, err
 	}
 	return m.LocalMember.RemoveSubscription(id)
+}
+
+func (m *faultyMember) Flush() (IngestAck, error) {
+	if err := m.fault("flush"); err != nil {
+		return IngestAck{}, err
+	}
+	return m.LocalMember.Flush()
 }
 
 func newFaultyMember(t testing.TB, id string) *faultyMember {
@@ -441,4 +448,44 @@ func TestClusterAddDeadMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOracle(t, c, g, catalogSubs())
+}
+
+// TestClusterFlushFailover: a member that applied every batch dies in the
+// flush. The flush fails it over, regenerates its subscriptions on the
+// survivors (which had already flushed) and flushes them again, so the
+// cluster still serves exactly the batch algorithm's instance set.
+func TestClusterFlushFailover(t *testing.T) {
+	evs := clusterEvents(t, 11)
+	g, err := temporal.NewGraph(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, fm := faultCluster(t, 3)
+	feedRandomBatches(t, c, evs, 1)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	orphans := ownedBy(c, "m1")
+	if len(orphans) == 0 {
+		t.Fatal("premise: m1 owns nothing")
+	}
+	fm["m1"].cue("flush", 1, ErrMemberDown)
+	if _, err := c.Flush(); err != nil {
+		t.Fatalf("flush with a member dying in it: %v", err)
+	}
+	st := c.Health()
+	if st.Downs != 1 || len(st.Members) != 2 || len(st.Unplaced) != 0 {
+		t.Fatalf("Downs = %d, %d members, unplaced %v; want 1 down, 2 members, none unplaced",
+			st.Downs, len(st.Members), st.Unplaced)
+	}
+	placement := c.Placement()
+	for _, sub := range orphans {
+		if owner := placement[sub]; owner == "" || owner == "m1" {
+			t.Errorf("sub %s of the dead member placed on %q", sub, owner)
+		}
+	}
+	checkPlacement(t, c, fm)
+	if total := checkOracle(t, c, g, catalogSubs()); total == 0 {
+		t.Fatal("degenerate test: batch search found no instances")
+	}
 }

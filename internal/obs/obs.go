@@ -579,18 +579,6 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
 	return nil
 }
 
-// Quantiles is a standard latency summary extracted from a histogram.
-type Quantiles struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
-// Summary returns the p50/p95/p99 estimates.
-func (s HistogramSnapshot) Summary() Quantiles {
-	return Quantiles{P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99)}
-}
-
 // MetricSnapshot is one series in a Snapshot: a counter or gauge Value,
 // or a histogram readout.
 type MetricSnapshot struct {

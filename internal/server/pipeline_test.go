@@ -3,12 +3,14 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,13 +224,18 @@ func TestCoordinatorDegradedResponses(t *testing.T) {
 }
 
 // stuckStatsMember is a member whose Stats hangs until released, as a
-// remote member's GET /stats does when the member is wedged.
+// remote member's GET /stats does when the member is wedged. When set,
+// arrived is called as each probe starts waiting.
 type stuckStatsMember struct {
 	*cluster.LocalMember
+	arrived func()
 	release chan struct{}
 }
 
 func (m *stuckStatsMember) Stats() (cluster.MemberStats, error) {
+	if m.arrived != nil {
+		m.arrived()
+	}
 	<-m.release
 	return m.LocalMember.Stats()
 }
@@ -270,6 +277,86 @@ func TestCoordinatorHealthzSkipsMembers(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Role != "coordinator" || hz.Members != 1 {
 		t.Fatalf("/healthz = %d %+v, want 200 ok from a one-member coordinator", resp.StatusCode, hz)
+	}
+}
+
+// TestCoordinatorStatsFanOut: a coordinator probes its members' stats at
+// once, so /stats and /metrics wait for the slowest member, not for the
+// sum. Each member's probe is released only once both probes are in
+// flight; probing one member after the other never answers.
+func TestCoordinatorStatsFanOut(t *testing.T) {
+	for _, path := range []string{"/stats", "/metrics"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			release := make(chan struct{})
+			free := sync.OnceFunc(func() { close(release) })
+			var inFlight atomic.Int32
+			members := make([]cluster.Member, 2)
+			for i := range members {
+				lm, err := cluster.NewLocalMember(fmt.Sprintf("m%d", i), cluster.LocalOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				members[i] = &stuckStatsMember{LocalMember: lm, release: release, arrived: func() {
+					if inFlight.Add(1) == 2 {
+						free()
+					}
+				}}
+			}
+			c, err := cluster.New(cluster.Config{
+				Members:    members,
+				Subs:       []stream.Subscription{{ID: "s", Motif: motif.MustPath(0, 1), Delta: 5}},
+				RetryDelay: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			front := httptest.NewServer(NewCoordinator(c, 0).Handler())
+			defer front.Close()
+			defer free() // before front.Close, which waits for handlers
+			client := &http.Client{Timeout: 5 * time.Second}
+			resp, err := client.Get(front.URL + path)
+			if err != nil {
+				t.Fatalf("%s with probes released only in pairs: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s = %d, want 200", path, resp.StatusCode)
+			}
+		})
+	}
+}
+
+// TestCoordinatorDegradedRoutedQuery: a routed query returns its owner's
+// error unchanged, so a down owner answers 503 and an unknown
+// subscription 404.
+func TestCoordinatorDegradedRoutedQuery(t *testing.T) {
+	m0, err := cluster.NewLocalMember("m0", cluster.LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Config{
+		Members:    []cluster.Member{m0},
+		Subs:       []stream.Subscription{{ID: "s", Motif: motif.MustPath(0, 1), Delta: 5}},
+		RetryDelay: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	front := httptest.NewServer(NewCoordinator(c, 0).Handler())
+	defer front.Close()
+	m0.SetDown(true)
+	for path, want := range map[string]int{
+		"/topk?sub=s&k=1":     http.StatusServiceUnavailable,
+		"/instances?sub=s":    http.StatusServiceUnavailable,
+		"/topk?sub=nope&k=1":  http.StatusNotFound,
+		"/instances?sub=nope": http.StatusNotFound,
+	} {
+		resp := getJSON(t, front.Client(), front.URL+path, nil)
+		if resp.StatusCode != want {
+			t.Errorf("%s with the owner down = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -83,7 +83,6 @@ type WindowLog struct {
 	events []Event // retained events, time-ordered, live part events[head:]
 	head   int     // evicted prefix length within events
 
-	numNodes  int   // max node id seen + 1 (over the whole stream, not just retained)
 	appended  int64 // events ever appended
 	evicted   int64 // events ever evicted
 	watermark int64 // largest T appended
@@ -111,12 +110,6 @@ func (l *WindowLog) Append(e Event) error {
 	l.appended++
 	l.watermark = e.T
 	l.started = true
-	if n := int(e.From) + 1; n > l.numNodes {
-		l.numNodes = n
-	}
-	if n := int(e.To) + 1; n > l.numNodes {
-		l.numNodes = n
-	}
 	return nil
 }
 
@@ -174,14 +167,6 @@ func (l *WindowLog) Prepend(events []Event) (int, error) {
 		l.appended += n - l.evicted
 		l.evicted = 0
 	}
-	for _, e := range events[:cut] {
-		if n := int(e.From) + 1; n > l.numNodes {
-			l.numNodes = n
-		}
-		if n := int(e.To) + 1; n > l.numNodes {
-			l.numNodes = n
-		}
-	}
 	if !l.started {
 		l.watermark = prev
 		l.started = true
@@ -210,10 +195,6 @@ func (l *WindowLog) EvictBefore(t int64) int {
 
 // Len returns the number of retained events.
 func (l *WindowLog) Len() int { return len(l.events) - l.head }
-
-// NumNodes returns the node universe size observed so far (max id + 1),
-// including nodes whose events have all been evicted.
-func (l *WindowLog) NumNodes() int { return l.numNodes }
 
 // Watermark returns the largest appended timestamp; ok is false while the
 // log has never seen an event.
@@ -254,7 +235,6 @@ type WindowLogState struct {
 	Evicted   int64   `json:"evicted"`
 	Watermark int64   `json:"watermark"`
 	Started   bool    `json:"started"`
-	NumNodes  int     `json:"numNodes"`
 }
 
 // State snapshots the log. The returned events are a copy; the caller may
@@ -266,7 +246,6 @@ func (l *WindowLog) State() WindowLogState {
 		Evicted:   l.evicted,
 		Watermark: l.watermark,
 		Started:   l.started,
-		NumNodes:  l.numNodes,
 	}
 }
 
@@ -281,7 +260,6 @@ func NewWindowLogFromState(s WindowLogState) (*WindowLog, error) {
 	if !s.Started && (s.Appended != 0 || len(s.Events) != 0) {
 		return nil, fmt.Errorf("temporal: log state not started but has %d appended events", s.Appended)
 	}
-	maxID := 0
 	prev := int64(math.MinInt64)
 	for i, e := range s.Events {
 		if e.From < 0 || e.To < 0 {
@@ -294,22 +272,12 @@ func NewWindowLogFromState(s WindowLogState) (*WindowLog, error) {
 			return nil, fmt.Errorf("temporal: log state event %d out of order (t=%d after %d)", i, e.T, prev)
 		}
 		prev = e.T
-		if n := int(e.From) + 1; n > maxID {
-			maxID = n
-		}
-		if n := int(e.To) + 1; n > maxID {
-			maxID = n
-		}
 	}
 	if len(s.Events) > 0 && s.Watermark < prev {
 		return nil, fmt.Errorf("temporal: log state watermark %d behind last event t=%d", s.Watermark, prev)
 	}
-	if s.NumNodes < maxID {
-		return nil, fmt.Errorf("temporal: log state universe %d smaller than observed max id %d", s.NumNodes, maxID)
-	}
 	return &WindowLog{
 		events:    append([]Event(nil), s.Events...),
-		numNodes:  s.NumNodes,
 		appended:  s.Appended,
 		evicted:   s.Evicted,
 		watermark: s.Watermark,

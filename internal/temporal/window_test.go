@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -33,9 +34,6 @@ func TestWindowLogAppendOrderAndValidation(t *testing.T) {
 	if l.Len() != 2 || l.Appended() != 2 {
 		t.Fatalf("Len=%d Appended=%d, want 2, 2", l.Len(), l.Appended())
 	}
-	if l.NumNodes() != 3 {
-		t.Fatalf("NumNodes = %d, want 3", l.NumNodes())
-	}
 }
 
 func TestWindowLogEvictAndRange(t *testing.T) {
@@ -64,17 +62,13 @@ func TestWindowLogEvictAndRange(t *testing.T) {
 	if len(l.Range(200, 300)) != 0 || len(l.Range(0, 29)) != 0 {
 		t.Fatal("out-of-window ranges non-empty")
 	}
-	// NumNodes survives eviction of all of a node's events.
 	l.EvictBefore(1000)
-	if l.Len() != 0 || l.NumNodes() != 5 {
-		t.Fatalf("after full eviction: Len=%d NumNodes=%d", l.Len(), l.NumNodes())
+	if l.Len() != 0 {
+		t.Fatalf("after full eviction: Len=%d", l.Len())
 	}
 	// The log stays usable after full eviction.
 	if err := l.Append(Event{From: 9, To: 0, T: 99, F: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if l.NumNodes() != 10 {
-		t.Fatalf("NumNodes = %d, want 10", l.NumNodes())
 	}
 }
 
@@ -118,7 +112,7 @@ func TestWindowLogSlidingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg, err := NewGraphWithNodes(l.NumNodes(), want)
+		wg, err := NewGraphWithNodes(20, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +190,6 @@ func TestWindowLogPrependIntoFreshAndDrainedLog(t *testing.T) {
 	if w, ok := l.Watermark(); !ok || w != 20 {
 		t.Fatalf("watermark = (%d, %v), want (20, true)", w, ok)
 	}
-	if l.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d, want 4", l.NumNodes())
-	}
 	if err := l.Append(Event{From: 0, To: 1, T: 25, F: 1}); err != nil {
 		t.Fatalf("append after prepend: %v", err)
 	}
@@ -224,6 +215,33 @@ func TestWindowLogPrependIntoFreshAndDrainedLog(t *testing.T) {
 	}
 	if _, err := NewWindowLogFromState(d.State()); err != nil {
 		t.Fatalf("drained-splice state invalid: %v", err)
+	}
+}
+
+// TestWindowLogStateRestore: a state round-trips, a snapshot written
+// while the state still carried a "numNodes" universe loads unchanged,
+// and a state naming a negative node is refused.
+func TestWindowLogStateRestore(t *testing.T) {
+	old := `{"events":[{"From":0,"To":7,"T":10,"F":1},{"From":7,"To":2,"T":20,"F":2}],` +
+		`"appended":3,"evicted":1,"watermark":20,"started":true,"numNodes":9}`
+	var s WindowLogState
+	if err := json.Unmarshal([]byte(old), &s); err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewWindowLogFromState(s)
+	if err != nil {
+		t.Fatalf("state with numNodes refused: %v", err)
+	}
+	if w, _ := l.Watermark(); l.Len() != 2 || l.Appended() != 3 || l.Evicted() != 1 || w != 20 {
+		t.Fatalf("restored Len=%d Appended=%d Evicted=%d watermark=%d, want 2, 3, 1, 20",
+			l.Len(), l.Appended(), l.Evicted(), w)
+	}
+	if _, err := NewWindowLogFromState(l.State()); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	s.Events[0].From = -1
+	if _, err := NewWindowLogFromState(s); err == nil {
+		t.Fatal("state with a negative node accepted")
 	}
 }
 
