@@ -114,9 +114,9 @@ func (m *HTTPMember) probeWireLocked() error {
 	return nil
 }
 
-// CloseWire drops the persistent wire connection (if any); a later
-// delivery redials. Its only caller is bench/e2e/deploy.go: the next
-// benchmark PR (bench/ changes in no other) drops both.
+// CloseWire closes the persistent wire connection (if any); a later
+// delivery redials. An owner done with an HTTPMember calls it, as the
+// coordinator never closes a member's connection.
 func (m *HTTPMember) CloseWire() {
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()

@@ -86,16 +86,13 @@ type Server struct {
 
 	// Binary wire-protocol listener state (internal/wire; see wire.go).
 	// wx is nil with Config.DisableObs — the decode loop's clocks gate on
-	// it. The shared interner maps symbolic-mode labels onto one
-	// server-wide node-id space across connections.
-	wx           *wireMetrics
-	wireInternMu sync.RWMutex
-	wireIntern   *temporal.Interner
-	wireMu       sync.Mutex
-	wireLn       net.Listener
-	wirePort     int
-	wireConns    map[net.Conn]struct{}
-	wireWG       sync.WaitGroup
+	// it.
+	wx        *wireMetrics
+	wireMu    sync.Mutex
+	wireLn    net.Listener
+	wirePort  int
+	wireConns map[net.Conn]struct{}
+	wireWG    sync.WaitGroup
 }
 
 // New builds a Server from cfg: the engine, its query sinks and — with
@@ -121,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 		// can expose.
 		s.wx = newWireMetrics(reg)
 	}
-	s.wireIntern = temporal.NewInterner()
 	recent, topk := cluster.NewQuerySinks(cfg.Recent, cfg.TopK)
 	eng, err := stream.NewEngine(stream.Config{
 		Subs:       cfg.Subs,

@@ -159,30 +159,6 @@ func (s *Server) dropWireConn(conn net.Conn) {
 	s.wireMu.Unlock()
 }
 
-// resolveWireLabel maps a symbolic-mode definition label onto the
-// server-wide node-id space shared with the JSON API (one interner for
-// all connections, read-locked on the hit path so the steady state —
-// every label already known — never serializes decoders).
-func (s *Server) resolveWireLabel(label []byte) (temporal.NodeID, error) {
-	s.wireInternMu.RLock()
-	id, ok := s.wireIntern.LookupBytes(label)
-	s.wireInternMu.RUnlock()
-	if ok {
-		return id, nil
-	}
-	s.wireInternMu.Lock()
-	defer s.wireInternMu.Unlock()
-	return s.wireIntern.ID(string(label)), nil
-}
-
-// WireInterner exposes the server-wide label interner (read-side helper
-// for tests and demos mapping symbolic-mode ingest back to labels).
-func (s *Server) WireInterner(f func(*temporal.Interner)) {
-	s.wireInternMu.RLock()
-	defer s.wireInternMu.RUnlock()
-	f(s.wireIntern)
-}
-
 // serveWireConn runs one persistent connection: read frame, decode into
 // the recycled buffer, apply through the shard, answer with
 // an ack or a typed error frame. Framing-level failures (bad magic or
@@ -200,7 +176,6 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		defer s.wx.conns.Add(-1)
 	}
 	dec := wire.NewDecoder(bufio.NewReaderSize(conn, 1<<16))
-	dec.Resolve = s.resolveWireLabel
 	var out []byte // recycled response-frame buffer
 	for {
 		frame, err := dec.Next()

@@ -343,66 +343,6 @@ func TestShardRefusalsEveryEntrance(t *testing.T) {
 	}
 }
 
-// TestWireSymbolicIngest pins the interning protocol end to end: labeled
-// events through the binary transport resolve onto the server-wide
-// interner (first-use dense ids), detect, and a second connection's
-// definitions land in the same id space.
-func TestWireSymbolicIngest(t *testing.T) {
-	subs := []stream.Subscription{{ID: "edge", Motif: motif.MustPath(0, 1), Delta: 100, Phi: 0}}
-	srv, ts, addr := startWireServer(t, Config{Subs: subs})
-
-	cli, err := wire.Dial(addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ack, err := cli.IngestLabeled(0, "", []wire.LabeledEvent{
-		{From: "alice", To: "bob", T: 10, F: 2},
-		{From: "bob", To: "carol", T: 20, F: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Ingested != 2 {
-		t.Fatalf("ack = %+v, want 2 ingested", ack)
-	}
-	// A second connection has its own per-connection symbol table but
-	// shares the server id space: "bob" must resolve to the id the first
-	// connection defined.
-	cli2, err := wire.Dial(addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli2.Close()
-	if _, err := cli2.IngestLabeled(0, "", []wire.LabeledEvent{
-		{From: "bob", To: "alice", T: 30, F: 5},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.WireInterner(func(in *temporal.Interner) {
-		if in.Len() != 3 {
-			t.Fatalf("server interner holds %d labels, want 3 (shared across connections)", in.Len())
-		}
-		for _, l := range []string{"alice", "bob", "carol"} {
-			if _, ok := in.Lookup(l); !ok {
-				t.Fatalf("label %q not interned", l)
-			}
-		}
-	})
-	if resp, body := postJSON(t, ts.Client(), ts.URL+"/flush", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("flush: %d: %s", resp.StatusCode, body)
-	}
-	var got struct {
-		Instances []*stream.Detection `json:"instances"`
-	}
-	if resp := getJSON(t, ts.Client(), ts.URL+"/instances?limit=0&sub=edge", &got); resp.StatusCode != http.StatusOK {
-		t.Fatalf("instances: %d", resp.StatusCode)
-	}
-	if len(got.Instances) == 0 {
-		t.Fatal("no detections from symbolic ingest")
-	}
-}
-
 // TestWireFrameTooLarge pins the 413 mirror: a frame header declaring a
 // payload over wire.DefaultMaxFrameBytes is rejected with the typed
 // too-large error frame before any payload is read (none is ever sent),
@@ -441,6 +381,67 @@ func TestWireFrameTooLarge(t *testing.T) {
 	small := []temporal.Event{{From: 0, To: 1, T: 1, F: 1}, {From: 1, To: 2, T: 2, F: 1}}
 	if _, err := cli.Ingest(1, "", small); err != nil {
 		t.Fatalf("small frame after reconnect: %v", err)
+	}
+}
+
+// TestWireSymbolicFrameRefused pins that node ids on the wire are the
+// client's: a v1 batch frame with flag bit 0 set and label definitions
+// (the bytes an older encoder's symbolic mode produced for a→b at t=1,
+// f=1) is answered with a bad-frame error, applies nothing, and closes
+// the connection, as any malformed frame does.
+func TestWireSymbolicFrameRefused(t *testing.T) {
+	srv, _, addr := startWireServer(t, Config{Subs: wireTestSubs()})
+	req4xx := func() float64 {
+		for _, m := range srv.Obs().Snapshot() {
+			if m.Name == "flowmotif_wire_requests_total" && len(m.Labels) == 1 && m.Labels[0].Value == "4xx" {
+				return m.Value
+			}
+		}
+		t.Fatal("registry missing flowmotif_wire_requests_total{code=\"4xx\"}")
+		return 0
+	}
+	before4xx, beforeIngested := req4xx(), srv.Engine().Stats().EventsIngested
+
+	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	symbolic := []byte{
+		0x46, 0x4d, 0x01, 0x01, 0x0f, 0x00, 0x00, 0x00,
+		0x01, 0x01, 0x00, 0x02, 0x01, 0x61, 0x01, 0x62,
+		0x01, 0x00, 0x01, 0x02, 0xbf, 0xe0, 0x03,
+		0x19, 0x55, 0x69, 0x5d,
+	}
+	if _, err := conn.Write(symbolic); err != nil {
+		t.Fatal(err)
+	}
+	dec := wire.NewDecoder(conn)
+	f, err := dec.Next()
+	if err != nil || f.Type != wire.FrameError {
+		t.Fatalf("symbolic frame: frame %+v, err %v, want an error frame", f, err)
+	}
+	if re, err := dec.RemoteErr(); err != nil || re.Code != wire.CodeBadFrame {
+		t.Fatalf("symbolic frame: %v, %v, want RemoteError code %d", re, err, wire.CodeBadFrame)
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("read after rejection: %v, want EOF", err)
+	}
+	if got := req4xx(); got != before4xx+1 {
+		t.Errorf("wire_requests_total{code=\"4xx\"} = %v, want %v", got, before4xx+1)
+	}
+	if got := srv.Engine().Stats().EventsIngested; got != beforeIngested {
+		t.Errorf("engine ingested %d events, want %d (the refused frame applies nothing)", got, beforeIngested)
+	}
+	// A numeric batch on a fresh connection is still acked.
+	cli, err := wire.Dial(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Ingest(1, "", []temporal.Event{{From: 0, To: 1, T: 1, F: 1}}); err != nil {
+		t.Fatalf("numeric frame after reconnect: %v", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // GraphArena builds time-series graphs with buffer reuse: every slice a
-// Graph needs (the ordering scratch, both CSR adjacencies, the points arena
+// Graph needs (the ordering scratch, the CSR adjacency, the points arena
 // and its prefix sums) is kept between builds and regrown only when a build
 // outsizes the previous ones. The streaming engine's shared-evaluation
 // planner (internal/stream, DESIGN.md §11) builds one snapshot per finalize
@@ -28,7 +28,6 @@ type GraphArena struct {
 	sorted []Event
 	tmp    []Event // counting-pass scatter target
 	count  []int   // counting-pass bucket offsets
-	next   []int   // in-CSR fill cursor scratch
 	g      *Graph
 }
 
@@ -102,8 +101,6 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 	if len(sorted) == 0 {
 		g.minT, g.maxT = 0, 0
 	}
-
-	a.buildInCSR(g)
 	return g, nil
 }
 
@@ -156,32 +153,6 @@ func (a *GraphArena) countingPass(numNodes int, src, dst []Event, byFrom bool) {
 		k := key(&src[i])
 		dst[count[k]] = src[i]
 		count[k]++
-	}
-}
-
-// buildInCSR fills the reverse adjacency from the forward one, reusing the
-// graph's in-CSR slices and the arena's cursor scratch.
-func (a *GraphArena) buildInCSR(g *Graph) {
-	numArcs := len(g.outTo)
-	g.inOff = zeroedInts(g.inOff, g.numNodes+1)
-	for arc := 0; arc < numArcs; arc++ {
-		g.inOff[g.outTo[arc]+1]++
-	}
-	for v := 0; v < g.numNodes; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	g.inFrom = resizeSlice(g.inFrom, numArcs)
-	g.inArc = resizeSlice(g.inArc, numArcs)
-	a.next = resizeSlice(a.next, g.numNodes)
-	copy(a.next, g.inOff[:g.numNodes])
-	// Arcs are ordered by (src, dst); filling in this order keeps each
-	// node's in-list sorted by source.
-	for arc := 0; arc < numArcs; arc++ {
-		v := g.outTo[arc]
-		p := a.next[v]
-		a.next[v]++
-		g.inFrom[p] = g.arcSrc[arc]
-		g.inArc[p] = arc
 	}
 }
 

@@ -30,14 +30,6 @@ func (in *Interner) Lookup(label string) (NodeID, bool) {
 	return id, ok
 }
 
-// LookupBytes is Lookup for a byte-slice key. The map access compiles to
-// a zero-copy string conversion, so the wire decoder's steady state (all
-// labels already interned) performs no allocation per lookup.
-func (in *Interner) LookupBytes(label []byte) (NodeID, bool) {
-	id, ok := in.ids[string(label)]
-	return id, ok
-}
-
 // Label returns the original label of id; it panics on out-of-range ids.
 func (in *Interner) Label(id NodeID) string { return in.labels[id] }
 

@@ -10,7 +10,6 @@
 //
 //   - out-adjacency: for each node, the sorted list of out-neighbours; the
 //     position of a neighbour entry is the arc identifier;
-//   - in-adjacency: the reverse view, with back-references to arc ids;
 //   - a single points arena holding all series back to back, plus one global
 //     prefix-sum array so that the aggregated flow of any contiguous series
 //     range is two array reads.
@@ -54,12 +53,6 @@ type Graph struct {
 	outOff []int
 	outTo  []NodeID
 	arcSrc []NodeID // source node per arc
-
-	// In-adjacency CSR: inFrom[inOff[v]:inOff[v+1]] lists sources, sorted;
-	// inArc holds the corresponding arc ids.
-	inOff  []int
-	inFrom []NodeID
-	inArc  []int
 
 	// Series arena: points of arc a are points[arcOff[a]:arcOff[a+1]],
 	// sorted by T. cum[i] is the total flow of points[0:i] (global prefix
@@ -131,14 +124,8 @@ func (g *Graph) NumEvents() int { return len(g.points) }
 // OutDegree returns the number of distinct out-neighbours of u.
 func (g *Graph) OutDegree(u NodeID) int { return g.outOff[u+1] - g.outOff[u] }
 
-// InDegree returns the number of distinct in-neighbours of u.
-func (g *Graph) InDegree(u NodeID) int { return g.inOff[u+1] - g.inOff[u] }
-
 // OutArcs returns the half-open arc-id range [lo, hi) of node u's out-arcs.
 func (g *Graph) OutArcs(u NodeID) (lo, hi int) { return g.outOff[u], g.outOff[u+1] }
-
-// InArcs returns u's in-arc ids (arcs whose target is u), sorted by source.
-func (g *Graph) InArcs(u NodeID) []int { return g.inArc[g.inOff[u]:g.inOff[u+1]] }
 
 // ArcTarget returns the head node of arc a.
 func (g *Graph) ArcTarget(a int) NodeID { return g.outTo[a] }
@@ -211,9 +198,6 @@ func (g *Graph) WithFlows(flows []float64) (*Graph, error) {
 		outOff:    g.outOff,
 		outTo:     g.outTo,
 		arcSrc:    g.arcSrc,
-		inOff:     g.inOff,
-		inFrom:    g.inFrom,
-		inArc:     g.inArc,
 		arcOff:    g.arcOff,
 		minT:      g.minT,
 		maxT:      g.maxT,

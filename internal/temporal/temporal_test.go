@@ -103,17 +103,9 @@ func TestDegreesAndAdjacency(t *testing.T) {
 	if got := g.OutDegree(2); got != 2 { // 2->0, 2->3
 		t.Errorf("OutDegree(2) = %d, want 2", got)
 	}
-	if got := g.InDegree(3); got != 2 { // 2->3, 1->3
-		t.Errorf("InDegree(3) = %d, want 2", got)
-	}
 	lo, hi := g.OutArcs(0)
 	if hi-lo != 1 || g.ArcTarget(lo) != 1 {
 		t.Errorf("OutArcs(0): [%d,%d) target %d", lo, hi, g.ArcTarget(lo))
-	}
-	// In-arcs of node 0: from 2 and 3, sorted by source.
-	in := g.InArcs(0)
-	if len(in) != 2 || g.ArcSource(in[0]) != 2 || g.ArcSource(in[1]) != 3 {
-		t.Errorf("InArcs(0) sources wrong: %v", in)
 	}
 }
 

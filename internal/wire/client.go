@@ -15,16 +15,14 @@ import (
 const DefaultCallTimeout = 30 * time.Second
 
 // Client is a persistent-connection client for the binary batch
-// protocol. One Client owns one connection and its encoder/decoder state
-// (symbol table); calls are serialized by an internal mutex-free
-// contract: the caller must not invoke Ingest concurrently (the cluster
+// protocol. One Client owns one connection and its encoder/decoder
+// buffers; the caller must not invoke Ingest concurrently (the cluster
 // replicator is a single goroutine per member, and HTTPMember guards its
 // client with a mutex).
 //
 // Any transport error leaves the connection in an unusable state: the
 // Client closes it and every later call fails. Callers should discard
-// the Client and redial; symbol-table state is per-connection, so a
-// fresh Client restarts the interning handshake from scratch.
+// the Client and redial.
 type Client struct {
 	conn    net.Conn
 	dec     *Decoder
@@ -59,21 +57,11 @@ func NewClient(conn net.Conn, timeout time.Duration) *Client {
 	}
 }
 
-// Ingest sends one numeric-mode batch and waits for the acknowledgement.
+// Ingest sends one batch and waits for the acknowledgement.
 // A *RemoteError return means the server rejected the batch but the
 // connection remains usable; any other error breaks the connection.
 func (c *Client) Ingest(seq int64, traceparent string, evs []temporal.Event) (Ack, error) {
 	frame, err := c.enc.EncodeBatch(seq, traceparent, evs)
-	if err != nil {
-		return Ack{}, err
-	}
-	return c.roundTrip(frame)
-}
-
-// IngestLabeled sends one symbolic-mode batch (string endpoints interned
-// into the connection symbol table) and waits for the acknowledgement.
-func (c *Client) IngestLabeled(seq int64, traceparent string, evs []LabeledEvent) (Ack, error) {
-	frame, err := c.enc.EncodeLabeledBatch(seq, traceparent, evs)
 	if err != nil {
 		return Ack{}, err
 	}

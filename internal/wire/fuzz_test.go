@@ -13,8 +13,9 @@ import (
 // a rejected frame yields zero events (Events fails after a failed Next);
 // and any accepted batch survives an encode→decode round trip bit-exactly.
 func FuzzDecodeFrame(f *testing.F) {
-	// Seeds from real encoder output: numeric, symbolic with definitions,
-	// a continuation frame reusing the symbol table, ack, and error frames.
+	// Seeds from real encoder output (numeric, the pinned golden frame,
+	// ack, and error frames) plus a v1 symbolic-mode frame, which the
+	// decoder refuses.
 	var enc Encoder
 	numeric, _ := enc.EncodeBatch(7, "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
 		[]temporal.Event{
@@ -23,16 +24,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			{From: 1, To: 3, T: 140, F: 0.125},
 		})
 	f.Add(append([]byte(nil), numeric...))
-	var symEnc Encoder
-	symbolic, _ := symEnc.EncodeLabeledBatch(1, "", []LabeledEvent{
-		{From: "alice", To: "bob", T: 10, F: 5},
-		{From: "bob", To: "carol", T: 11, F: 6},
-	})
-	f.Add(append([]byte(nil), symbolic...))
-	cont, _ := symEnc.EncodeLabeledBatch(2, "", []LabeledEvent{
-		{From: "carol", To: "dave", T: 12, F: 7},
-	})
-	f.Add(append(append([]byte(nil), symbolic...), cont...))
+	f.Add(append([]byte(nil), goldenNumericFrame...))
+	f.Add(append([]byte(nil), symbolicV1Frame...))
 	f.Add(AppendAckFrame(nil, Ack{Seq: 9, Ingested: 3, Watermark: 140, Detections: 1, Trace: "abc"}))
 	f.Add(AppendErrorFrame(nil, CodeBehindFrontier, "behind frontier"))
 
@@ -50,12 +43,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{'F', 'M', Version, FrameBatch, 0xff, 0xff, 0xff, 0x7f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resolved := temporal.NewInterner()
 		dec := NewDecoder(bytes.NewReader(data))
 		dec.MaxFrame = 1 << 20
-		dec.Resolve = func(label []byte) (temporal.NodeID, error) {
-			return resolved.ID(string(label)), nil
-		}
 		// Decode every frame in the image (persistent connections carry
 		// several per stream).
 		for {
@@ -91,9 +80,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// checkRoundTrip re-encodes an accepted batch in numeric mode and checks
-// the decode is bit-exact (floats compared by bits: NaN payloads must
-// survive).
+// checkRoundTrip re-encodes an accepted batch and checks the decode is
+// bit-exact (floats compared by bits: NaN payloads must survive).
 func checkRoundTrip(t *testing.T, fr Frame, evs []temporal.Event) {
 	t.Helper()
 	var enc Encoder

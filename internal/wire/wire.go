@@ -5,11 +5,10 @@
 //
 // where the CRC (IEEE) covers the payload only. Batch payloads carry the
 // cluster idempotency/tracing trailer (seq + traceparent, compatible with
-// cluster.Batch), an optional run of symbol-definition records that extend
-// the connection's node-label table, and a run of events encoded as
-// varints: node ids (raw temporal.NodeIDs or connection-local symbol ids),
-// delta-encoded non-decreasing timestamps, and byte-reversed float bits
-// for flow values (small mantissas ⇒ short varints).
+// cluster.Batch), a reserved zero, and a run of events encoded as
+// varints: node ids (the client's raw temporal.NodeIDs), delta-encoded
+// non-decreasing timestamps, and byte-reversed float bits for flow values
+// (small mantissas ⇒ short varints).
 //
 // The Decoder recycles its payload and event buffers across frames, so the
 // steady-state decode path performs zero per-event allocations (enforced
@@ -24,7 +23,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 
 	"flowmotif/internal/temporal"
 )
@@ -44,11 +42,6 @@ const (
 	FrameBatch = 0x01 // client → server: event batch
 	FrameAck   = 0x02 // server → client: ingest acknowledgement
 	FrameError = 0x03 // server → client: typed rejection
-)
-
-// Batch payload flag bits.
-const (
-	flagSymbolic = 1 << 0 // node ids are connection-local symbol ids
 )
 
 // Ack payload flag bits.
@@ -116,15 +109,6 @@ type Ack struct {
 	Trace      string
 }
 
-// LabeledEvent is an event whose endpoints are external string labels; the
-// encoder interns them into the connection's symbol table (emitting
-// inline definition records on first sight) so repeats cost one varint.
-type LabeledEvent struct {
-	From, To string
-	T        int64
-	F        float64
-}
-
 // appendUvarint, appendVarint: binary.AppendUvarint over a recycled
 // buffer; amortized zero allocation once the buffer has grown.
 
@@ -136,38 +120,26 @@ func floatBits(f float64) uint64 { return bits.ReverseBytes64(math.Float64bits(f
 
 func floatFromBits(u uint64) float64 { return math.Float64frombits(bits.ReverseBytes64(u)) }
 
-// Encoder builds batch frames into a recycled buffer. An Encoder is bound
-// to one connection: its symbol table must advance in lockstep with the
-// peer decoder's, so after a reconnect use a fresh Encoder (or Reset).
-// Not safe for concurrent use.
+// Encoder builds batch frames into a recycled buffer. It keeps no
+// per-connection state, so one Encoder may serve any connection. Not safe
+// for concurrent use.
 type Encoder struct {
-	buf      []byte
-	syms     *temporal.Interner
-	defined  int // symbols the peer has seen definitions for
-	scratch  []temporal.Event
-	scratchL []LabeledEvent
+	buf     []byte
+	scratch []temporal.Event
 }
 
-// Reset clears the connection-local symbol state (the buffer is kept).
-func (e *Encoder) Reset() {
-	e.syms = nil
-	e.defined = 0
-}
-
-// EncodeBatch builds a numeric-mode batch frame: node ids travel as raw
-// temporal.NodeID varints with no symbol table — the mode replication
-// uses, where both sides already share the coordinator's id space.
-// Events are sorted by timestamp (stable, the order every admitting layer
-// uses) into an internal scratch slice when not already in order.
-// The returned slice is valid until the next call.
+// EncodeBatch builds a batch frame: node ids travel as the caller's raw
+// temporal.NodeID varints. Events are sorted by timestamp (stable, the
+// order every admitting layer uses) into an internal scratch slice when
+// not already in order. The returned slice is valid until the next call.
 func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
 	evs = temporal.InTimeOrder(evs, &e.scratch)
 	e.begin(FrameBatch)
-	e.buf = binary.AppendUvarint(e.buf, 0) // flags: numeric mode
+	e.buf = binary.AppendUvarint(e.buf, 0) // flags: none defined
 	if err := e.trailer(seq, traceparent); err != nil {
 		return nil, err
 	}
-	e.buf = binary.AppendUvarint(e.buf, 0) // no symbol definitions
+	e.buf = binary.AppendUvarint(e.buf, 0) // reserved: always 0
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(evs)))
 	prev := int64(0)
 	for i := range evs {
@@ -181,48 +153,6 @@ func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Even
 		e.buf = binary.AppendUvarint(e.buf, floatBits(ev.F))
 	}
 	return e.finish(), nil
-}
-
-// EncodeLabeledBatch builds a symbolic-mode batch frame: endpoints are
-// connection-local symbol ids, with definition records prepended for
-// labels the peer has not seen on this connection yet.
-func (e *Encoder) EncodeLabeledBatch(seq int64, traceparent string, evs []LabeledEvent) ([]byte, error) {
-	if e.syms == nil {
-		e.syms = temporal.NewInterner()
-	}
-	evs = e.sortedLabeled(evs)
-	// Intern first so new labels take dense ids in order of first use;
-	// the definition run then covers ids [defined, syms.Len()).
-	for i := range evs {
-		e.syms.ID(evs[i].From)
-		e.syms.ID(evs[i].To)
-	}
-	e.begin(FrameBatch)
-	e.buf = binary.AppendUvarint(e.buf, flagSymbolic)
-	if err := e.trailer(seq, traceparent); err != nil {
-		return nil, err
-	}
-	newDefs := e.syms.Len() - e.defined
-	e.buf = binary.AppendUvarint(e.buf, uint64(newDefs))
-	for id := e.defined; id < e.syms.Len(); id++ {
-		label := e.syms.Label(temporal.NodeID(id))
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(label)))
-		e.buf = append(e.buf, label...)
-	}
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(evs)))
-	prev := int64(0)
-	for i := range evs {
-		ev := &evs[i]
-		from, _ := e.syms.Lookup(ev.From)
-		to, _ := e.syms.Lookup(ev.To)
-		e.buf = binary.AppendUvarint(e.buf, uint64(from))
-		e.buf = binary.AppendUvarint(e.buf, uint64(to))
-		prev = e.putTime(i, ev.T, prev)
-		e.buf = binary.AppendUvarint(e.buf, floatBits(ev.F))
-	}
-	frame := e.finish()
-	e.defined = e.syms.Len()
-	return frame, nil
 }
 
 // AppendAckFrame appends an encoded ack frame to dst.
@@ -282,15 +212,6 @@ func (e *Encoder) putTime(i int, t, prev int64) int64 {
 	return t
 }
 
-func (e *Encoder) sortedLabeled(evs []LabeledEvent) []LabeledEvent {
-	if sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].T < evs[j].T }) {
-		return evs
-	}
-	e.scratchL = append(e.scratchL[:0], evs...)
-	sort.SliceStable(e.scratchL, func(i, j int) bool { return e.scratchL[i].T < e.scratchL[j].T })
-	return e.scratchL
-}
-
 // beginFrame appends a frame header (length backfilled by finishFrame)
 // and returns the header's offset in dst.
 func beginFrame(dst []byte, ftype byte) (int, []byte) {
@@ -310,8 +231,7 @@ func finishFrame(dst []byte, start int) []byte {
 }
 
 // Frame is one validated frame's preamble. For batch frames the seq,
-// traceparent, flags, and event count are parsed eagerly (and any symbol
-// definitions applied to the connection table); the per-event run is
+// traceparent, and event count are parsed eagerly; the per-event run is
 // decoded on demand by Events so callers can meter the stages separately.
 type Frame struct {
 	Type        byte
@@ -319,34 +239,26 @@ type Frame struct {
 	Traceparent string
 	Count       int // events in a batch frame
 	PayloadLen  int
-	Symbolic    bool
 }
 
 // Decoder reads frames off an io.Reader into recycled buffers. One
-// Decoder serves one connection (it owns the connection's symbol table).
-// Not safe for concurrent use.
+// Decoder serves one connection. Not safe for concurrent use.
 type Decoder struct {
 	// MaxFrame bounds accepted payload lengths; zero means
 	// DefaultMaxFrameBytes. Oversized frames fail with ErrFrameTooLarge
 	// before their payload is read.
 	MaxFrame int
-	// Resolve maps a symbol-definition label to the engine's node id
-	// space (typically a shared temporal.Interner). Nil rejects symbolic
-	// frames.
-	Resolve func(label []byte) (temporal.NodeID, error)
 
 	r      io.Reader
 	hdr    [headerSize + crcSize]byte
 	buf    []byte
 	events []temporal.Event
-	table  []temporal.NodeID // connection-local symbol id → engine node id
 
 	// pending batch state set by Next, consumed by Events.
-	ftype    byte
-	payload  []byte // alias of buf
-	off      int    // offset of the event run (batch) / payload body (ack, error)
-	count    int
-	symbolic bool
+	ftype   byte
+	payload []byte // alias of buf
+	off     int    // offset of the event run (batch) / payload body (ack, error)
+	count   int
 }
 
 // NewDecoder returns a decoder reading frames from r.
@@ -412,20 +324,20 @@ func (d *Decoder) Next() (Frame, error) {
 	return f, nil
 }
 
-// parseBatchPreamble parses flags, seq, traceparent, and the symbol
-// definition run (growing the connection table via Resolve), and bounds-
-// checks the event count against the remaining payload. It pre-grows the
-// recycled event buffer so Events itself never allocates.
+// parseBatchPreamble parses flags, seq, traceparent, and the reserved
+// field, and bounds-checks the event count against the remaining payload.
+// No flag bit is defined, so any set bit (bit 0 marked the removed
+// symbolic mode, whose label definitions filled the reserved field) is
+// refused. It pre-grows the recycled event buffer so Events itself never
+// allocates.
 func (d *Decoder) parseBatchPreamble(f *Frame) error {
 	flags, err := d.uvarint()
 	if err != nil {
 		return err
 	}
-	if flags&^uint64(flagSymbolic) != 0 {
+	if flags != 0 {
 		return fmt.Errorf("%w: unknown batch flags 0x%x", ErrMalformed, flags)
 	}
-	d.symbolic = flags&flagSymbolic != 0
-	f.Symbolic = d.symbolic
 	seq, err := d.uvarint()
 	if err != nil {
 		return err
@@ -439,29 +351,12 @@ func (d *Decoder) parseBatchPreamble(f *Frame) error {
 		return err
 	}
 	f.Traceparent = string(tp)
-	defs, err := d.uvarint()
+	reserved, err := d.uvarint()
 	if err != nil {
 		return err
 	}
-	if defs > uint64(len(d.payload)-d.off) {
-		return fmt.Errorf("%w: symbol definition count exceeds payload", ErrMalformed)
-	}
-	if defs > 0 && !d.symbolic {
-		return fmt.Errorf("%w: symbol definitions in numeric-mode batch", ErrMalformed)
-	}
-	for i := uint64(0); i < defs; i++ {
-		label, err := d.bytes()
-		if err != nil {
-			return err
-		}
-		if d.Resolve == nil {
-			return fmt.Errorf("%w: symbolic batch but no label resolver", ErrMalformed)
-		}
-		id, err := d.Resolve(label)
-		if err != nil {
-			return fmt.Errorf("%w: resolving label: %v", ErrMalformed, err)
-		}
-		d.table = append(d.table, id)
+	if reserved != 0 {
+		return fmt.Errorf("%w: reserved batch field is %d, want 0", ErrMalformed, reserved)
 	}
 	count, err := d.uvarint()
 	if err != nil {
@@ -530,20 +425,12 @@ func (d *Decoder) Events() ([]temporal.Event, error) {
 			return nil, ErrMalformed
 		}
 		off += n
-		ev := &evs[i]
-		if d.symbolic {
-			if from >= uint64(len(d.table)) || to >= uint64(len(d.table)) {
-				return nil, ErrMalformed
-			}
-			ev.From = d.table[from]
-			ev.To = d.table[to]
-		} else {
-			if from > math.MaxInt32 || to > math.MaxInt32 {
-				return nil, ErrMalformed
-			}
-			ev.From = temporal.NodeID(from)
-			ev.To = temporal.NodeID(to)
+		if from > math.MaxInt32 || to > math.MaxInt32 {
+			return nil, ErrMalformed
 		}
+		ev := &evs[i]
+		ev.From = temporal.NodeID(from)
+		ev.To = temporal.NodeID(to)
 		ev.T = t
 		ev.F = floatFromBits(fb)
 	}
@@ -616,10 +503,6 @@ func (d *Decoder) RemoteErr() (*RemoteError, error) {
 	}
 	return &RemoteError{Code: ErrorCode(code), Msg: string(msg)}, nil
 }
-
-// SymbolTableLen reports the size of the connection's symbol table
-// (testing aid).
-func (d *Decoder) SymbolTableLen() int { return len(d.table) }
 
 func (d *Decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.payload[d.off:])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,6 +42,49 @@ func randomEvents(rng *rand.Rand, n int) []temporal.Event {
 		}
 	}
 	return evs
+}
+
+// goldenNumericFrame is EncodeBatch(7, "", [{1→2, t=100, f=3.5},
+// {2→3, t=140, f=1}]) byte for byte: header (magic, Version 1, batch
+// type, payload length 17), flags 0, seq 7, empty traceparent, the
+// reserved definition count 0, two events, CRC. Pinning it keeps numeric
+// frames byte-identical across releases that share wire.Version.
+var goldenNumericFrame = []byte{
+	0x46, 0x4d, 0x01, 0x01, 0x11, 0x00, 0x00, 0x00,
+	0x00, 0x07, 0x00, 0x00, 0x02,
+	0x01, 0x02, 0xc8, 0x01, 0xc0, 0x18,
+	0x02, 0x03, 0x28, 0xbf, 0xe0, 0x03,
+	0xd4, 0xc1, 0x9c, 0xa3,
+}
+
+// symbolicV1Frame is a v1 batch with flag bit 0 set and two label
+// definitions ("a", "b") for one event a→b at t=1, f=1: the bytes the
+// protocol's removed symbolic mode produced. Decoders refuse it.
+var symbolicV1Frame = []byte{
+	0x46, 0x4d, 0x01, 0x01, 0x0f, 0x00, 0x00, 0x00,
+	0x01, 0x01, 0x00, 0x02, 0x01, 0x61, 0x01, 0x62,
+	0x01, 0x00, 0x01, 0x02, 0xbf, 0xe0, 0x03,
+	0x19, 0x55, 0x69, 0x5d,
+}
+
+func TestNumericFrameGolden(t *testing.T) {
+	want := []temporal.Event{{From: 1, To: 2, T: 100, F: 3.5}, {From: 2, To: 3, T: 140, F: 1}}
+	var enc Encoder
+	frame, err := enc.EncodeBatch(7, "", want)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !bytes.Equal(frame, goldenNumericFrame) {
+		t.Fatalf("EncodeBatch = % x\nwant          % x", frame, goldenNumericFrame)
+	}
+	r := bytes.NewReader(nil)
+	f, got := decodeOne(t, NewDecoder(r), goldenNumericFrame, r)
+	if f.Seq != 7 || f.Traceparent != "" || f.Count != 2 {
+		t.Fatalf("preamble = %+v, want seq 7, no traceparent, 2 events", f)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
 }
 
 func TestNumericRoundTrip(t *testing.T) {
@@ -96,50 +140,6 @@ func TestEncodeSortsUnorderedBatch(t *testing.T) {
 	}
 }
 
-func TestSymbolicRoundTripIncrementalDefs(t *testing.T) {
-	resolved := temporal.NewInterner()
-	var enc Encoder
-	r := bytes.NewReader(nil)
-	dec := NewDecoder(r)
-	dec.Resolve = func(label []byte) (temporal.NodeID, error) {
-		return resolved.ID(string(label)), nil
-	}
-
-	frame, err := enc.EncodeLabeledBatch(1, "", []LabeledEvent{
-		{From: "alice", To: "bob", T: 1, F: 5},
-		{From: "bob", To: "carol", T: 2, F: 7},
-	})
-	if err != nil {
-		t.Fatalf("encode 1: %v", err)
-	}
-	_, got := decodeOne(t, dec, frame, r)
-	if dec.SymbolTableLen() != 3 {
-		t.Fatalf("symbol table = %d entries, want 3", dec.SymbolTableLen())
-	}
-	a, _ := resolved.Lookup("alice")
-	b, _ := resolved.Lookup("bob")
-	c, _ := resolved.Lookup("carol")
-	if got[0].From != a || got[0].To != b || got[1].From != b || got[1].To != c {
-		t.Fatalf("resolved ids mismatch: %+v", got)
-	}
-
-	// Second frame on the same connection: only the new label is defined.
-	frame, err = enc.EncodeLabeledBatch(2, "", []LabeledEvent{
-		{From: "carol", To: "dave", T: 3, F: 9},
-	})
-	if err != nil {
-		t.Fatalf("encode 2: %v", err)
-	}
-	_, got = decodeOne(t, dec, frame, r)
-	if dec.SymbolTableLen() != 4 {
-		t.Fatalf("symbol table = %d entries after frame 2, want 4", dec.SymbolTableLen())
-	}
-	d4, _ := resolved.Lookup("dave")
-	if got[0].From != c || got[0].To != d4 {
-		t.Fatalf("resolved ids mismatch in frame 2: %+v", got)
-	}
-}
-
 func TestAckAndErrorFrames(t *testing.T) {
 	ack := Ack{Seq: 42, Ingested: 512, Watermark: -7, Detections: 3, Dup: true, Trace: "0af7651916cd43dd8448eb211c80319c"}
 	frame := AppendAckFrame(nil, ack)
@@ -183,6 +183,12 @@ func TestDecodeRejections(t *testing.T) {
 		f(b)
 		return b
 	}
+	// remut edits the golden frame's payload and recomputes its CRC.
+	remut := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), goldenNumericFrame[:len(goldenNumericFrame)-crcSize]...)
+		f(b)
+		return finishFrame(b, 0)
+	}
 	cases := []struct {
 		name  string
 		frame []byte
@@ -193,6 +199,8 @@ func TestDecodeRejections(t *testing.T) {
 		{"payload bit flip", mut(func(b []byte) { b[headerSize+3] ^= 0x40 }), ErrChecksum},
 		{"crc bit flip", mut(func(b []byte) { b[len(b)-1] ^= 1 }), ErrChecksum},
 		{"unknown type", mut(func(b []byte) { b[3] = 0x7f }), ErrMalformed},
+		{"unknown flag", remut(func(b []byte) { b[headerSize] = 0x02 }), ErrMalformed},
+		{"reserved count set", remut(func(b []byte) { b[headerSize+3] = 0x01 }), ErrMalformed},
 	}
 	for _, tc := range cases {
 		r := bytes.NewReader(tc.frame)
@@ -225,13 +233,8 @@ func TestDecodeRejections(t *testing.T) {
 		}
 	})
 
-	t.Run("symbolic without resolver", func(t *testing.T) {
-		var enc Encoder
-		frame, err := enc.EncodeLabeledBatch(1, "", []LabeledEvent{{From: "a", To: "b", T: 1, F: 1}})
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		dec := NewDecoder(bytes.NewReader(frame))
+	t.Run("symbolic v1 frame", func(t *testing.T) {
+		dec := NewDecoder(bytes.NewReader(symbolicV1Frame))
 		if _, err := dec.Next(); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("err = %v, want ErrMalformed", err)
 		}
