@@ -5,13 +5,14 @@ package stream
 // phase-P1 walk serve every due subscription, so a subscription's real
 // cost is invisible to per-call accounting. This file takes the round
 // meter's (obs.go) readings of the snapshot build, the phase-P1 walk and
-// every plan group's phase-P2 sweep, splits the walk across shapes by the
-// matches it delivered to each and each sweep across its members by the
-// detections they received, and splits the shared stage costs back onto
-// member subscriptions proportionally to their fan-out time (equal split
-// when the weights are all zero). The attributed totals surface as
-// SubCost and GroupCostStats in Stats, as the counters
-// flowmotif_sub_cost_seconds_total{shape,sub} and
+// every plan group's phase-P2 sweep, plus the emit drain that builds the
+// detections the sinks keep (round.go); splits the walk across shapes by
+// the matches it delivered to each, and each sweep and each drain across
+// its members by the detections they received; and splits the shared
+// stage costs back onto member subscriptions proportionally to their
+// fan-out time (equal split when the weights are all zero). The
+// attributed totals surface as SubCost and GroupCostStats in Stats, as the
+// counters flowmotif_sub_cost_seconds_total{shape,sub} and
 // flowmotif_group_cost_seconds_total{delta,shape}, and feed GET /debug/top.
 
 import (
@@ -29,8 +30,9 @@ import (
 const costEwmaTau = 30 * time.Second
 
 // SubCost is one subscription's attributed-cost readout: total engine
-// seconds attributed to it (its own fan-out walks plus its proportional
-// share of the shared snapshot/match stages), its fan-out-only seconds,
+// seconds attributed to it (its own fan-out — sweeps and the drains that
+// build its detections — plus its proportional share of the shared
+// snapshot/match stages), its fan-out-only seconds,
 // its share of all attributed engine work, and the EWMA cost rate
 // (attributed seconds per wall second).
 type SubCost struct {
@@ -60,9 +62,10 @@ type GroupCostStats struct {
 }
 
 // EngineCostStats is the engine-level attribution account: the seconds
-// attributed across all subscriptions, the independently measured finalize
-// round seconds they must sum to (the oracle in cost_test.go holds them
-// within 10%), and the metered round count.
+// attributed across all subscriptions, the independently measured seconds
+// of the finalize rounds and their emit drains that they must sum to (the
+// oracle in cost_test.go holds them within 10%), and the metered round
+// count.
 type EngineCostStats struct {
 	AttributedSeconds float64 `json:"attributedSeconds"`
 	RoundSeconds      float64 `json:"roundSeconds"`
@@ -99,7 +102,7 @@ func (e *Engine) attachCostLocked(s *subState, g *planGroup) {
 		return
 	}
 	s.cost.ctr = e.obsReg.FloatCounter("flowmotif_sub_cost_seconds_total",
-		"Engine seconds attributed to one subscription: its fan-out walks plus its proportional share of shared snapshot/match work.",
+		"Engine seconds attributed to one subscription: its fan-out (sweeps and the sink drains of its detections) plus its proportional share of shared snapshot/match work.",
 		obs.L("shape", g.key.shape), obs.L("sub", s.sub.ID))
 	if g.cost.ctr == nil {
 		g.cost.ctr = e.obsReg.FloatCounter("flowmotif_group_cost_seconds_total",
@@ -189,26 +192,66 @@ func (e *Engine) applyCostLocked(m *roundMeter, round time.Duration, now time.Ti
 		matchNs := float64(m.walk) * weight(int64(sc.matches), roundMatches, len(m.shapes))
 		matchShare := int64(matchNs * weight(sm.ns, sc.fanNs, sc.members))
 		snapShare := int64(float64(m.snap) * weight(sm.ns, roundFan, len(m.samples)))
-		total := sm.ns + matchShare + snapShare
-
-		st := &sm.s.cost
-		st.attribNs += total
-		st.fanoutNs += sm.ns
-		sec := float64(total) / 1e9
-		updateCostRate(&st.rate, &st.rateAt, sec, now)
-		st.ctr.Add(sec)
-
-		gc := &sm.g.cost
-		gc.roundNs += total
-		gc.attribNs += total
-		gc.fanoutNs += sm.ns
-		gc.matchNs += matchShare
-		gc.snapNs += snapShare
-		gc.emits += sm.s.bandEmits
-		gc.ctr.Add(sec)
-
-		attributed += total
+		attributed += e.chargeLocked(sm.g, sm.s, sm.ns, matchShare, snapShare, now)
+		sm.g.cost.emits += sm.s.bandEmits
 	}
+	e.closeCostLocked(attributed, round, now)
+	e.costRounds++
+}
+
+// chargeDrainLocked charges the round's sink drain, d long, as fan-out:
+// materializing the detections the sinks keep, and the sinks' own work,
+// split across the round's due members by the detections each received,
+// as a sweep is. The drain counts towards the round's measured total, so
+// the account keeps summing to it. The caller holds mu, after the drain
+// and before the next round.
+func (e *Engine) chargeDrainLocked(d time.Duration, now time.Time) {
+	due := e.round.due
+	var emits int64
+	for _, db := range due {
+		for _, s := range db.subs {
+			emits += s.bandEmits
+		}
+	}
+	if emits == 0 {
+		return
+	}
+	var attributed int64
+	for _, db := range due {
+		for _, s := range db.subs {
+			ns := int64(float64(d.Nanoseconds()) * float64(s.bandEmits) / float64(emits))
+			attributed += e.chargeLocked(db.group, s, ns, 0, 0, now)
+		}
+	}
+	e.closeCostLocked(attributed, d, now)
+}
+
+// chargeLocked folds one member's part of a round — fan-out plus its
+// shares of the walk and the snapshot — into its and its group's accounts
+// and counters, and returns the part's total. The caller holds mu.
+func (e *Engine) chargeLocked(g *planGroup, s *subState, fan, match, snap int64, now time.Time) int64 {
+	total := fan + match + snap
+	st := &s.cost
+	st.attribNs += total
+	st.fanoutNs += fan
+	sec := float64(total) / 1e9
+	updateCostRate(&st.rate, &st.rateAt, sec, now)
+	st.ctr.Add(sec)
+
+	gc := &g.cost
+	gc.roundNs += total
+	gc.attribNs += total
+	gc.fanoutNs += fan
+	gc.matchNs += match
+	gc.snapNs += snap
+	gc.ctr.Add(sec)
+	return total
+}
+
+// closeCostLocked folds the charged parts into the groups' rates and the
+// engine totals: attributed against the measured round time. The caller
+// holds mu.
+func (e *Engine) closeCostLocked(attributed int64, round time.Duration, now time.Time) {
 	for _, g := range e.groups {
 		if g.cost.roundNs != 0 {
 			updateCostRate(&g.cost.rate, &g.cost.rateAt, float64(g.cost.roundNs)/1e9, now)
@@ -217,7 +260,6 @@ func (e *Engine) applyCostLocked(m *roundMeter, round time.Duration, now time.Ti
 	}
 	e.attribNs += attributed
 	e.roundNs += round.Nanoseconds()
-	e.costRounds++
 }
 
 // updateCostRate folds one round's attributed seconds into a decayed-rate

@@ -32,10 +32,13 @@ func costSubs() []Subscription {
 // attributed seconds must sum to the engine-level attributed total exactly
 // and to the independently measured finalize-round totals within 10%, and
 // the ranking must reflect the injected skew (a large-δ group outweighs a
-// small-δ one on the same shape).
+// small-δ one on the same shape). The engine emits into a daemon's sinks
+// at their default sizes: a round's detections are built in the drain to
+// them, and that drain is charged to the members whose detections it
+// carries, so the per-sub check needs sinks that keep detections.
 func TestCostAttributionOracle(t *testing.T) {
 	evs := streamEvents(t, 11)
-	eng, err := NewEngine(Config{Subs: costSubs()}, nil)
+	eng, err := NewEngine(Config{Subs: costSubs()}, MultiSink{NewMemorySink(4096), NewTopKSink(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +110,21 @@ func TestCostAttributionOracle(t *testing.T) {
 	}
 	if d := math.Abs(ctrSum-subSum) / subSum; d > 1e-6 {
 		t.Errorf("sub cost counters sum %.9f != per-sub seconds %.9f", ctrSum, subSum)
+	}
+	// The drains are charged: the measured total the account tracks is the
+	// rounds' time plus their emit drains', as the stage histograms time them.
+	var timed, drained float64
+	for _, m := range eng.Obs().Snapshot() {
+		switch {
+		case m.Name == "flowmotif_finalize_round_seconds":
+			timed += m.Hist.Sum
+		case m.Name == "flowmotif_finalize_stage_seconds" && m.Labels[0].Value == "emit":
+			timed += m.Hist.Sum
+			drained += m.Hist.Sum
+		}
+	}
+	if drained <= 0 || math.Abs(timed-st.Cost.RoundSeconds)/st.Cost.RoundSeconds > 1e-6 {
+		t.Errorf("measured total %.9fs != rounds plus drains %.9fs (drains %.9fs)", st.Cost.RoundSeconds, timed, drained)
 	}
 }
 

@@ -112,6 +112,7 @@ func (e *Engine) leaveGroupLocked(s *subState) {
 type dueBand struct {
 	group  *planGroup
 	subs   []*subState
+	first  int // subs is members[first : first+len(subs)]
 	lo, hi int64
 	plan   int
 }
@@ -182,7 +183,7 @@ func (e *Engine) finalize(terminal bool) {
 		}
 		// A band's members are a window of the round's member list; a later
 		// append that moves the list leaves the window on the old array.
-		db := dueBand{group: g, subs: members[first:len(members):len(members)], lo: lo, hi: hi, plan: i}
+		db := dueBand{group: g, subs: members[first:len(members):len(members)], first: first, lo: lo, hi: hi, plan: i}
 		due = append(due, db)
 		snapLo = min(snapLo, satSub(lo, g.key.delta))
 		snapHi = max(snapHi, satAdd(hi, g.key.delta))
@@ -209,6 +210,7 @@ func (e *Engine) finalize(terminal bool) {
 		// Unreachable: the log only holds validated events.
 		panic(fmt.Sprintf("stream: round snapshot: %v", err))
 	}
+	e.out.g, e.out.members = snap, members
 	e.snapshotBuilds++
 	if snapSpan != nil {
 		snapSpan.Annotate(obs.L("events", strconv.Itoa(snap.NumEvents())))
@@ -269,14 +271,14 @@ func (e *Engine) finalize(terminal bool) {
 			}
 			// One sweep per run of members sharing an emitted bound — the
 			// whole band, except in the round a late joiner catches up.
-			for rest := db.subs; len(rest) > 0; {
+			for rest, off := db.subs, db.first; len(rest) > 0; {
 				n := 1
 				for n < len(rest) && rest[n].emitted == rest[0].emitted {
 					n++
 				}
-				e.sweepBand(snap, matches, rest[:n], db.hi, w)
+				e.sweepBand(snap, matches, rest[:n], off, db.hi, w)
 				m.sweep(db.group, rest[:n])
-				rest = rest[n:]
+				rest, off = rest[n:], off+n
 			}
 		}
 		fanSpan.End()
@@ -286,15 +288,16 @@ func (e *Engine) finalize(terminal bool) {
 }
 
 // sweepBand advances subs — due members of one plan group that share an
-// emitted bound, φ-ascending — to hi with a single phase-P2 run of their
-// shape's matches over their newly closed anchor band (emitted, hi] at the
-// smallest φ (core.SweepMatchesRange), collecting detections into
-// e.pending: the sweep lends each instance, and buildDetections copies out its
-// payload once and one header array for the members whose φ it meets (a
-// prefix of subs), five allocations per instance. The caller holds mu.
+// emitted bound, φ-ascending, at offset sub of the round's member list — to
+// hi with a single phase-P2 run of their shape's matches over their newly
+// closed anchor band (emitted, hi] at the smallest φ
+// (core.SweepMatchesRange). The sweep lends each instance, and sweepBand
+// records it once into e.out with the number of members whose φ it meets
+// (a prefix of subs): no Detection is built here, and once the round's
+// slabs have grown a record allocates nothing. The caller holds mu.
 //
 //flowmotif:hotpath
-func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*subState, hi, w int64) {
+func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*subState, sub int, hi, w int64) {
 	phis := e.round.phis[:0]
 	for _, s := range subs {
 		phis = append(phis, s.sub.Phi)
@@ -303,10 +306,9 @@ func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*sub
 	e.round.phis = phis
 	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0]}
 	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
-		ds := buildDetections(g, in, w, subs[:admitted])
-		for i, s := range subs[:admitted] {
+		e.out.record(in, sub, admitted, w)
+		for _, s := range subs[:admitted] {
 			s.bandEmits++
-			e.pending = append(e.pending, &ds[i])
 		}
 		return true
 	})

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -12,7 +13,9 @@ type FuncSink func(d *Detection)
 // Emit implements Sink.
 func (f FuncSink) Emit(d *Detection) { f(d) }
 
-// MultiSink fans every detection out to each child sink in order.
+// MultiSink fans every detection out to each child sink in order. Draining
+// a round, it hands the round to each child in turn, and children that keep
+// the same detection receive one shared *Detection for it.
 type MultiSink []Sink
 
 // Emit implements Sink.
@@ -22,10 +25,17 @@ func (m MultiSink) Emit(d *Detection) {
 	}
 }
 
+func (m MultiSink) emitRound(r *detRound) {
+	for _, s := range m {
+		drain(s, r)
+	}
+}
+
 // MemorySink retains the most recent detections in a bounded ring buffer,
 // for "what fired lately" queries (flowmotifd's GET /instances). It is
 // safe for concurrent use.
 type MemorySink struct {
+	size  int // cap(ring), readable without mu
 	mu    sync.Mutex
 	ring  []*Detection
 	next  int
@@ -37,20 +47,37 @@ func NewMemorySink(capacity int) *MemorySink {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &MemorySink{ring: make([]*Detection, 0, capacity)}
+	return &MemorySink{size: capacity, ring: make([]*Detection, 0, capacity)}
 }
 
 // Emit implements Sink.
 func (m *MemorySink) Emit(d *Detection) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.pushLocked(d)
+	m.total++
+}
+
+// emitRound keeps the round's last detections that fit the ring,
+// materialized before the lock is taken, and counts all of them; a reader
+// sees the round entirely or not at all.
+func (m *MemorySink) emitRound(r *detRound) {
+	keep := r.tail(m.size)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, d := range keep {
+		m.pushLocked(d)
+	}
+	m.total += int64(r.n)
+}
+
+func (m *MemorySink) pushLocked(d *Detection) {
 	if len(m.ring) < cap(m.ring) {
 		m.ring = append(m.ring, d)
 	} else {
 		m.ring[m.next] = d
 		m.next = (m.next + 1) % cap(m.ring)
 	}
-	m.total++
 }
 
 // Total returns the number of detections ever emitted to the sink.
@@ -168,9 +195,24 @@ func (m *MemorySink) Restore(st MemorySinkState) {
 // instance flow seen so far (ties broken towards earlier Start, then
 // earlier End, for determinism). It is safe for concurrent use.
 type TopKSink struct {
-	k    int
-	mu   sync.Mutex
-	subs map[string]*detHeap
+	k int
+	// drainMu serializes the writers (a round drain, Emit, RemoveSub,
+	// Inject, Restore) and is taken before mu. Holding it, a round drain
+	// reads subs without mu and takes mu once, only to update the heaps.
+	drainMu sync.Mutex
+	mu      sync.Mutex // guards subs
+	subs    map[string]*detHeap
+	// Round drain scratch (drainMu): each due member's bar at round start,
+	// and the round's detections that clear it.
+	bars []topBar
+	keep []*Detection
+}
+
+// topBar is what a subscription's detection must beat at the start of a
+// round drain: its k-th best, once it has k (full).
+type topBar struct {
+	seen, full bool
+	root       rank
 }
 
 // NewTopKSink keeps the best k detections per subscription (minimum 1).
@@ -183,6 +225,8 @@ func NewTopKSink(k int) *TopKSink {
 
 // Emit implements Sink.
 func (t *TopKSink) Emit(d *Detection) {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.emitLocked(d)
@@ -204,6 +248,44 @@ func (t *TopKSink) emitLocked(d *Detection) {
 	}
 }
 
+// emitRound feeds emitLocked, in finalization order, the round's
+// detections that beat their subscription's k-th best at round start (all
+// of them while it holds fewer than k). The k-th best only rises while a
+// round is emitted, so the detections skipped are ones per-detection Emit
+// would reject, and each heap ends as Emit leaves it, ties included. The
+// detections fed are built before mu is taken, and a reader sees the round
+// entirely or not at all.
+func (t *TopKSink) emitRound(r *detRound) {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
+	bars := slices.Grow(t.bars[:0], len(r.members))[:len(r.members)]
+	clear(bars)
+	keep := t.keep[:0]
+	for ri := range r.recs {
+		rec := &r.recs[ri]
+		rk := rank{rec.flow, rec.start, rec.end}
+		for j := range int(rec.admitted) {
+			b := &bars[int(rec.sub)+j]
+			if !b.seen {
+				b.seen = true
+				if h := t.subs[r.members[int(rec.sub)+j].sub.ID]; h != nil && h.Len() >= t.k {
+					b.full, b.root = true, rankOf((*h)[0])
+				}
+			}
+			if !b.full || b.root.less(rk) {
+				keep = append(keep, r.detection(ri, j))
+			}
+		}
+	}
+	t.mu.Lock()
+	for _, d := range keep {
+		t.emitLocked(d)
+	}
+	t.mu.Unlock()
+	clear(keep)
+	t.bars, t.keep = bars, keep[:0]
+}
+
 // Top returns the retained detections of a subscription, best first.
 func (t *TopKSink) Top(sub string) []*Detection {
 	t.mu.Lock()
@@ -220,6 +302,8 @@ func (t *TopKSink) Top(sub string) []*Detection {
 // RemoveSub drops one subscription's retained detections and returns them
 // best-first — the top-k half of a subscription handoff.
 func (t *TopKSink) RemoveSub(sub string) []*Detection {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
 	h := t.subs[sub]
 	delete(t.subs, sub)
@@ -236,6 +320,8 @@ func (t *TopKSink) RemoveSub(sub string) []*Detection {
 // a per-subscription bound, moving a subscription's full top list between
 // sinks of equal k is lossless.
 func (t *TopKSink) Inject(ds []*Detection) {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, d := range ds {
@@ -264,6 +350,8 @@ func (t *TopKSink) Snapshot() TopKSinkState {
 // sink's own k (the weakest detections are dropped if it is smaller than
 // the snapshot's).
 func (t *TopKSink) Restore(st TopKSinkState) {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.subs = map[string]*detHeap{}
@@ -276,14 +364,24 @@ func (t *TopKSink) Restore(st TopKSinkState) {
 
 // detLess orders detections worst-first (heap order): by flow, then by
 // later start/end so that among equal flows the earliest instance wins.
-func detLess(a, b *Detection) bool {
-	if a.Flow != b.Flow {
-		return a.Flow < b.Flow
+func detLess(a, b *Detection) bool { return rankOf(a).less(rankOf(b)) }
+
+// rank is what detLess compares.
+type rank struct {
+	flow       float64
+	start, end int64
+}
+
+func rankOf(d *Detection) rank { return rank{d.Flow, d.Start, d.End} }
+
+func (a rank) less(b rank) bool {
+	if a.flow != b.flow {
+		return a.flow < b.flow
 	}
-	if a.Start != b.Start {
-		return a.Start > b.Start
+	if a.start != b.start {
+		return a.start > b.start
 	}
-	return a.End > b.End
+	return a.end > b.end
 }
 
 // detHeap is a min-heap under detLess (the root is the weakest retained

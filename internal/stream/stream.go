@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -81,8 +80,8 @@ type Config struct {
 // embeds the matched events, not indices into some graph snapshot). The
 // struct itself belongs to whoever receives it; Nodes, Edges and EdgeFlows
 // are read-only: an instance that several subscriptions of a plan group
-// admit is built once, and their detections are adjacent elements of one
-// array that point at the same payload arrays.
+// admit is copied out once, and their detections point at the same
+// payload arrays.
 type Detection struct {
 	Sub        string             `json:"sub"`
 	Motif      string             `json:"motif"`
@@ -99,9 +98,14 @@ type Detection struct {
 // Detection that the sink may retain and whose scalar fields it may set,
 // but whose Nodes, Edges and EdgeFlows it must not write through — they
 // may be shared with detections of other subscriptions (see Detection).
-// The engine serializes Emit calls outside its ingestion lock, in
-// finalization order (planGroup): the same batches give the same
-// sequence. A sink may query the engine (Stats, Watermark, Subscriptions)
+// The engine hands each call's finalized detections to its sink in one
+// drain, outside its ingestion lock: a plain sink gets every detection
+// through Emit, in finalization order (planGroup), so the same batches
+// give the same sequence. The package's serving sinks — MemorySink,
+// TopKSink, and a MultiSink holding them — read the drain as a whole
+// instead: they build only the detections they keep and update under one
+// lock acquisition per drain, so their readers see a drain entirely or not
+// at all. A sink may query the engine (Stats, Watermark, Subscriptions)
 // from within Emit, but must not call Ingest or Flush there
 // (self-deadlock).
 type Sink interface {
@@ -228,7 +232,7 @@ type Engine struct {
 	curSpan *obs.TraceSpan
 
 	scratch []temporal.Event // reused per-batch sort buffer
-	pending []*Detection     // finalized this call, emitted after mu release; array reused (ingestMu)
+	out     detRound         // the call's finalized instances as records, drained after mu release (round.go)
 
 	// appendHook, when set (tests only), runs before the i-th event of a
 	// batch is appended; an error simulates a mid-batch append failure.
@@ -416,7 +420,7 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 	e.curSpan = root
 	e.finalize(false)
 	e.evict()
-	ack := Ack{Ingested: n, Watermark: w, Started: true, Detections: int64(len(e.pending)), Trace: root.Context().Trace}
+	ack := Ack{Ingested: n, Watermark: w, Started: true, Detections: int64(e.out.n), Trace: root.Context().Trace}
 	e.emitPending() // unlocks mu; ends and clears curSpan
 	return ack, nil
 }
@@ -467,27 +471,26 @@ func (e *Engine) FlushTraced(parent obs.SpanContext) Ack {
 		e.minNextT = m
 	}
 	e.evict()
-	ack := Ack{Watermark: w, Started: true, Detections: int64(len(e.pending)), Trace: root.Context().Trace}
+	ack := Ack{Watermark: w, Started: true, Detections: int64(e.out.n), Trace: root.Context().Trace}
 	e.emitPending() // unlocks mu; ends and clears curSpan
 	return ack
 }
 
-// emitPending drains the detections finalized by the current call to the
-// sink. It must be entered with both ingestMu and mu held; it releases mu
-// before touching the sink, so Emit callbacks run outside the state lock
-// (sinks may read engine state) while the surrounding ingestMu preserves
-// finalization order across concurrent callers.
+// emitPending drains the round finalized by the current call to the sink,
+// whole, in one call (round.go): the serving sinks materialize only the
+// detections they keep, any other sink receives every one in finalization
+// order. It must be entered with both ingestMu and mu held; it releases mu
+// before touching the sink, so sinks run outside the state lock (they may
+// read engine state) while the surrounding ingestMu preserves finalization
+// order across concurrent callers and keeps the next round from reusing the
+// records and the snapshot they point into before the drain ends.
 func (e *Engine) emitPending() {
-	// The backing array is kept for the next call: only finalize appends to
-	// it, under ingestMu like this drain, and the drained pointers are
-	// cleared below so the array pins no emitted detection.
-	pend := e.pending
-	e.pending = pend[:0]
+	n := e.out.n
 	arrived := e.arrivedAt
 	root := e.curSpan
 	e.curSpan = nil
 	e.mu.Unlock()
-	if len(pend) == 0 {
+	if n == 0 {
 		root.End()
 		return
 	}
@@ -497,22 +500,21 @@ func (e *Engine) emitPending() {
 	var es *obs.TraceSpan
 	if root != nil {
 		es = e.tracer.StartSpan("finalize.emit", root.Context(),
-			obs.L("detections", strconv.Itoa(len(pend))))
+			obs.L("detections", strconv.Itoa(n)))
 	}
 	var emitH, lagH *obs.Histogram
 	if e.mx != nil {
 		emitH, lagH = e.mx.stageEmit, e.mx.detectionLag
 	}
 	sp := emitH.Start()
-	if e.sink != nil {
-		for _, d := range pend {
-			e.sink.Emit(d)
-		}
-	}
-	sp.End()
+	e.out.emit(e.sink)
+	d := sp.End()
 	es.End()
-	n := len(pend)
-	clear(pend)
+	if e.mx != nil {
+		e.mu.Lock()
+		e.chargeDrainLocked(d, time.Now())
+		e.mu.Unlock()
+	}
 	if lagH != nil && !arrived.IsZero() {
 		// All of the batch's detections reach the sink in this one drain;
 		// they share the batch's arrival → emit lag. The first observation
@@ -555,40 +557,6 @@ func (e *Engine) appendEvent(ev temporal.Event, i int) error {
 		}
 	}
 	return e.log.Append(ev)
-}
-
-// buildDetections converts a borrowed band-graph instance into one
-// self-contained Detection per admitted subscriber, in five allocations
-// whatever their number: the subscribers' headers are one array, and the
-// payload they share is the instance's node binding and edge flows, one
-// events array, and its cut per edge.
-func buildDetections(g *temporal.Graph, in *core.Instance, watermark int64, subs []*subState) []Detection {
-	n := 0
-	for _, sp := range in.Spans {
-		n += int(sp.End - sp.Start)
-	}
-	events := make([]temporal.Point, 0, n)
-	edges := make([][]temporal.Point, len(in.Arcs))
-	for i, a := range in.Arcs {
-		sp := in.Spans[i]
-		events = append(events, g.Series(a)[sp.Start:sp.End]...)
-		edges[i] = events[len(events)-int(sp.End-sp.Start) : len(events) : len(events)]
-	}
-	payload := Detection{
-		Nodes:      slices.Clone(in.Nodes),
-		Edges:      edges,
-		EdgeFlows:  slices.Clone(in.EdgeFlows),
-		Flow:       in.Flow,
-		Start:      in.Start,
-		End:        in.End,
-		DetectedAt: watermark,
-	}
-	ds := make([]Detection, len(subs))
-	for i, s := range subs {
-		ds[i] = payload
-		ds[i].Sub, ds[i].Motif = s.sub.ID, s.sub.Motif.Name()
-	}
-	return ds
 }
 
 // evict drops events no subscription can ever need again: everything

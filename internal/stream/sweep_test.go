@@ -362,11 +362,11 @@ func TestSharedPayloadContract(t *testing.T) {
 	}
 }
 
-// TestSweepAllocsPerInstance: a sweep allocates five times per instance it
-// emits — the payload's node binding, edge flows, events and per-edge cuts,
-// and one array of headers — however many members admit the instance. The
-// per-sweep constant cancels between a sweep over half the match list and
-// one over all of it.
+// TestSweepAllocsPerInstance: once the engine's record slabs have grown to
+// a round's size, a sweep allocates nothing per instance it records, however
+// many members admit the instance — no Detection is built in the sweep. The
+// per-sweep constant cancels between a sweep over half the match list and one
+// over all of it.
 func TestSweepAllocsPerInstance(t *testing.T) {
 	tri := motif.MustPath(0, 1, 2, 0)
 	g, err := temporal.NewGraph(streamEvents(t, 61))
@@ -391,23 +391,22 @@ func TestSweepAllocsPerInstance(t *testing.T) {
 				for _, s := range subs {
 					s.emitted = math.MinInt64
 				}
-				clear(e.pending)
-				e.pending = e.pending[:0]
-				e.sweepBand(g, list, subs, math.MaxInt64, 0)
+				e.out.reset()
+				e.sweepBand(g, list, subs, 0, math.MaxInt64, 0)
 			}
 			run()
-			return testing.AllocsPerRun(5, run), len(e.pending) / nsubs
+			return testing.AllocsPerRun(5, run), len(e.out.recs)
 		}
-		sweep(matches) // grows the pending list to its largest
+		sweep(matches) // grows the record slabs to their largest
 		a1, n1 := sweep(matches[:len(matches)/2])
 		a2, n2 := sweep(matches)
-		if n2-n1 < 100 {
-			t.Fatalf("degenerate test: %d and %d instances", n1, n2)
+		if n2-n1 < 100 || e.out.n != nsubs*n2 {
+			t.Fatalf("degenerate test: %d and %d instances, %d detections", n1, n2, e.out.n)
 		}
 		per := (a2 - a1) / float64(n2-n1)
 		t.Logf("%d members: %.2f allocations per instance", nsubs, per)
-		if per > 5 {
-			t.Errorf("%d members: %.2f allocations per instance (%v over %d, %v over %d), want at most 5",
+		if per > 0 {
+			t.Errorf("%d members: %.2f allocations per instance (%v over %d, %v over %d), want 0",
 				nsubs, per, a1, n1, a2, n2)
 		}
 	}
