@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -73,10 +72,11 @@ type Coordinator struct {
 	coalesce   int
 
 	// ingestMu serializes log-append order and membership/placement
-	// changes; always acquired before mu. minNextT (the admission
-	// frontier) is only touched under it.
+	// changes; always acquired before mu. gate, only touched under it,
+	// refuses before broadcast any batch the members' gates would refuse,
+	// which keeps them in lockstep.
 	ingestMu sync.Mutex
-	minNextT int64
+	gate     temporal.Gate
 	maxDelta int64 // largest subscription δ (set at construction)
 
 	// mu guards the fields below for concurrent readers (queries, stats)
@@ -144,7 +144,7 @@ func New(cfg Config) (*Coordinator, error) {
 		owner:      map[string]string{},
 		unplaced:   map[string]bool{},
 		placeKey:   map[string]string{},
-		minNextT:   math.MinInt64,
+		gate:       temporal.OpenGate(),
 		log:        streamLog{first: 1, limit: cfg.HistoryLimit},
 		obsReg:     obs.NewRegistry(),
 		tracer:     obs.NewTracer(0),
@@ -216,24 +216,6 @@ func (c *Coordinator) retry(fn func() error) error {
 	return err
 }
 
-// validateBatch replicates the engines' batch admission rules so the
-// coordinator rejects a bad batch before broadcasting — keeping members in
-// lockstep is what makes per-member semantic errors impossible (every
-// member applies identical rules to the identical stream). The returned
-// slice is a sorted copy.
-func (c *Coordinator) validateBatch(events []temporal.Event) ([]temporal.Event, error) {
-	batch := append([]temporal.Event(nil), events...) // the log keeps it
-	batch = temporal.InTimeOrder(batch, &batch)
-	if batch[0].T < c.minNextT {
-		return nil, fmt.Errorf("%w: batch reaches back to t=%d, cluster frontier is %d",
-			stream.ErrBehindFrontier, batch[0].T, c.minNextT)
-	}
-	if err := temporal.CheckEvents(batch); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return batch, nil
-}
-
 // Ingest validates one batch, appends it to the replication log, and
 // acknowledges immediately; per-member replicators deliver it to every
 // shard concurrently (replication.go). The ack carries the log sequence
@@ -287,8 +269,10 @@ func (c *Coordinator) IngestTraced(events []temporal.Event, parent obs.SpanConte
 		endSpanErr(root, ErrNoMembers)
 		return IngestAck{}, ErrNoMembers
 	}
-	batch, err := c.validateBatch(events)
+	batch := append([]temporal.Event(nil), events...) // the log keeps it
+	batch, err := c.gate.Admit(batch, &batch)
 	if err != nil {
+		err = fmt.Errorf("cluster: %w", err)
 		endSpanErr(root, err)
 		return IngestAck{}, err
 	}
@@ -313,7 +297,7 @@ func (c *Coordinator) IngestTraced(events []temporal.Event, parent obs.SpanConte
 	c.events += int64(len(batch))
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.minNextT = last
+	c.gate.Advance(last)
 	if root != nil {
 		root.Annotate(obs.L("seq", strconv.FormatInt(seq, 10)))
 	}
@@ -346,9 +330,7 @@ func (c *Coordinator) Flush() (IngestAck, error) {
 	wm, started := c.watermark, c.started
 	c.mu.Unlock()
 	if started {
-		if m := temporal.SatAdd(wm, c.maxDelta+1); m > c.minNextT {
-			c.minNextT = m
-		}
+		c.gate.Flushed(wm, c.maxDelta)
 	}
 	agg.Watermark = wm
 	if len(down) > 0 {

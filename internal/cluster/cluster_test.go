@@ -558,7 +558,7 @@ func TestClusterOrderContract(t *testing.T) {
 	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 100, F: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 50, F: 1}}); !errors.Is(err, stream.ErrBehindFrontier) {
+	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 50, F: 1}}); !errors.Is(err, temporal.ErrBehindFrontier) {
 		t.Fatalf("stale batch: err=%v, want ErrBehindFrontier", err)
 	}
 	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 200, F: -1}}); err == nil {
@@ -568,7 +568,7 @@ func TestClusterOrderContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-flush, events must clear watermark+δ cluster-wide.
-	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 105, F: 1}}); !errors.Is(err, stream.ErrBehindFrontier) {
+	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 105, F: 1}}); !errors.Is(err, temporal.ErrBehindFrontier) {
 		t.Fatalf("post-flush ingest inside watermark+δ: err=%v", err)
 	}
 	if _, err := c.Ingest([]temporal.Event{{From: 0, To: 1, T: 111, F: 1}}); err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"flowmotif/internal/obs"
 	"flowmotif/internal/stream"
+	"flowmotif/internal/temporal"
 	"flowmotif/internal/wire"
 )
 
@@ -111,7 +112,7 @@ func (m *HTTPMember) statusErr(status int, msg string) error {
 	case status >= 500:
 		return fmt.Errorf("%w: %s: %d: %s", ErrMemberDown, m.id, status, msg)
 	case status == http.StatusConflict:
-		return fmt.Errorf("%w: member %s: %s", stream.ErrBehindFrontier, m.id, msg)
+		return fmt.Errorf("%w: member %s: %s", temporal.ErrBehindFrontier, m.id, msg)
 	case status == http.StatusNotFound:
 		return fmt.Errorf("%w: member %s: %s", ErrUnknownSub, m.id, msg)
 	default:

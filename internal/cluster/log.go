@@ -9,7 +9,7 @@ import (
 )
 
 // logEntry is one appended batch. Events are immutable once appended
-// (validateBatch returns a private sorted copy), so replicators read them
+// (IngestTraced admits a private sorted copy), so replicators read them
 // outside the coordinator lock; trimming only reslices the header.
 type logEntry struct {
 	events []temporal.Event

@@ -6,23 +6,16 @@ import (
 	"flowmotif/internal/stream"
 )
 
-// better is the total order of the distributed top-k merge: higher flow
-// first, then earlier Start, earlier End, and finally subscription id and
-// motif name, so the merged ranking is deterministic even across
-// subscriptions whose detections tie on every numeric field. Within one
-// subscription it refines TopKSink's own order (flow desc, Start asc, End
-// asc), so merging a member's already-truncated top-k lists is exact: any
-// detection in the cluster-wide top k is necessarily in the top k of the
-// member that owns its subscription.
+// better is the total order of the distributed top-k merge: TopKSink's own
+// order (stream.CompareRank), then subscription id and motif name, so the
+// merged ranking is deterministic even across subscriptions whose
+// detections tie on every numeric field. Within one subscription it
+// refines TopKSink's order, so merging a member's already-truncated top-k
+// lists is exact: any detection in the cluster-wide top k is necessarily
+// in the top k of the member that owns its subscription.
 func better(a, b *stream.Detection) bool {
-	if a.Flow != b.Flow {
-		return a.Flow > b.Flow
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	if a.End != b.End {
-		return a.End < b.End
+	if c := stream.CompareRank(a, b); c != 0 {
+		return c < 0
 	}
 	if a.Sub != b.Sub {
 		return a.Sub < b.Sub

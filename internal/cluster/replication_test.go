@@ -160,7 +160,7 @@ func TestMemberSeqDedup(t *testing.T) {
 	}
 	// Untagged ingest (Seq 0) bypasses dedup and hits the engine's
 	// admission rules as before.
-	if _, err := m.Ingest(Batch{Events: []temporal.Event{{From: 0, To: 1, T: 5, F: 1}}}); !errors.Is(err, stream.ErrBehindFrontier) {
+	if _, err := m.Ingest(Batch{Events: []temporal.Event{{From: 0, To: 1, T: 5, F: 1}}}); !errors.Is(err, temporal.ErrBehindFrontier) {
 		t.Fatalf("untagged behind-frontier batch: err=%v, want ErrBehindFrontier", err)
 	}
 }

@@ -37,7 +37,7 @@ type shardSnapshot struct {
 // (handoff.go). LocalMember is a Shard plus an id and a kill switch;
 // server.Server is a Shard plus transports (JSON handlers and the wire
 // listener). Its errors form one taxonomy: ErrMemberDown for a fail-stopped
-// shard, stream.ErrBehindFrontier for an order violation, ErrUnknownSub for
+// shard, temporal.ErrBehindFrontier for an order violation, ErrUnknownSub for
 // an unplaced subscription, anything else a semantic rejection.
 type Shard struct {
 	eng       *stream.Engine

@@ -355,10 +355,12 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // errStatus is the one outbound error mapping, for both server roles: a
 // shard's or a coordinator's error to the API's status code (which
 // wireErrorCode takes on to a wire error code, and HTTPMember.statusErr
-// inverts on the coordinator's side).
+// inverts on the coordinator's side). A batch behind the frontier is 409;
+// an invalid event (temporal.ErrInvalidEvent), like every other semantic
+// refusal, is 400.
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, stream.ErrBehindFrontier):
+	case errors.Is(err, temporal.ErrBehindFrontier):
 		return http.StatusConflict
 	case errors.Is(err, cluster.ErrUnknownSub), errors.Is(err, stream.ErrUnknownSubscription):
 		return http.StatusNotFound

@@ -126,7 +126,13 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 			if ev.T < loT {
 				return true
 			}
-			if err := buf.Append(ev); err != nil {
+			// Records read back from disk were admitted when written, but
+			// this scan feeds its log without a gate, so it checks them.
+			err := temporal.CheckEvent(ev)
+			if err == nil {
+				err = buf.Append(ev)
+			}
+			if err != nil {
 				scanErr = fmt.Errorf("store: query scan: %w", err)
 				return false
 			}

@@ -28,7 +28,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -105,13 +104,12 @@ type Store struct {
 
 	lock *os.File // flock-held lock file guarding the whole directory
 
-	mu      sync.Mutex
-	sealed  []segmentInfo
-	active  *segmentWriter
-	lastT   int64
-	started bool
-	closed  bool
-	failed  error // first write error: the store is fail-stop afterwards
+	mu     sync.Mutex
+	sealed []segmentInfo
+	active *segmentWriter
+	gate   temporal.Gate // the stream contract; its frontier is the last recorded timestamp
+	closed bool
+	failed error // first write error: the store is fail-stop afterwards
 
 	snapSeq int64
 	snapAt  time.Time
@@ -133,6 +131,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		walDir:  filepath.Join(dir, "wal"),
 		snapDir: filepath.Join(dir, "snap"),
 		opts:    opts.withDefaults(),
+		gate:    temporal.OpenGate(),
 	}
 	if r := s.opts.Obs; r != nil {
 		s.mxAppend = r.Histogram("flowmotif_store_append_seconds",
@@ -172,11 +171,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 
-	prevT := int64(math.MinInt64)
+	// Each segment's records must resume time order at the frontier.
 	expectSeq := int64(0)
 	for i := range segs {
 		si := &segs[i]
-		if err := recoverSegment(si, prevT); err != nil {
+		if err := recoverSegment(si, s.gate.Next()); err != nil {
 			return nil, err
 		}
 		if i == 0 {
@@ -196,9 +195,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		expectSeq = si.endSeq()
 		if si.count > 0 {
-			prevT = si.maxT
-			s.lastT = si.maxT
-			s.started = true
+			s.gate.Advance(si.maxT)
 		}
 	}
 
@@ -253,13 +250,6 @@ func (s *Store) Seq() int64 {
 	return s.active.info.endSeq()
 }
 
-// LastT returns the largest recorded timestamp (ok false while empty).
-func (s *Store) LastT() (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastT, s.started
-}
-
 // Segments reports the WAL layout, sealed segments first, active last.
 func (s *Store) Segments() []SegmentStat {
 	s.mu.Lock()
@@ -277,37 +267,31 @@ func segStat(si *segmentInfo) SegmentStat {
 		MinT: si.minT, MaxT: si.maxT, Sealed: si.sealed}
 }
 
-// Append durably records a batch. Events are stably sorted by timestamp
-// (matching the stream engine's internal order) and validated against the
-// store's time frontier: a batch reaching behind the last recorded
-// timestamp is rejected whole, mirroring stream.Engine's ingest contract.
-// The batch is flushed to the OS before Append returns; with Options.Sync
-// it is also fsynced.
+// Append durably records a batch. The store's gate admits it as the
+// engine's does, in the engine's order, refusing it whole if it reaches
+// behind the last recorded timestamp or holds an invalid event. The batch
+// is flushed to the OS before Append returns; with Options.Sync it is
+// also fsynced.
 //
 //flowmotif:hotpath
 func (s *Store) Append(events []temporal.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	batch := temporal.InTimeOrder(events, nil)
-	if err := temporal.CheckEvents(batch); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
-	if s.started && batch[0].T < s.lastT {
-		return fmt.Errorf("store: batch reaches back to t=%d behind the recorded frontier %d", batch[0].T, s.lastT)
+	batch, err := s.gate.Admit(events, nil)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	sp := s.mxAppend.Start()
 	for i := range batch {
 		if err := s.active.append(batch[i]); err != nil {
 			return s.failLocked(fmt.Errorf("store: append: %w", err))
 		}
-		s.lastT = batch[i].T
-		s.started = true
 		// Roll inside the loop so one oversized batch cannot blow past the
 		// per-segment cap (which also bounds the [minT, maxT] index
 		// granularity that time-range scans rely on to skip segments).
@@ -317,6 +301,7 @@ func (s *Store) Append(events []temporal.Event) error {
 			}
 		}
 	}
+	s.gate.Advance(batch[len(batch)-1].T)
 	fsp := obs.Span{}
 	if s.opts.Sync {
 		fsp = s.mxFsync.Start()

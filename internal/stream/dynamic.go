@@ -69,9 +69,7 @@ func (e *Engine) AddSubscription(sub Subscription, opts AddOptions) error {
 		// had never seen an event: sync the admissibility bound and prime
 		// any subscription that predates the (now known) start of history.
 		w, _ := e.log.Watermark()
-		if w > e.minNextT {
-			e.minNextT = w
-		}
+		e.gate.Advance(w)
 		first := opts.Catchup[0].T
 		for _, have := range e.subs {
 			if !have.primed {

@@ -288,7 +288,7 @@ func TestZeroSubEngine(t *testing.T) {
 		t.Fatalf("watermark = (%d, %v), want (99, true)", w, ok)
 	}
 	// An out-of-order batch is still rejected.
-	if _, err := eng.Ingest([]temporal.Event{{From: 0, To: 1, T: 5, F: 1}}); !errors.Is(err, ErrBehindFrontier) {
+	if _, err := eng.Ingest([]temporal.Event{{From: 0, To: 1, T: 5, F: 1}}); !errors.Is(err, temporal.ErrBehindFrontier) {
 		t.Fatalf("stale batch on zero-sub engine: %v", err)
 	}
 }

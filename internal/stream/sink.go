@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 	"sort"
@@ -362,11 +363,16 @@ func (t *TopKSink) Restore(st TopKSinkState) {
 	}
 }
 
-// detLess orders detections worst-first (heap order): by flow, then by
-// later start/end so that among equal flows the earliest instance wins.
+// CompareRank is the one top-k order, TopKSink's and the cluster merge's:
+// higher flow ranks first, then earlier Start, then earlier End. It
+// returns a negative number when a ranks above b, zero when they tie, and
+// a positive number when a ranks below b.
+func CompareRank(a, b *Detection) int { return rankOf(a).compare(rankOf(b)) }
+
+// detLess orders detections worst-first (heap order): a ranks below b.
 func detLess(a, b *Detection) bool { return rankOf(a).less(rankOf(b)) }
 
-// rank is what detLess compares.
+// rank is what CompareRank compares.
 type rank struct {
 	flow       float64
 	start, end int64
@@ -374,15 +380,12 @@ type rank struct {
 
 func rankOf(d *Detection) rank { return rank{d.Flow, d.Start, d.End} }
 
-func (a rank) less(b rank) bool {
-	if a.flow != b.flow {
-		return a.flow < b.flow
-	}
-	if a.start != b.start {
-		return a.start > b.start
-	}
-	return a.end > b.end
+func (a rank) compare(b rank) int {
+	return cmp.Or(cmp.Compare(b.flow, a.flow), cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
 }
+
+// less reports that a ranks below b.
+func (a rank) less(b rank) bool { return a.compare(b) > 0 }
 
 // detHeap is a min-heap under detLess (the root is the weakest retained
 // detection).

@@ -54,7 +54,7 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	}
 	snap := &EngineSnapshot{
 		Version:    SnapshotVersion,
-		MinNextT:   e.minNextT,
+		MinNextT:   e.gate.Next(),
 		Batches:    e.batches,
 		Detections: e.detections,
 		Log:        e.log.State(),
@@ -128,7 +128,8 @@ func (e *Engine) Restore(snap *EngineSnapshot) error {
 		return fmt.Errorf("stream: snapshot log: %w", err)
 	}
 	e.log = log
-	e.minNextT = snap.MinNextT
+	e.gate = temporal.OpenGate()
+	e.gate.Advance(snap.MinNextT)
 	e.batches = snap.Batches
 	e.detections = snap.Detections
 	for _, s := range e.subs {

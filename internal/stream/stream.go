@@ -112,11 +112,6 @@ type Sink interface {
 	Emit(d *Detection)
 }
 
-// ErrBehindFrontier is wrapped by Ingest errors for batches that reach
-// behind the admissible stream frontier (the watermark, or further after
-// a Flush); test with errors.Is.
-var ErrBehindFrontier = errors.New("stream: batch behind the stream frontier")
-
 // ErrFailStopped is wrapped by Ingest errors after the engine fail-stopped:
 // a batch append failed partway through, so the retention log holds a
 // prefix of a batch that was never finalized and further ingestion could
@@ -200,8 +195,8 @@ type Engine struct {
 	matchesShared  int64
 	bandsTotal     int64
 
-	minNextT   int64 // smallest admissible next timestamp
-	maxDelta   int64 // largest subscription δ
+	gate       temporal.Gate // the stream contract: order, validity, frontier
+	maxDelta   int64         // largest subscription δ
 	batches    int64
 	detections int64
 	failErr    error // fail-stop poison: set after a partial batch append
@@ -254,7 +249,7 @@ func NewEngine(cfg Config, sink Sink) (*Engine, error) {
 		log:       temporal.NewWindowLog(),
 		sink:      sink,
 		groupIdx:  map[planKey]*planGroup{},
-		minNextT:  math.MinInt64,
+		gate:      temporal.OpenGate(),
 		logger:    cfg.Logger,
 		slowRound: cfg.SlowRound,
 	}
@@ -318,8 +313,10 @@ type Ack struct {
 // watermark closes, emitting its maximal instances to the sink. The batch
 // is sorted by timestamp internally; it must not reach behind the current
 // watermark (the stream contract: events arrive in time order, batches may
-// be internally unordered). Validation is all-or-nothing: on error no
-// event of the batch is ingested. Returns the number of events ingested.
+// be internally unordered). The engine's temporal.Gate admits the batch
+// all-or-nothing: on error (temporal.ErrBehindFrontier,
+// temporal.ErrInvalidEvent) no event of it is ingested. Returns the number
+// of events ingested.
 func (e *Engine) Ingest(events []temporal.Event) (int, error) {
 	ack, err := e.IngestWithAck(events)
 	return ack.Ingested, err
@@ -377,17 +374,12 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 	// The batch is only read (the log copies events on append), so an
 	// already ordered one is used in place; an unordered one is sorted
 	// into the reusable scratch buffer.
-	batch := temporal.InTimeOrder(events, &e.scratch)
-	var reject error
-	if batch[0].T < e.minNextT {
-		reject = fmt.Errorf("%w: batch reaches back to t=%d, frontier is %d", ErrBehindFrontier, batch[0].T, e.minNextT)
-	} else if err := temporal.CheckEvents(batch); err != nil {
-		reject = fmt.Errorf("stream: %w", err)
-	}
-	if reject != nil {
+	batch, err := e.gate.Admit(events, &e.scratch)
+	if err != nil {
+		err = fmt.Errorf("stream: %w", err)
 		e.mu.Unlock()
-		endSpanErr(root, reject)
-		return Ack{}, reject
+		endSpanErr(root, err)
+		return Ack{}, err
 	}
 	for i := range batch {
 		if err := e.appendEvent(batch[i], i); err != nil {
@@ -413,7 +405,7 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 		}
 	}
 	w, _ := e.log.Watermark()
-	e.minNextT = w
+	e.gate.Advance(w)
 	e.batches++
 
 	n := len(batch)
@@ -467,9 +459,7 @@ func (e *Engine) FlushTraced(parent obs.SpanContext) Ack {
 	e.arrivedAt = arrived
 	e.curSpan = root
 	e.finalize(true)
-	if m := satAdd(w, e.maxDelta+1); m > e.minNextT {
-		e.minNextT = m
-	}
+	e.gate.Flushed(w, e.maxDelta)
 	e.evict()
 	ack := Ack{Watermark: w, Started: true, Detections: int64(e.out.n), Trace: root.Context().Trace}
 	e.emitPending() // unlocks mu; ends and clears curSpan

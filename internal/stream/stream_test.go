@@ -249,7 +249,7 @@ func TestStreamOrderContract(t *testing.T) {
 		{From: 1, To: 2, T: 120, F: 1},
 		{From: 1, To: 2, T: 50, F: 1},
 	})
-	if !errors.Is(err, ErrBehindFrontier) || n != 0 {
+	if !errors.Is(err, temporal.ErrBehindFrontier) || n != 0 {
 		t.Fatalf("stale batch accepted: n=%d err=%v", n, err)
 	}
 	if st := eng.Stats(); st.EventsIngested != 1 {
@@ -264,7 +264,7 @@ func TestStreamOrderContract(t *testing.T) {
 	eng.Flush()
 	for _, tt := range []int64{100, 101, 110} {
 		_, err := eng.Ingest([]temporal.Event{{From: 0, To: 1, T: tt, F: 1}})
-		if !errors.Is(err, ErrBehindFrontier) {
+		if !errors.Is(err, temporal.ErrBehindFrontier) {
 			t.Fatalf("post-flush ingest at t=%d (within watermark+δ): err=%v, want ErrBehindFrontier", tt, err)
 		}
 	}

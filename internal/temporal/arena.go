@@ -37,7 +37,7 @@ type GraphArena struct {
 // returned graph stays valid.
 func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 	if numNodes < 0 {
-		return nil, errNegativeNode
+		return nil, fmt.Errorf("temporal: negative node universe %d", numNodes)
 	}
 	inTimeOrder := true
 	for i := range events {
@@ -45,14 +45,11 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 		if i > 0 && e.T < events[i-1].T {
 			inTimeOrder = false
 		}
-		if e.From < 0 || e.To < 0 {
-			return nil, errNegativeNode
+		if err := CheckEvent(*e); err != nil {
+			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 		if int(e.From) >= numNodes || int(e.To) >= numNodes {
 			return nil, fmt.Errorf("temporal: event %d references node outside universe of %d nodes", i, numNodes)
-		}
-		if e.F <= 0 || math.IsNaN(e.F) || math.IsInf(e.F, 0) {
-			return nil, fmt.Errorf("temporal: event %d: %w (got %v)", i, errNonPositiveFlow, e.F)
 		}
 	}
 

@@ -18,9 +18,7 @@
 package temporal
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -78,27 +76,10 @@ type Stats struct {
 	SelfLoops      int     // events with From == To
 }
 
-var (
-	errNonPositiveFlow = errors.New("temporal: event flow must be positive")
-	errNegativeNode    = errors.New("temporal: node id must be non-negative")
-)
-
 // NewGraph builds a time-series graph from events, inferring the node count
 // as max(id)+1. The input slice is not modified.
 func NewGraph(events []Event) (*Graph, error) {
-	n := 0
-	for _, e := range events {
-		if e.From < 0 || e.To < 0 {
-			return nil, errNegativeNode
-		}
-		if int(e.From)+1 > n {
-			n = int(e.From) + 1
-		}
-		if int(e.To)+1 > n {
-			n = int(e.To) + 1
-		}
-	}
-	return NewGraphWithNodes(n, events)
+	return NewGraphWithNodes(rangeUniverse(events), events)
 }
 
 // NewGraphWithNodes builds a time-series graph over a fixed node universe
@@ -205,14 +186,16 @@ func (g *Graph) WithFlows(flows []float64) (*Graph, error) {
 	}
 	ng.points = make([]Point, len(g.points))
 	ng.cum = make([]float64, len(g.points)+1)
-	for i, p := range g.points {
-		f := flows[i]
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("temporal: WithFlows: flow %d: %w (got %v)", i, errNonPositiveFlow, f)
+	for a := range g.outTo {
+		for i := g.arcOff[a]; i < g.arcOff[a+1]; i++ {
+			f := flows[i]
+			if err := CheckEvent(Event{From: g.arcSrc[a], To: g.outTo[a], T: g.points[i].T, F: f}); err != nil {
+				return nil, fmt.Errorf("WithFlows: flow %d: %w", i, err)
+			}
+			ng.points[i] = Point{T: g.points[i].T, F: f}
+			ng.cum[i+1] = ng.cum[i] + f
+			ng.totalFlow += f
 		}
-		ng.points[i] = Point{T: p.T, F: f}
-		ng.cum[i+1] = ng.cum[i] + f
-		ng.totalFlow += f
 	}
 	return ng, nil
 }

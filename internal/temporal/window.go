@@ -1,10 +1,8 @@
 package temporal
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -23,51 +21,6 @@ func SatAdd(a, b int64) int64 {
 
 // SatSub returns a-b with saturation at the int64 extremes.
 func SatSub(a, b int64) int64 { return SatAdd(a, -b) }
-
-// InTimeOrder and CheckEvents are the stream's batch admission rule,
-// stated once for every layer that admits a batch (stream engine, event
-// store, cluster coordinator, wire encoder): a batch is processed in
-// stable timestamp order, and each event has non-negative endpoints and a
-// positive finite flow. Because all of them order a batch with this one
-// function, the WAL records exactly the sequence the engine processed.
-// Each caller adds its own frontier check and error prefix.
-
-// InTimeOrder returns events stably sorted by T. A batch already in order
-// (the common monotone-producer case) is returned as is and only read;
-// otherwise the ordered copy is built in *scratch, which is grown and kept
-// for reuse (nil allocates a fresh copy). *scratch may be events itself:
-// the batch is then sorted in place.
-func InTimeOrder(events []Event, scratch *[]Event) []Event {
-	byT := func(a, b Event) int { return cmp.Compare(a.T, b.T) }
-	if slices.IsSortedFunc(events, byT) {
-		return events
-	}
-	var batch []Event
-	if scratch != nil {
-		batch = (*scratch)[:0]
-	}
-	batch = append(batch, events...)
-	slices.SortStableFunc(batch, byT)
-	if scratch != nil {
-		*scratch = batch
-	}
-	return batch
-}
-
-// CheckEvents rejects a batch holding an event with a negative node id or
-// a flow that is not positive and finite, naming the first offender.
-func CheckEvents(batch []Event) error {
-	for i := range batch {
-		ev := &batch[i]
-		if ev.From < 0 || ev.To < 0 {
-			return fmt.Errorf("batch event %d: negative node id", i)
-		}
-		if ev.F <= 0 || math.IsNaN(ev.F) || math.IsInf(ev.F, 0) {
-			return fmt.Errorf("batch event %d: flow must be positive and finite (got %v)", i, ev.F)
-		}
-	}
-	return nil
-}
 
 // WindowLog is the append/evict event store behind streaming ingestion
 // (internal/stream): a time-ordered log of events over a sliding retention
@@ -94,15 +47,10 @@ func NewWindowLog() *WindowLog { return &WindowLog{} }
 
 // Append adds one event. Events must arrive in non-decreasing timestamp
 // order; an event older than the current watermark is rejected with an
-// error and the log is unchanged. Flow and node validation matches
-// NewGraphWithNodes.
+// error and the log is unchanged. Append keeps only this order invariant:
+// its callers admit each batch first (Gate.Admit, or CheckEvent for
+// events read back from disk).
 func (l *WindowLog) Append(e Event) error {
-	if e.From < 0 || e.To < 0 {
-		return errNegativeNode
-	}
-	if e.F <= 0 || math.IsNaN(e.F) || math.IsInf(e.F, 0) {
-		return fmt.Errorf("temporal: %w (got %v)", errNonPositiveFlow, e.F)
-	}
 	if l.started && e.T < l.watermark {
 		return fmt.Errorf("temporal: out-of-order event at t=%d behind watermark %d", e.T, l.watermark)
 	}
@@ -115,20 +63,24 @@ func (l *WindowLog) Append(e Event) error {
 
 // Prepend splices older history in front of the retained suffix: events
 // the log evicted earlier, or — on a log fed from a broadcast stream —
-// events an identical upstream log retained but this one never saw. The
-// batch must be time-ordered, valid (like Append), and must not reach past
-// the current oldest retained event; on a non-empty log events at or after
-// OldestT are duplicates of retained ones and are dropped. The splice
-// counts against the eviction counters (as if un-evicted), or against the
-// append counter when the log never held the events, keeping the
-// appended−evicted == retained invariant. Returns how many events were
-// spliced in. On error the log is unchanged.
+// events an identical upstream log retained but this one never saw. Every
+// event of the batch must be valid (CheckEvents); the spliced part must be
+// time-ordered and must not reach past the current oldest retained event,
+// since on a non-empty log events at or after OldestT are duplicates of
+// retained ones and are dropped. The splice counts against the eviction
+// counters (as if un-evicted), or against the append counter when the log
+// never held the events, keeping the appended−evicted == retained
+// invariant. Returns how many events were spliced in. On error the log is
+// unchanged.
 //
 // Prepend exists for subscription re-placement (internal/cluster): the
 // receiving engine's log holds the recent suffix of the shared broadcast
 // stream, and the handoff's catch-up events supply exactly the older
 // prefix the moved subscription still needs.
 func (l *WindowLog) Prepend(events []Event) (int, error) {
+	if err := CheckEvents(events); err != nil {
+		return 0, fmt.Errorf("prepend: %w", err)
+	}
 	if len(events) == 0 {
 		return 0, nil
 	}
@@ -139,12 +91,6 @@ func (l *WindowLog) Prepend(events []Event) (int, error) {
 	prev := int64(math.MinInt64)
 	for i := 0; i < cut; i++ {
 		e := events[i]
-		if e.From < 0 || e.To < 0 {
-			return 0, errNegativeNode
-		}
-		if e.F <= 0 || math.IsNaN(e.F) || math.IsInf(e.F, 0) {
-			return 0, fmt.Errorf("temporal: %w (got %v)", errNonPositiveFlow, e.F)
-		}
 		if e.T < prev {
 			return 0, fmt.Errorf("temporal: prepend event %d out of order (t=%d after %d)", i, e.T, prev)
 		}
@@ -262,11 +208,8 @@ func NewWindowLogFromState(s WindowLogState) (*WindowLog, error) {
 	}
 	prev := int64(math.MinInt64)
 	for i, e := range s.Events {
-		if e.From < 0 || e.To < 0 {
-			return nil, fmt.Errorf("temporal: log state event %d: %w", i, errNegativeNode)
-		}
-		if e.F <= 0 || math.IsNaN(e.F) || math.IsInf(e.F, 0) {
-			return nil, fmt.Errorf("temporal: log state event %d: %w (got %v)", i, errNonPositiveFlow, e.F)
+		if err := CheckEvent(e); err != nil {
+			return nil, fmt.Errorf("log state event %d: %w", i, err)
 		}
 		if e.T < prev {
 			return nil, fmt.Errorf("temporal: log state event %d out of order (t=%d after %d)", i, e.T, prev)

@@ -131,9 +131,14 @@ type Encoder struct {
 // EncodeBatch builds a batch frame: node ids travel as the caller's raw
 // temporal.NodeID varints. Events are sorted by timestamp (stable, the
 // order every admitting layer uses) into an internal scratch slice when
-// not already in order. The returned slice is valid until the next call.
+// not already in order, and a batch holding an event the receiving engine
+// would refuse is refused here (temporal.ErrInvalidEvent). The returned
+// slice is valid until the next call.
 func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
 	evs = temporal.InTimeOrder(evs, &e.scratch)
+	if err := temporal.CheckEvents(evs); err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
 	e.begin(FrameBatch)
 	e.buf = binary.AppendUvarint(e.buf, 0) // flags: none defined
 	if err := e.trailer(seq, traceparent); err != nil {
@@ -144,9 +149,6 @@ func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Even
 	prev := int64(0)
 	for i := range evs {
 		ev := &evs[i]
-		if ev.From < 0 || ev.To < 0 {
-			return nil, fmt.Errorf("wire: negative node id in event %d", i)
-		}
 		e.buf = binary.AppendUvarint(e.buf, uint64(ev.From))
 		e.buf = binary.AppendUvarint(e.buf, uint64(ev.To))
 		prev = e.putTime(i, ev.T, prev)

@@ -243,8 +243,8 @@ func TestDecodeRejections(t *testing.T) {
 
 func TestNegativeNodeIDRejectedAtEncode(t *testing.T) {
 	var enc Encoder
-	if _, err := enc.EncodeBatch(0, "", []temporal.Event{{From: -1, To: 2, T: 1, F: 1}}); err == nil {
-		t.Fatal("negative node id accepted")
+	if _, err := enc.EncodeBatch(0, "", []temporal.Event{{From: -1, To: 2, T: 1, F: 1}}); !errors.Is(err, temporal.ErrInvalidEvent) {
+		t.Fatalf("negative node id: %v, want ErrInvalidEvent", err)
 	}
 	if _, err := enc.EncodeBatch(-1, "", nil); err == nil {
 		t.Fatal("negative seq accepted")
@@ -253,8 +253,8 @@ func TestNegativeNodeIDRejectedAtEncode(t *testing.T) {
 
 func TestExtremeValuesRoundTrip(t *testing.T) {
 	want := []temporal.Event{
-		{From: 0, To: math.MaxInt32, T: math.MinInt64 / 2, F: math.Inf(1)},
-		{From: math.MaxInt32, To: 0, T: 0, F: -0.0},
+		{From: 0, To: math.MaxInt32, T: math.MinInt64 / 2, F: math.MaxFloat64},
+		{From: math.MaxInt32, To: 0, T: 0, F: 0.1},
 		{From: 1, To: 1, T: math.MaxInt64/2 - 1, F: math.SmallestNonzeroFloat64},
 	}
 	var enc Encoder
