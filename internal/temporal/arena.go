@@ -45,8 +45,8 @@ func (a *GraphArena) Build(numNodes int, events []Event) (*Graph, error) {
 		if i > 0 && e.T < events[i-1].T {
 			inTimeOrder = false
 		}
-		if err := CheckEvent(*e); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+		if !validEvent(e) {
+			return nil, fmt.Errorf("event %d: %w", i, CheckEvent(*e))
 		}
 		if int(e.From) >= numNodes || int(e.To) >= numNodes {
 			return nil, fmt.Errorf("temporal: event %d references node outside universe of %d nodes", i, numNodes)

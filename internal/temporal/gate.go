@@ -23,21 +23,30 @@ var (
 	ErrBehindFrontier = errors.New("temporal: batch behind the stream frontier")
 )
 
-// CheckEvent is the validity rule: an event has non-negative endpoints
-// and a positive finite flow. Its refusal wraps ErrInvalidEvent.
-func CheckEvent(e Event) error {
-	if e.From < 0 || e.To < 0 || !(e.F > 0 && e.F <= math.MaxFloat64) {
-		return fmt.Errorf("%w %d→%d at t=%d: node ids must be non-negative and flow positive and finite (got f=%v)",
-			ErrInvalidEvent, e.From, e.To, e.T, e.F)
-	}
-	return nil
+// validEvent is the validity rule: an event has non-negative endpoints
+// and a positive finite flow. It is small enough to inline, so the loops
+// over a whole batch or log test it per event and call CheckEvent only to
+// build the refusal.
+func validEvent(e *Event) bool {
+	return e.From >= 0 && e.To >= 0 && e.F > 0 && e.F <= math.MaxFloat64
 }
 
-// CheckEvents runs CheckEvent over a batch, naming the first offender.
+// CheckEvent applies the validity rule to one event. Its refusal wraps
+// ErrInvalidEvent.
+func CheckEvent(e Event) error {
+	if validEvent(&e) {
+		return nil
+	}
+	return fmt.Errorf("%w %d→%d at t=%d: node ids must be non-negative and flow positive and finite (got f=%v)",
+		ErrInvalidEvent, e.From, e.To, e.T, e.F)
+}
+
+// CheckEvents runs the validity rule over a batch, naming the first
+// offender.
 func CheckEvents(batch []Event) error {
 	for i := range batch {
-		if err := CheckEvent(batch[i]); err != nil {
-			return fmt.Errorf("batch event %d: %w", i, err)
+		if !validEvent(&batch[i]) {
+			return fmt.Errorf("batch event %d: %w", i, CheckEvent(batch[i]))
 		}
 	}
 	return nil

@@ -189,8 +189,8 @@ func (g *Graph) WithFlows(flows []float64) (*Graph, error) {
 	for a := range g.outTo {
 		for i := g.arcOff[a]; i < g.arcOff[a+1]; i++ {
 			f := flows[i]
-			if err := CheckEvent(Event{From: g.arcSrc[a], To: g.outTo[a], T: g.points[i].T, F: f}); err != nil {
-				return nil, fmt.Errorf("WithFlows: flow %d: %w", i, err)
+			if e := (Event{From: g.arcSrc[a], To: g.outTo[a], T: g.points[i].T, F: f}); !validEvent(&e) {
+				return nil, fmt.Errorf("WithFlows: flow %d: %w", i, CheckEvent(e))
 			}
 			ng.points[i] = Point{T: g.points[i].T, F: f}
 			ng.cum[i+1] = ng.cum[i] + f

@@ -208,8 +208,8 @@ func NewWindowLogFromState(s WindowLogState) (*WindowLog, error) {
 	}
 	prev := int64(math.MinInt64)
 	for i, e := range s.Events {
-		if err := CheckEvent(e); err != nil {
-			return nil, fmt.Errorf("log state event %d: %w", i, err)
+		if !validEvent(&e) {
+			return nil, fmt.Errorf("log state event %d: %w", i, CheckEvent(e))
 		}
 		if e.T < prev {
 			return nil, fmt.Errorf("temporal: log state event %d out of order (t=%d after %d)", i, e.T, prev)

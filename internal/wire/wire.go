@@ -135,10 +135,18 @@ type Encoder struct {
 // would refuse is refused here (temporal.ErrInvalidEvent). The returned
 // slice is valid until the next call.
 func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
-	evs = temporal.InTimeOrder(evs, &e.scratch)
 	if err := temporal.CheckEvents(evs); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
+	return e.encodeBatch(seq, traceparent, evs)
+}
+
+// encodeBatch is EncodeBatch without the validity check: it encodes any
+// flow bits, which the decoder carries as is, so the codec's own tests can
+// round-trip every frame the decoder accepts. Node ids must be
+// non-negative.
+func (e *Encoder) encodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
+	evs = temporal.InTimeOrder(evs, &e.scratch)
 	e.begin(FrameBatch)
 	e.buf = binary.AppendUvarint(e.buf, 0) // flags: none defined
 	if err := e.trailer(seq, traceparent); err != nil {

@@ -251,14 +251,23 @@ func TestNegativeNodeIDRejectedAtEncode(t *testing.T) {
 	}
 }
 
+// TestExtremeValuesRoundTrip checks the codec carries extreme bits
+// exactly, +Inf and -0 flows included (the decoder passes them on to the
+// admitting layer), through the unchecked encoder; EncodeBatch refuses
+// those two before sending.
 func TestExtremeValuesRoundTrip(t *testing.T) {
 	want := []temporal.Event{
-		{From: 0, To: math.MaxInt32, T: math.MinInt64 / 2, F: math.MaxFloat64},
-		{From: math.MaxInt32, To: 0, T: 0, F: 0.1},
+		{From: 0, To: math.MaxInt32, T: math.MinInt64 / 2, F: math.Inf(1)},
+		{From: math.MaxInt32, To: 0, T: 0, F: math.Copysign(0, -1)},
 		{From: 1, To: 1, T: math.MaxInt64/2 - 1, F: math.SmallestNonzeroFloat64},
 	}
 	var enc Encoder
-	frame, err := enc.EncodeBatch(math.MaxInt64, "", want)
+	for _, ev := range want[:2] {
+		if _, err := enc.EncodeBatch(1, "", []temporal.Event{ev}); !errors.Is(err, temporal.ErrInvalidEvent) {
+			t.Fatalf("EncodeBatch(f=%v): %v, want ErrInvalidEvent", ev.F, err)
+		}
+	}
+	frame, err := enc.encodeBatch(math.MaxInt64, "", want)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
