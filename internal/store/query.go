@@ -126,8 +126,7 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 			if ev.T < loT {
 				return true
 			}
-			// Records read back from disk were admitted when written, but
-			// this scan feeds its log without a gate, so it checks them.
+			// Records read back from disk feed this log without a gate.
 			err := temporal.CheckEvent(ev)
 			if err == nil {
 				err = buf.Append(ev)

@@ -10,7 +10,7 @@ import (
 
 // The stream contract (Kosyfaki et al. §3–4: time-ordered events with
 // positive flow) is stated once, here, for every layer that admits events:
-// CheckEvent is the validity rule, InTimeOrder the batch order and Gate the
+// validEvent is the validity rule, InTimeOrder the batch order and Gate the
 // frontier. As every admitting layer orders a batch with the one
 // InTimeOrder, the WAL records exactly the sequence the engine processed.
 
@@ -23,16 +23,14 @@ var (
 	ErrBehindFrontier = errors.New("temporal: batch behind the stream frontier")
 )
 
-// validEvent is the validity rule: an event has non-negative endpoints
-// and a positive finite flow. It is small enough to inline, so the loops
-// over a whole batch or log test it per event and call CheckEvent only to
-// build the refusal.
+// validEvent is the validity rule: non-negative endpoints and a positive
+// finite flow. It inlines, so per-event loops test it and call CheckEvent
+// only to build the refusal.
 func validEvent(e *Event) bool {
 	return e.From >= 0 && e.To >= 0 && e.F > 0 && e.F <= math.MaxFloat64
 }
 
-// CheckEvent applies the validity rule to one event. Its refusal wraps
-// ErrInvalidEvent.
+// CheckEvent applies the rule to one event; its refusal wraps ErrInvalidEvent.
 func CheckEvent(e Event) error {
 	if validEvent(&e) {
 		return nil
@@ -41,8 +39,7 @@ func CheckEvent(e Event) error {
 		ErrInvalidEvent, e.From, e.To, e.T, e.F)
 }
 
-// CheckEvents runs the validity rule over a batch, naming the first
-// offender.
+// CheckEvents applies the rule to a batch, naming the first offender.
 func CheckEvents(batch []Event) error {
 	for i := range batch {
 		if !validEvent(&batch[i]) {
@@ -80,9 +77,7 @@ func InTimeOrder(events []Event, scratch *[]Event) []Event {
 // once a batch is applied and with Flushed after a flush. The stream
 // engine, the cluster coordinator and the event store each hold one; the
 // owner serializes access.
-type Gate struct {
-	next int64
-}
+type Gate struct{ next int64 }
 
 // OpenGate returns a gate that has admitted nothing yet.
 func OpenGate() Gate { return Gate{next: math.MinInt64} }

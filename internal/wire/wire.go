@@ -128,12 +128,11 @@ type Encoder struct {
 	scratch []temporal.Event
 }
 
-// EncodeBatch builds a batch frame: node ids travel as the caller's raw
-// temporal.NodeID varints. Events are sorted by timestamp (stable, the
-// order every admitting layer uses) into an internal scratch slice when
-// not already in order, and a batch holding an event the receiving engine
-// would refuse is refused here (temporal.ErrInvalidEvent). The returned
-// slice is valid until the next call.
+// EncodeBatch builds a batch frame of raw temporal.NodeID varints, refusing
+// a batch the receiving engine would refuse (temporal.ErrInvalidEvent).
+// Events are sorted by timestamp (stable, the order every admitting layer
+// uses) into an internal scratch slice when not already in order. The
+// returned slice is valid until the next call.
 func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
 	if err := temporal.CheckEvents(evs); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
@@ -141,10 +140,8 @@ func (e *Encoder) EncodeBatch(seq int64, traceparent string, evs []temporal.Even
 	return e.encodeBatch(seq, traceparent, evs)
 }
 
-// encodeBatch is EncodeBatch without the validity check: it encodes any
-// flow bits, which the decoder carries as is, so the codec's own tests can
-// round-trip every frame the decoder accepts. Node ids must be
-// non-negative.
+// encodeBatch is EncodeBatch without the validity check, so the codec's
+// tests can round-trip any flow bits the decoder accepts.
 func (e *Encoder) encodeBatch(seq int64, traceparent string, evs []temporal.Event) ([]byte, error) {
 	evs = temporal.InTimeOrder(evs, &e.scratch)
 	e.begin(FrameBatch)
