@@ -334,6 +334,177 @@ func TestRoundDetectionsOutliveTheirRound(t *testing.T) {
 	}
 }
 
+// TestRoundDrainLateReader: a round that fills the ring by itself stays in
+// it as records until the ring is read, so a reader may come rounds later —
+// after the arena the round's snapshot lived in was rebuilt, after a
+// smaller round settled it, or never, when a larger round replaced it. Fed
+// rounds smaller and larger than the ring, with reads only now and then,
+// the ring must answer Recent, Snapshot, a RemoveSub→Inject handoff and a
+// Restore exactly as a ring fed every detection one by one does, and hold
+// the very detections the top-k list beside it kept.
+func TestRoundDrainLateReader(t *testing.T) {
+	tri := motif.MustPath(0, 1, 2, 0)
+	var subs []Subscription
+	for i, phi := range []float64{0, 0.5, 1, 2} {
+		subs = append(subs, Subscription{ID: fmt.Sprintf("s%d", i), Motif: tri, Delta: 600, Phi: phi})
+	}
+	var small, large, settledByRound, lateReads, restoredOverPending, shared int
+	for seed := int64(85); seed <= 87; seed++ {
+		evs := exactFlows(streamEvents(t, seed))
+		for _, ring := range []int{4, 12} {
+			t.Run(fmt.Sprintf("seed=%d/ring=%d", seed, ring), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed*100 + int64(ring)))
+				mem, memRef, top := NewMemorySink(ring), NewMemorySink(ring), NewTopKSink(3)
+				eng, err := NewEngine(Config{Subs: subs, DisableObs: true}, MultiSink{mem, top})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := NewEngine(Config{Subs: subs, DisableObs: true}, FuncSink(memRef.Emit))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending := func() bool { return mem.pending != nil && mem.pending.n > 0 }
+				same := func(what string, got, want any) {
+					t.Helper()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: the late-read ring differs from per-detection emission", what)
+					}
+				}
+				ingest := func(batch []temporal.Event) {
+					t.Helper()
+					was := pending()
+					ack, err := eng.IngestWithAck(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ref.Ingest(batch); err != nil {
+						t.Fatal(err)
+					}
+					switch n := int(ack.Detections); {
+					case n >= ring:
+						large++
+					case n > 0:
+						small++
+						if was {
+							settledByRound++
+						}
+					}
+				}
+				var older MemorySinkState // the reference ring a few reads ago
+				for i, op := 0, 0; i < len(evs); op++ {
+					// One to four batches with no read in between.
+					for range 1 + rng.Intn(4) {
+						n := min(1+rng.Intn(96), len(evs)-i)
+						ingest(evs[i : i+n])
+						i += n
+					}
+					late := pending()
+					if late {
+						lateReads++
+					}
+					id := subs[rng.Intn(len(subs))].ID
+					if op%5 == 0 {
+						older = memRef.Snapshot()
+					}
+					switch op % 5 {
+					case 0:
+						ring := map[string]*Detection{}
+						for _, d := range mem.Recent("", 0) {
+							ring[fmt.Sprint(d.Sub, d.DetectedAt, detKey(d))] = d
+						}
+						for _, s := range subs {
+							for _, d := range top.Top(s.ID) {
+								if o, ok := ring[fmt.Sprint(d.Sub, d.DetectedAt, detKey(d))]; ok {
+									if o != d {
+										t.Fatal("the ring and the top-k list hold two copies of one detection")
+									}
+									if late {
+										shared++
+									}
+								}
+							}
+						}
+						same("Recent", mem.Recent(id, 3), memRef.Recent(id, 3))
+						same("Recent", mem.Recent("", 0), memRef.Recent("", 0))
+					case 1:
+						same("Snapshot", mem.Snapshot(), memRef.Snapshot())
+					case 2:
+						to, toRef := NewMemorySink(ring), NewMemorySink(ring)
+						to.Inject(mem.RemoveSub(id))
+						toRef.Inject(memRef.RemoveSub(id))
+						same("RemoveSub→Inject", to.Snapshot(), toRef.Snapshot())
+						same("RemoveSub", mem.Snapshot(), memRef.Snapshot())
+					case 3:
+						to := NewMemorySink(ring)
+						to.Restore(mem.Snapshot())
+						same("Snapshot→Restore", to.Snapshot(), memRef.Snapshot())
+					case 4:
+						// Restored over a pending tail, the ring holds the
+						// snapshot and nothing of that round.
+						if pending() {
+							restoredOverPending++
+						}
+						st := older
+						st.Total++
+						memRef.Restore(st)
+						mem.Restore(st)
+						same("Restore", mem.Snapshot(), memRef.Snapshot())
+					}
+					same("Total", mem.Total(), memRef.Total())
+				}
+			})
+		}
+	}
+	if small == 0 || large == 0 || settledByRound == 0 || lateReads < 8 || restoredOverPending == 0 || shared == 0 {
+		t.Fatalf("degenerate test: %d rounds smaller than the ring, %d at least its size, %d pending tails settled by the next round, %d reads of a pending tail, %d restores over one, %d detections of a pending tail in both sinks",
+			small, large, settledByRound, lateReads, restoredOverPending, shared)
+	}
+}
+
+// TestMemorySinkRoundAllocsWhenWarm: once its tail buffers have grown, a
+// ring that a round fills by itself costs a copy of the round's tail and
+// no allocation, beside a top-k list whose bars the round does not beat.
+func TestMemorySinkRoundAllocsWhenWarm(t *testing.T) {
+	g, err := temporal.NewGraph([]temporal.Event{{From: 0, To: 1, T: 1, F: 1}, {From: 0, To: 1, T: 2, F: 2}, {From: 0, To: 1, T: 3, F: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := motif.MustPath(0, 1, 2, 0)
+	members := make([]*subState, 4)
+	for i := range members {
+		members[i] = &subState{sub: Subscription{ID: fmt.Sprintf("s%d", i), Motif: tri}}
+	}
+	data := make([]byte, 3*200)
+	rand.New(rand.NewSource(7)).Read(data)
+	r := fuzzRound(g, members, data, 0)
+	recs := append([]detRecord(nil), r.recs...)
+	mem := NewMemorySink(128)
+	var s Sink = MultiSink{mem, NewTopKSink(4)}
+	round := func() {
+		// The same round again, recorded into the warm slabs.
+		for _, rec := range recs {
+			in := core.Instance{
+				Nodes: []temporal.NodeID{0, 1}, Arcs: []int{0}, Spans: []core.Span{{Start: 0, End: int32(rec.end)}},
+				EdgeFlows: []float64{rec.flow}, Flow: rec.flow, Start: rec.start, End: rec.end,
+			}
+			r.record(&in, int(rec.sub), int(rec.admitted), rec.watermark)
+		}
+		if r.n < mem.size {
+			t.Fatalf("degenerate test: a round of %d detections, ring of %d", r.n, mem.size)
+		}
+		r.emit(s)
+	}
+	for range 3 {
+		round()
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("warm ring, round of its size or more: %v allocations, want 0", n)
+	}
+	if got := len(mem.Recent("", 0)); got != mem.size {
+		t.Fatalf("ring holds %d detections after the rounds, want %d", got, mem.size)
+	}
+}
+
 // TestRoundDrainAfterSinkPanic: a sink that panics ends its drain early,
 // and the engine must still start the next round empty — not on the
 // panicked round's records, whose spans index a snapshot the next round
@@ -501,6 +672,8 @@ func FuzzRoundDrain(f *testing.F) {
 		data = data[:min(len(data), 192)]
 		mem, top := NewMemorySink(int(ring%64)), NewTopKSink(int(k%64))
 		memRef, topRef := NewMemorySink(int(ring%64)), NewTopKSink(int(k%64))
+		// late takes both rounds alone and is read only after the second.
+		late := NewMemorySink(int(ring % 64))
 		ref := FuncSink(func(d *Detection) {
 			memRef.Emit(d)
 			topRef.Emit(d)
@@ -515,6 +688,10 @@ func FuzzRoundDrain(f *testing.F) {
 			if got, want := top.Snapshot(), topRef.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("top-k: round drain %+v, per-detection emission %+v", got, want)
 			}
+			fuzzRound(g, members, part, int64(i*64)).emit(late)
+		}
+		if got, want := late.Snapshot(), memRef.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ring read after both rounds: round drain %+v, per-detection emission %+v", got, want)
 		}
 	})
 }

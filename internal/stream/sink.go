@@ -34,13 +34,22 @@ func (m MultiSink) emitRound(r *detRound) {
 
 // MemorySink retains the most recent detections in a bounded ring buffer,
 // for "what fired lately" queries (flowmotifd's GET /instances). It is
-// safe for concurrent use.
+// safe for concurrent use. A drained round that fills the ring by itself
+// replaces it whole, so the sink keeps it as records — the round's last
+// capacity ones, copied out of the round — and builds their detections
+// only when the ring is next read or written; a round the next one
+// replaces unread costs a copy, not a build.
 type MemorySink struct {
 	size  int // cap(ring), readable without mu
 	mu    sync.Mutex
 	ring  []*Detection
 	next  int
 	total int64
+	// pending is the last full round's tail when the ring holds nothing
+	// else, until settleLocked builds it into the ring; spare is a tail
+	// buffer the next such round copies into, outside mu. Both are
+	// reused, so a warm sink allocates nothing for an unread round.
+	pending, spare *detRound
 }
 
 // NewMemorySink retains up to capacity detections (minimum 1).
@@ -55,21 +64,65 @@ func NewMemorySink(capacity int) *MemorySink {
 func (m *MemorySink) Emit(d *Detection) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	m.pushLocked(d)
 	m.total++
 }
 
-// emitRound keeps the round's last detections that fit the ring,
-// materialized before the lock is taken, and counts all of them; a reader
-// sees the round entirely or not at all.
+// emitRound keeps the round's last detections that fit the ring and counts
+// all of them; a reader sees the round entirely or not at all. A round
+// smaller than the ring is materialized before the lock is taken and
+// pushed. A larger one is copied, outside the lock, into the spare tail,
+// which publishRound makes the pending one after the drain.
 func (m *MemorySink) emitRound(r *detRound) {
+	if r.n >= m.size {
+		m.mu.Lock()
+		t := m.spare
+		m.spare = nil
+		m.mu.Unlock()
+		if t == nil {
+			t = new(detRound)
+		}
+		r.copyTail(t, m.size)
+		r.tails = append(r.tails, roundTail{m, t})
+		return
+	}
 	keep := r.tail(m.size)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	for _, d := range keep {
 		m.pushLocked(d)
 	}
 	m.total += int64(r.n)
+}
+
+// publishRound replaces the ring with the tail t of a round of n
+// detections, and keeps the tail it replaces, unread or settled, as the
+// spare.
+func (m *MemorySink) publishRound(t *detRound, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.ring)
+	m.ring, m.next = m.ring[:0], 0
+	m.pending, m.spare = t, m.pending
+	m.total += int64(n)
+}
+
+// settleLocked builds the pending tail's detections into the ring, which
+// holds nothing else, once: every method that reads or writes the ring
+// calls it first.
+func (m *MemorySink) settleLocked() {
+	p := m.pending
+	if p == nil || p.n == 0 {
+		return
+	}
+	for ri := range p.recs {
+		for j := range int(p.recs[ri].admitted) {
+			m.pushLocked(p.detection(ri, j))
+		}
+	}
+	p.reset()
 }
 
 func (m *MemorySink) pushLocked(d *Detection) {
@@ -93,6 +146,7 @@ func (m *MemorySink) Total() int64 {
 func (m *MemorySink) Recent(sub string, limit int) []*Detection {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	var out []*Detection
 	n := len(m.ring)
 	for i := 0; i < n; i++ {
@@ -115,6 +169,7 @@ func (m *MemorySink) Recent(sub string, limit int) []*Detection {
 func (m *MemorySink) RemoveSub(sub string) []*Detection {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	var removed, kept []*Detection
 	n := len(m.ring)
 	for i := 0; i < n; i++ {
@@ -142,6 +197,7 @@ func (m *MemorySink) Inject(ds []*Detection) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	merged := make([]*Detection, 0, len(ds)+len(m.ring))
 	merged = append(merged, ds...)
 	n := len(m.ring)
@@ -167,6 +223,7 @@ type MemorySinkState struct {
 func (m *MemorySink) Snapshot() MemorySinkState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.settleLocked()
 	st := MemorySinkState{Total: m.total}
 	n := len(m.ring)
 	for i := 0; i < n; i++ {
@@ -182,6 +239,9 @@ func (m *MemorySink) Snapshot() MemorySinkState {
 func (m *MemorySink) Restore(st MemorySinkState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.pending != nil {
+		m.pending.reset()
+	}
 	m.ring = m.ring[:0]
 	m.next = 0
 	ds := st.Detections

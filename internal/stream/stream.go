@@ -103,9 +103,11 @@ type Detection struct {
 // through Emit, in finalization order (planGroup), so the same batches
 // give the same sequence. The package's serving sinks — MemorySink,
 // TopKSink, and a MultiSink holding them — read the drain as a whole
-// instead: they build only the detections they keep and update under one
-// lock acquisition per drain, so their readers see a drain entirely or not
-// at all. A sink may query the engine (Stats, Watermark, Subscriptions)
+// instead and build only the detections their readers get: TopKSink those
+// it keeps, MemorySink those still in its ring when it is read (a round
+// that fills the ring by itself stays there as records until then). Each
+// updates under one lock acquisition per drain, so its readers see a drain
+// entirely or not at all. A sink may query the engine (Stats, Watermark, Subscriptions)
 // from within Emit, but must not call Ingest or Flush there
 // (self-deadlock).
 type Sink interface {
@@ -468,8 +470,8 @@ func (e *Engine) FlushTraced(parent obs.SpanContext) Ack {
 
 // emitPending drains the round finalized by the current call to the sink,
 // whole, in one call (round.go): the serving sinks materialize only the
-// detections they keep, any other sink receives every one in finalization
-// order. It must be entered with both ingestMu and mu held; it releases mu
+// detections their readers get (the ring's, when it is read), any other
+// sink receives every one in finalization order. It must be entered with both ingestMu and mu held; it releases mu
 // before touching the sink, so sinks run outside the state lock (they may
 // read engine state) while the surrounding ingestMu preserves finalization
 // order across concurrent callers and keeps the next round from reusing the
