@@ -186,7 +186,6 @@ func (r *detRound) copyTail(t *detRound, k int) {
 	lo := r.n - k
 	ri := sort.Search(len(r.recs), func(i int) bool { return r.recs[i].first+int(r.recs[i].admitted) > lo })
 	node0, edge0 := r.recs[ri].node, r.recs[ri].edge
-	t.g = nil
 	t.members = append(t.members[:0], r.members...)
 	t.recs = append(t.recs[:0], r.recs[ri:]...)
 	t.nodes = append(t.nodes[:0], r.nodes[node0:]...)
