@@ -1,8 +1,14 @@
-package flowvet
+// Package analysistest runs flowvet analyzers over fixture modules and
+// checks their diagnostics against `// want` comments, as
+// golang.org/x/tools/go/analysis/analysistest does. Only _test.go files
+// import it.
+package analysistest
 
 import (
 	"regexp"
 	"strings"
+
+	"flowmotif/internal/analysis/flowvet"
 )
 
 // wantRE matches analysistest-style expectation comments:
@@ -27,13 +33,13 @@ type TestingT interface {
 // matched by a diagnostic on its line, and every diagnostic must be
 // wanted. This is the analysistest contract, so fixtures read the same
 // as upstream ones.
-func RunTest(t TestingT, dir string, analyzers ...*Analyzer) {
+func RunTest(t TestingT, dir string, analyzers ...*flowvet.Analyzer) {
 	t.Helper()
-	prog, err := LoadProgram(dir, []string{"./..."})
+	prog, err := flowvet.LoadProgram(dir, []string{"./..."})
 	if err != nil {
 		t.Fatalf("flowvet: load fixture %s: %v", dir, err)
 	}
-	diags, err := Run(prog, analyzers)
+	diags, err := flowvet.Run(prog, analyzers)
 	if err != nil {
 		t.Fatalf("flowvet: run: %v", err)
 	}

@@ -11,5 +11,6 @@ func All() []*flowvet.Analyzer {
 		Metricname,
 		Failstop,
 		Lockhold,
+		Deadexport,
 	}
 }

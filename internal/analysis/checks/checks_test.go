@@ -3,7 +3,7 @@ package checks
 import (
 	"testing"
 
-	"flowmotif/internal/analysis/flowvet"
+	"flowmotif/internal/analysis/analysistest"
 )
 
 // Each fixture is a standalone module under testdata (the nested go.mod
@@ -16,21 +16,25 @@ import (
 // branches, nil checks, early returns) suppress reports.
 
 func TestHotpathclock(t *testing.T) {
-	flowvet.RunTest(t, "testdata/hotpathclock", Hotpathclock)
+	analysistest.RunTest(t, "testdata/hotpathclock", Hotpathclock)
 }
 
 func TestNilrecv(t *testing.T) {
-	flowvet.RunTest(t, "testdata/nilrecv", Nilrecv)
+	analysistest.RunTest(t, "testdata/nilrecv", Nilrecv)
 }
 
 func TestMetricname(t *testing.T) {
-	flowvet.RunTest(t, "testdata/metricname", Metricname)
+	analysistest.RunTest(t, "testdata/metricname", Metricname)
 }
 
 func TestFailstop(t *testing.T) {
-	flowvet.RunTest(t, "testdata/failstop", Failstop)
+	analysistest.RunTest(t, "testdata/failstop", Failstop)
 }
 
 func TestLockhold(t *testing.T) {
-	flowvet.RunTest(t, "testdata/lockhold", Lockhold)
+	analysistest.RunTest(t, "testdata/lockhold", Lockhold)
+}
+
+func TestDeadexport(t *testing.T) {
+	analysistest.RunTest(t, "testdata/deadexport", Deadexport)
 }

@@ -1,7 +1,8 @@
 // Package flowvet is a dependency-free core for project-specific static
 // analysis, mirroring the golang.org/x/tools/go/analysis surface the
-// repo's checkers need (Analyzer, Pass, Diagnostic, a multichecker
-// driver, and an analysistest-style fixture harness).
+// repo's checkers need: Analyzer, Pass, Diagnostic and a multichecker
+// driver. The analysistest-style fixture harness is package
+// internal/analysis/analysistest.
 //
 // Why not x/tools itself: the runtime packages are deliberately
 // dependency-free (ROADMAP north star), and the build environment pins
@@ -60,6 +61,11 @@ type Program struct {
 	Pkgs   []*Package
 	ByPath map[string]*Package
 
+	// ModulePath and ModuleDir name the module the packages belong to
+	// and its root directory.
+	ModulePath string
+	ModuleDir  string
+
 	// Facts holds analyzer-scoped program-wide state (e.g. the hot-path
 	// call graph), keyed by analyzer name. Analyzers run sequentially,
 	// so no locking.
@@ -74,9 +80,6 @@ type Pass struct {
 
 	diags *[]Diagnostic
 }
-
-// Fset returns the program-wide file set.
-func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {

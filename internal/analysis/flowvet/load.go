@@ -25,6 +25,7 @@ type listedPackage struct {
 	Module     *struct {
 		Path string
 		Main bool
+		Dir  string
 	}
 	Error *struct {
 		Err string
@@ -123,6 +124,7 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 			return nil, fmt.Errorf("flowvet: typecheck %s: %w", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = pkg
+		prog.ModulePath, prog.ModuleDir = lp.Module.Path, lp.Module.Dir
 		p := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Pkg: pkg, Info: info}
 		prog.Pkgs = append(prog.Pkgs, p)
 		prog.ByPath[lp.ImportPath] = p

@@ -59,7 +59,7 @@ func figure7Graph(t testing.TB) *temporal.Graph {
 // figure7Match extracts the single structural match with binding (0,1,2).
 func figure7Match(t testing.TB, g *temporal.Graph) []match.Match {
 	t.Helper()
-	for _, mt := range match.Collect(g, motif.MustPath(0, 1, 2, 0), 0) {
+	for _, mt := range allMatches(g, motif.MustPath(0, 1, 2, 0)) {
 		if mt.Nodes[0] == 0 && mt.Nodes[1] == 1 && mt.Nodes[2] == 2 {
 			return []match.Match{mt}
 		}

@@ -10,6 +10,16 @@ import (
 	"flowmotif/internal/temporal"
 )
 
+// allMatches collects every structural match of mo in g.
+func allMatches(g *temporal.Graph, mo *motif.Motif) []match.Match {
+	var out []match.Match
+	match.Stream(g, mo, func(m *match.Match) bool {
+		out = append(out, m.Clone())
+		return true
+	})
+	return out
+}
+
 // oracleEnumerate is a brute-force reference implementation working straight
 // from Definitions 3.2/3.3: it enumerates every combination of contiguous
 // per-edge spans over every structural match, keeps the valid ones (strict
@@ -20,7 +30,7 @@ import (
 func oracleEnumerate(g *temporal.Graph, mo *motif.Motif, delta int64, phi float64) []*Instance {
 	var out []*Instance
 	m := mo.NumEdges()
-	for _, mt := range match.Collect(g, mo, 0) {
+	for _, mt := range allMatches(g, mo) {
 		series := make([][]temporal.Point, m)
 		for i := 0; i < m; i++ {
 			series[i] = g.Series(mt.Arcs[i])

@@ -14,7 +14,7 @@ import (
 
 // checkSweep is the sweep oracle: one SweepMatchesRange over phis must hand
 // every threshold exactly the instance set a search of its own
-// (CollectRange at that φ, same graph, same anchor range) reports.
+// (collectRange at that φ, same graph, same anchor range) reports.
 func checkSweep(t testing.TB, g *temporal.Graph, mo *motif.Motif, p Params, phis []float64, lo, hi int64) {
 	t.Helper()
 	matches, err := CollectMatches(g, mo, p.Delta)
@@ -42,7 +42,7 @@ func checkSweep(t testing.TB, g *temporal.Graph, mo *motif.Motif, p Params, phis
 	for i, phi := range phis {
 		q := p
 		q.Phi, q.Workers = phi, 0
-		want, err := CollectRange(g, mo, q, lo, hi)
+		want, err := collectRange(g, mo, q, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func checkWalk(t testing.TB, g *temporal.Graph, specs []walkSpec) int {
 	want := make([][]string, len(specs))
 	instances := 0
 	for i, s := range specs {
-		all := match.Collect(g, s.mo, 0)
+		all := allMatches(g, s.mo)
 		var kept []match.Match
 		for _, m := range all {
 			if s.lo <= s.hi && chainFits(g, m.Arcs, s.delta, s.lo, s.hi) {
@@ -407,7 +407,7 @@ func TestWalkCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all := match.Collect(g, mo, 0)
+			all := allMatches(g, mo)
 			st, err := EnumerateMatches(g, mo, all, p, nil)
 			if err != nil {
 				t.Fatal(err)

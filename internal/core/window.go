@@ -22,16 +22,6 @@ func EnumerateRange(g *temporal.Graph, mo *motif.Motif, p Params, anchorLo, anch
 	return search(g, mo, p, nil, walkSource(g, mo, p.Delta, anchorLo, anchorHi), anchorLo, anchorHi, plain(visit))
 }
 
-// CollectRange materializes the instances EnumerateRange streams.
-func CollectRange(g *temporal.Graph, mo *motif.Motif, p Params, anchorLo, anchorHi int64) ([]*Instance, error) {
-	var out []*Instance
-	_, err := EnumerateRange(g, mo, p, anchorLo, anchorHi, func(in *Instance) bool {
-		out = append(out, in)
-		return true
-	})
-	return out, err
-}
-
 // windowScan finds the maximal δ-windows of a structural match: the outer
 // loop of Algorithm 1, which the enumerator (matchEnum: Algorithm 1, plain
 // and top-k) and the DP module (dpRunner: Algorithm 2) both run on. Windows

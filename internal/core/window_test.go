@@ -29,10 +29,20 @@ func semanticKey(g *temporal.Graph, in *Instance) string {
 	return b.String()
 }
 
+// collectRange materializes the instances EnumerateRange streams.
+func collectRange(g *temporal.Graph, mo *motif.Motif, p Params, anchorLo, anchorHi int64) ([]*Instance, error) {
+	var out []*Instance
+	_, err := EnumerateRange(g, mo, p, anchorLo, anchorHi, func(in *Instance) bool {
+		out = append(out, in)
+		return true
+	})
+	return out, err
+}
+
 func collectKeys(t *testing.T, g *temporal.Graph, mo *motif.Motif, p Params, lo, hi int64) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
-	ins, err := CollectRange(g, mo, p, lo, hi)
+	ins, err := collectRange(g, mo, p, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +235,8 @@ func TestWindowArithmeticSaturates(t *testing.T) {
 				t.Errorf("base %d workers %d: Count = %d, want 1", base, workers, n)
 			}
 		}
-		if ins, err := CollectRange(g, mo, Params{Delta: 10}, base, base); err != nil || len(ins) != 1 {
-			t.Errorf("base %d: CollectRange over the anchor = %d instances (err %v), want 1", base, len(ins), err)
+		if ins, err := collectRange(g, mo, Params{Delta: 10}, base, base); err != nil || len(ins) != 1 {
+			t.Errorf("base %d: collectRange over the anchor = %d instances (err %v), want 1", base, len(ins), err)
 		}
 		if top, _, err := TopK(g, mo, 10, 1, 1); err != nil || len(top) != 1 || top[0].Flow != 2 {
 			t.Errorf("base %d: TopK = %v (err %v), want the flow-2 triangle", base, top, err)

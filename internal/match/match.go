@@ -11,6 +11,13 @@
 //
 // Matches are streamed through callbacks; the caller decides whether to
 // count, collect, or pipe them straight into phase P2.
+//
+// This DFS stays beside core's trie walker, which runs the same descent
+// with temporal pruning: a structural match is the paper's P1 result in
+// its own right (Table 4 counts them, and the DP module's top-1 per match
+// reports matches that hold no instance), so it must not depend on δ or
+// on an anchor band; and as the unpruned reference it is the oracle the
+// walker's tests compare against.
 package match
 
 import (
@@ -58,16 +65,6 @@ func Stream(g *temporal.Graph, mo *motif.Motif, fn Visitor) int64 {
 // Count returns the number of structural matches of mo in g.
 func Count(g *temporal.Graph, mo *motif.Motif) int64 {
 	return Stream(g, mo, func(*Match) bool { return true })
-}
-
-// Collect materializes up to limit matches (limit <= 0 means no limit).
-func Collect(g *temporal.Graph, mo *motif.Motif, limit int) []Match {
-	var out []Match
-	Stream(g, mo, func(m *Match) bool {
-		out = append(out, m.Clone())
-		return limit <= 0 || len(out) < limit
-	})
-	return out
 }
 
 // dfs holds per-walk scratch state so Stream allocates once per traversal.

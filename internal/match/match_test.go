@@ -32,6 +32,16 @@ func paperGraph(t testing.TB) *temporal.Graph {
 	return g
 }
 
+// collect retains every match Stream visits, in its order.
+func collect(g *temporal.Graph, mo *motif.Motif) []Match {
+	var out []Match
+	Stream(g, mo, func(m *Match) bool {
+		out = append(out, m.Clone())
+		return true
+	})
+	return out
+}
+
 // TestPaperFigure6 checks the paper's worked P1 example: the time-series
 // graph of Figure 5(b) has exactly six structural matches of M(3,3)
 // (Figure 6), two per rotation of the two directed triangles u1u2u3 and
@@ -39,7 +49,7 @@ func paperGraph(t testing.TB) *temporal.Graph {
 func TestPaperFigure6(t *testing.T) {
 	g := paperGraph(t)
 	tri := motif.MustPath(0, 1, 2, 0)
-	ms := Collect(g, tri, 0)
+	ms := collect(g, tri)
 	if len(ms) != 6 {
 		for _, m := range ms {
 			t.Logf("match: %v", m.Nodes)
@@ -61,6 +71,56 @@ func TestPaperFigure6(t *testing.T) {
 	for k := range want {
 		t.Errorf("missing match %v", k)
 	}
+}
+
+// TestStreamOrder pins the order Stream documents and the shared walker
+// reproduces: start node ascending, then out-arcs ascending at each step.
+// Arcs are numbered by source node, then target, so that order is the
+// lexicographic order of the Arcs tuples, which must strictly increase.
+func TestStreamOrder(t *testing.T) {
+	motifs := append(motif.Catalog(), motif.MustPath(0, 1), motif.MustPath(0, 1, 0))
+	matches := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 4 + rng.Intn(5)
+		evs := make([]temporal.Event, 60)
+		for i := range evs {
+			evs[i] = temporal.Event{
+				From: temporal.NodeID(rng.Intn(nodes)),
+				To:   temporal.NodeID(rng.Intn(nodes)),
+				T:    int64(i),
+				F:    1,
+			}
+		}
+		g, err := temporal.NewGraph(evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mo := range motifs {
+			ms := collect(g, mo)
+			matches += len(ms)
+			for i, m := range ms {
+				if src := g.ArcSource(m.Arcs[0]); src != m.Nodes[mo.Path()[0]] {
+					t.Fatalf("seed %d %v: match %v starts at node %d, first arc leaves %d", seed, mo, m.Nodes, m.Nodes[mo.Path()[0]], src)
+				}
+				if i > 0 && !arcsLess(ms[i-1].Arcs, m.Arcs) {
+					t.Fatalf("seed %d %v: match %d arcs %v do not follow %v", seed, mo, i, m.Arcs, ms[i-1].Arcs)
+				}
+			}
+		}
+	}
+	if matches < 1000 {
+		t.Fatalf("only %d matches over all graphs; the order check saw too little", matches)
+	}
+}
+
+func arcsLess(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 func TestChainMatchesPaperGraph(t *testing.T) {
@@ -144,18 +204,6 @@ func TestEarlyStop(t *testing.T) {
 	})
 	if calls != 3 || n != 3 {
 		t.Errorf("early stop: calls=%d n=%d, want 3", calls, n)
-	}
-}
-
-func TestCollectLimit(t *testing.T) {
-	g := paperGraph(t)
-	ms := Collect(g, motif.MustPath(0, 1), 2)
-	if len(ms) != 2 {
-		t.Errorf("Collect limit: %d", len(ms))
-	}
-	all := Collect(g, motif.MustPath(0, 1), 0)
-	if int64(len(all)) != Count(g, motif.MustPath(0, 1)) {
-		t.Error("Collect(0) != Count")
 	}
 }
 

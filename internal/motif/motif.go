@@ -223,13 +223,3 @@ func Catalog() []*Motif {
 		MustPath(0, 1, 2, 3, 0, 4).Named("M(5,5)C"),
 	}
 }
-
-// CatalogByName returns the catalog motif with the given name.
-func CatalogByName(name string) (*Motif, bool) {
-	for _, m := range Catalog() {
-		if strings.EqualFold(m.Name(), name) {
-			return m, true
-		}
-	}
-	return nil, false
-}

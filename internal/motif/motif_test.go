@@ -134,16 +134,6 @@ func TestCatalogShapes(t *testing.T) {
 	}
 }
 
-func TestCatalogByName(t *testing.T) {
-	m, ok := CatalogByName("m(4,4)b")
-	if !ok || m.Name() != "M(4,4)B" {
-		t.Errorf("CatalogByName failed: %v %v", m, ok)
-	}
-	if _, ok := CatalogByName("M(9,9)"); ok {
-		t.Error("invented a motif")
-	}
-}
-
 func TestParse(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -157,6 +147,7 @@ func TestParse(t *testing.T) {
 		{"cycle4", []int{0, 1, 2, 3, 0}},
 		{"M(3,3)", []int{0, 1, 2, 0}},
 		{"m(5,5)c", []int{0, 1, 2, 3, 0, 4}},
+		{"m(4,4)b", []int{0, 1, 2, 3, 1}},
 	}
 	for _, c := range cases {
 		m, err := Parse(c.in)
@@ -176,7 +167,10 @@ func TestParse(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"", "hello", "0-x-2", "0", "chainx", "0-0"} {
+	if m, err := Parse("m(4,4)b"); err != nil || m.Name() != "M(4,4)B" {
+		t.Errorf("Parse(%q) = %v, %v; want the catalog's M(4,4)B", "m(4,4)b", m, err)
+	}
+	for _, bad := range []string{"", "hello", "0-x-2", "0", "chainx", "0-0", "M(9,9)"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}

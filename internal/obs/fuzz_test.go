@@ -1,72 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-)
-
-// FuzzParseExposition drives the hand-written Prometheus text parser
-// with arbitrary input. Seeds are a real registry's rendered exposition
-// plus the rejection table from TestParseExpositionRejectsInvalid, so
-// the fuzzer starts on both sides of the accept/reject boundary.
-func FuzzParseExposition(f *testing.F) {
-	r := NewRegistry()
-	r.Counter("flowmotif_rounds_total", "rounds", L("member", "a")).Add(3)
-	r.Gauge("flowmotif_watermark", "frontier").Set(42)
-	r.Histogram("flowmotif_lat_seconds", "latency", []float64{0.1, 1}).Observe(0.5)
-	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(b.String())
-
-	for _, seed := range []string{
-		"",
-		"# a freeform comment\n",
-		"# TYPE a counter\na 1\n",
-		"# TYPE a counter\na 1\n# TYPE a counter\n",
-		"x_bucket{le=\"+Inf\"} 1\n# TYPE x histogram\n",
-		"# TYPE a gauge\na{k=unquoted} 1\n",
-		"# TYPE 9bad gauge\n9bad 1\n",
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum 1\nh_count 2\n",
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-		"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
-		"# TYPE a sparkline\na 1\n",
-		"# TYPE a gauge\na{k=\"v} 1\n",
-		"# TYPE a gauge\na{k=\"\\x\"} 1\n",
-		"# TYPE a gauge\na{k=\"1\",k=\"2\"} 1\n",
-		"# TYPE a gauge\na{k=\"\\\\\\\"\\n\"} +Inf\n",
-	} {
-		f.Add(seed)
-	}
-
-	f.Fuzz(func(t *testing.T, in string) {
-		fams, err := ParseExposition(in)
-		if err != nil {
-			return // rejected input: only the absence of a panic matters
-		}
-		// Accepted input must satisfy the parser's own postconditions.
-		for name, fam := range fams {
-			if fam == nil {
-				t.Fatalf("family %q is nil", name)
-			}
-			if fam.Name != name {
-				t.Fatalf("family keyed %q but named %q", name, fam.Name)
-			}
-			switch fam.Type {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				t.Fatalf("family %q has unknown type %q", name, fam.Type)
-			}
-			for _, s := range fam.Series {
-				if s.Name != fam.Name && !strings.HasPrefix(s.Name, fam.Name+"_") {
-					t.Fatalf("family %q contains foreign series %q", fam.Name, s.Name)
-				}
-			}
-		}
-	})
-}
+import "testing"
 
 // FuzzParseTraceparent checks the W3C traceparent parser: no panics on
 // arbitrary input, a zero context on every rejection, and render→parse

@@ -14,7 +14,7 @@
 //     so callers wire `Config.DisableObs` by simply not creating the
 //     instruments — no branches at every observation site.
 //   - No dependencies. Everything here is stdlib; the exposition format
-//     is written (and validated, see ParseExposition) by hand.
+//     is written by hand.
 package obs
 
 import (
@@ -48,13 +48,6 @@ const (
 // nil receiver (no-ops).
 type Counter struct {
 	v atomic.Int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
 }
 
 // Add adds n (n must be >= 0; negative deltas are ignored to keep the
@@ -363,7 +356,11 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) lookup(name, help, kind string, labels []Label) *series {
+// lookup returns the series name{labels}, registering it on first use
+// with newInstrument setting its instrument. Both happen under r.mu, so
+// neither Snapshot nor a concurrent registration of the same series can
+// see a series without its instrument.
+func (r *Registry) lookup(name, help, kind string, labels []Label, newInstrument func(*series)) *series {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -383,6 +380,7 @@ func (r *Registry) lookup(name, help, kind string, labels []Label) *series {
 		return s
 	}
 	s := &series{name: name, help: help, kind: kind, labels: labels}
+	newInstrument(s)
 	r.byKey[key] = s
 	r.order = append(r.order, key)
 	return s
@@ -394,12 +392,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindCounter, labels)
-	if s.fctr != nil {
-		panic(fmt.Sprintf("obs: float counter %q re-registered as counter", name))
-	}
+	s := r.lookup(name, help, KindCounter, labels, func(s *series) { s.ctr = &Counter{} })
 	if s.ctr == nil {
-		s.ctr = &Counter{}
+		panic(fmt.Sprintf("obs: float counter %q re-registered as counter", name))
 	}
 	return s.ctr
 }
@@ -412,12 +407,9 @@ func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounte
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindCounter, labels)
-	if s.ctr != nil {
-		panic(fmt.Sprintf("obs: counter %q re-registered as float counter", name))
-	}
+	s := r.lookup(name, help, KindCounter, labels, func(s *series) { s.fctr = &FloatCounter{} })
 	if s.fctr == nil {
-		s.fctr = &FloatCounter{}
+		panic(fmt.Sprintf("obs: counter %q re-registered as float counter", name))
 	}
 	return s.fctr
 }
@@ -428,11 +420,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, KindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, KindGauge, labels, func(s *series) { s.gauge = &Gauge{} }).gauge
 }
 
 // Histogram returns (registering on first use) the histogram series
@@ -451,10 +439,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 			panic(fmt.Sprintf("obs: histogram %q bounds must be finite and strictly increasing", name))
 		}
 	}
-	s := r.lookup(name, help, KindHistogram, labels)
-	if s.hist == nil {
+	s := r.lookup(name, help, KindHistogram, labels, func(s *series) {
 		s.hist = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-	} else if !equalBounds(s.hist.bounds, bounds) {
+	})
+	if !equalBounds(s.hist.bounds, bounds) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
 	}
 	return s.hist

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("flowmotif_test_total", "a counter")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-3) // ignored: counters are monotonic
 	if got := c.Value(); got != 5 {
@@ -44,7 +45,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		h *Histogram
 		r *Registry
 	)
-	c.Inc()
+	c.Add(1)
 	c.Add(3)
 	g.Set(1)
 	h.Observe(1)
@@ -294,6 +295,66 @@ func TestHistogramMergeLayoutMismatch(t *testing.T) {
 	b := HistogramSnapshot{Bounds: []float64{1, 3}, Counts: []uint64{0, 1, 0}, Count: 1}
 	if err := a.Merge(b); err == nil {
 		t.Fatal("merge with mismatched bounds succeeded")
+	}
+}
+
+// TestRegistryConcurrentRegistration registers every kind of series from
+// two goroutines while a third snapshots the registry. A series must be
+// published with its instrument (under -race, a Snapshot or a second
+// registration that sees it half-built is a reported race), and both
+// registrations of one series must get the same instrument, or one of
+// them counts into an instrument nobody reads.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	const n = 200
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var snapper sync.WaitGroup
+	snapper.Add(1)
+	go func() {
+		defer snapper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+	var regs sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		regs.Add(1)
+		go func() {
+			defer regs.Done()
+			for i := 0; i < n; i++ {
+				l := L("i", strconv.Itoa(i))
+				r.Counter("race_events_total", "c", l).Add(1)
+				r.FloatCounter("race_cost_seconds_total", "f", l).Add(0.5)
+				r.Gauge("race_depth", "g", l).Add(1)
+				r.Histogram("race_lag_seconds", "h", []float64{1}, l).Observe(0.5)
+			}
+		}()
+	}
+	regs.Wait()
+	close(stop)
+	snapper.Wait()
+
+	snaps := r.Snapshot()
+	if len(snaps) != 4*n {
+		t.Fatalf("%d series registered, want %d", len(snaps), 4*n)
+	}
+	for _, m := range snaps {
+		want := 2.0
+		if m.Name == "race_cost_seconds_total" {
+			want = 1
+		}
+		got := m.Value
+		if m.Hist != nil {
+			got = float64(m.Hist.Count)
+		}
+		if got != want {
+			t.Fatalf("%s%v = %v, want %v: the two registrations got different instruments", m.Name, m.Labels, got, want)
+		}
 	}
 }
 

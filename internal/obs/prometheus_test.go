@@ -2,146 +2,8 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
-
-func testSnapshots() []MetricSnapshot {
-	r := NewRegistry()
-	r.Counter("flowmotif_events_total", "Events ingested.").Add(42)
-	r.Gauge("flowmotif_watermark", "Stream watermark.", L("member", "m1")).Set(123.5)
-	r.Gauge("flowmotif_watermark", "Stream watermark.", L("member", "m2")).Set(99)
-	h := r.Histogram("flowmotif_lag_seconds", "Detection lag.", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(5)
-	r.Gauge("flowmotif_weird", "has \"quotes\" and \\slashes\\\nnewline",
-		L("path", `C:\tmp`), L("msg", "say \"hi\"\nbye")).Set(1)
-	return r.Snapshot()
-}
-
-func TestWritePrometheusParses(t *testing.T) {
-	var b strings.Builder
-	if err := WritePrometheus(&b, testSnapshots()); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	fams, err := ParseExposition(out)
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, out)
-	}
-	if f := fams["flowmotif_events_total"]; f == nil || f.Type != "counter" || f.Series[0].Value != 42 {
-		t.Fatalf("counter family = %+v", f)
-	}
-	wm := fams["flowmotif_watermark"]
-	if wm == nil || wm.Type != "gauge" || len(wm.Series) != 2 {
-		t.Fatalf("gauge family = %+v", wm)
-	}
-	lag := fams["flowmotif_lag_seconds"]
-	if lag == nil || lag.Type != "histogram" {
-		t.Fatalf("histogram family = %+v", lag)
-	}
-	// Cumulative le buckets: 1, 3, 3, 4(+Inf).
-	wantCum := map[string]float64{"0.01": 1, "0.1": 3, "1": 3, "+Inf": 4}
-	for _, s := range lag.Series {
-		if s.Name != "flowmotif_lag_seconds_bucket" {
-			continue
-		}
-		if want, ok := wantCum[s.Labels["le"]]; !ok || s.Value != want {
-			t.Fatalf("bucket le=%s = %v, want %v", s.Labels["le"], s.Value, want)
-		}
-	}
-	// Label escaping round-trips.
-	weird := fams["flowmotif_weird"]
-	if weird == nil || len(weird.Series) != 1 {
-		t.Fatalf("weird family = %+v", weird)
-	}
-	if got := weird.Series[0].Labels["msg"]; got != "say \"hi\"\nbye" {
-		t.Fatalf("escaped label round-trip = %q", got)
-	}
-	if got := weird.Series[0].Labels["path"]; got != `C:\tmp` {
-		t.Fatalf("escaped label round-trip = %q", got)
-	}
-	// Unique TYPE lines: one per family.
-	for _, fam := range []string{"flowmotif_watermark", "flowmotif_lag_seconds"} {
-		if n := strings.Count(out, "# TYPE "+fam+" "); n != 1 {
-			t.Fatalf("%d TYPE lines for %s", n, fam)
-		}
-	}
-}
-
-func TestParseExpositionRejectsInvalid(t *testing.T) {
-	cases := map[string]string{
-		"duplicate TYPE": "# TYPE a counter\na 1\n# TYPE a counter\n",
-		"sample before TYPE for histogram": "x_bucket{le=\"+Inf\"} 1\n" +
-			"# TYPE x histogram\n",
-		"bad label syntax":       "# TYPE a gauge\na{k=unquoted} 1\n",
-		"bad name":               "# TYPE 9bad gauge\n9bad 1\n",
-		"missing +Inf bucket":    "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum 1\nh_count 2\n",
-		"non-cumulative buckets": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"+Inf != count":          "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-		"missing _sum":           "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
-		"unknown type":           "# TYPE a sparkline\na 1\n",
-		"unterminated label":     "# TYPE a gauge\na{k=\"v} 1\n",
-		"bad escape":             "# TYPE a gauge\na{k=\"\\x\"} 1\n",
-		"duplicate label":        "# TYPE a gauge\na{k=\"1\",k=\"2\"} 1\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseExposition(in); err == nil {
-			t.Errorf("%s: parsed without error:\n%s", name, in)
-		}
-	}
-}
-
-func TestParseExpositionAcceptsValid(t *testing.T) {
-	in := strings.Join([]string{
-		"# a freeform comment",
-		"# HELP a Help text.",
-		"# TYPE a counter",
-		"a 1",
-		"# TYPE b gauge",
-		`b{x="1",y="2"} -3.5`,
-		"# TYPE h histogram",
-		`h_bucket{le="0.1"} 0`,
-		`h_bucket{le="+Inf"} 2`,
-		"h_sum 3.5",
-		"h_count 2",
-		"",
-	}, "\n")
-	fams, err := ParseExposition(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fams) != 3 {
-		t.Fatalf("parsed %d families, want 3", len(fams))
-	}
-	if v := fams["b"].Series[0].Value; v != -3.5 {
-		t.Fatalf("b = %v", v)
-	}
-}
-
-func TestWriteEmptyHistogram(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("flowmotif_empty_seconds", "never observed", []float64{1, 2})
-	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseExposition(b.String())
-	if err != nil {
-		t.Fatalf("empty histogram exposition invalid: %v\n%s", err, b.String())
-	}
-	f := fams["flowmotif_empty_seconds"]
-	if f == nil {
-		t.Fatal("family missing")
-	}
-	for _, s := range f.Series {
-		if s.Value != 0 {
-			t.Fatalf("empty histogram sample %s = %v", s.Name, s.Value)
-		}
-	}
-}
 
 func TestFormatBound(t *testing.T) {
 	if got := formatBound(math.Inf(1)); got != "+Inf" {

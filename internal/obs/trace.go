@@ -13,7 +13,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,11 +138,6 @@ type SpanRecord struct {
 	Start  int64   `json:"start_unix_nano"`
 	End    int64   `json:"end_unix_nano"`
 	Attrs  []Label `json:"attrs,omitempty"`
-}
-
-// Duration returns the span's recorded wall time.
-func (r SpanRecord) Duration() time.Duration {
-	return time.Duration(r.End - r.Start)
 }
 
 const (
@@ -440,48 +434,4 @@ func BuildSpanTree(spans []SpanRecord) []*SpanNode {
 		}
 	}
 	return roots
-}
-
-// ValidateSpans checks a (stitched) trace's structural integrity: one
-// trace ID throughout, exactly one root, every parent link resolving to
-// a span in the set, and monotone timestamps (span end >= start, child
-// start >= parent start). This is the CI span-tree integrity check.
-func ValidateSpans(spans []SpanRecord) error {
-	if len(spans) == 0 {
-		return fmt.Errorf("obs: empty span set")
-	}
-	byID := make(map[string]SpanRecord, len(spans))
-	trace := spans[0].Trace
-	roots := 0
-	for _, rec := range spans {
-		if rec.Trace != trace {
-			return fmt.Errorf("obs: span %s(%s) belongs to trace %s, want %s", rec.Name, rec.Span, rec.Trace, trace)
-		}
-		if rec.End < rec.Start {
-			return fmt.Errorf("obs: span %s(%s) ends before it starts", rec.Name, rec.Span)
-		}
-		if _, dup := byID[rec.Span]; dup {
-			return fmt.Errorf("obs: duplicate span ID %s", rec.Span)
-		}
-		byID[rec.Span] = rec
-		if rec.Parent == "" {
-			roots++
-		}
-	}
-	if roots != 1 {
-		return fmt.Errorf("obs: %d root spans, want exactly 1", roots)
-	}
-	for _, rec := range spans {
-		if rec.Parent == "" {
-			continue
-		}
-		p, ok := byID[rec.Parent]
-		if !ok {
-			return fmt.Errorf("obs: span %s(%s) has orphan parent %s", rec.Name, rec.Span, rec.Parent)
-		}
-		if rec.Start < p.Start {
-			return fmt.Errorf("obs: span %s(%s) starts before its parent %s", rec.Name, rec.Span, p.Name)
-		}
-	}
-	return nil
 }

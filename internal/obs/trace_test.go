@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestTraceIDUniqueness: IDs are well-formed hex of the right width and
@@ -131,50 +130,6 @@ func TestTracerRingWraparound(t *testing.T) {
 	}
 }
 
-func TestRetainSurvivesWraparound(t *testing.T) {
-	tr := NewTracer(4)
-	root := tr.StartSpan("slow-root", SpanContext{})
-	child := tr.StartSpan("slow-child", root.Context())
-	child.End()
-	root.End()
-	trace := root.Context().Trace
-	tr.Retain(trace)
-	tr.Retain(trace) // idempotent
-
-	for i := 0; i < 32; i++ {
-		tr.StartSpan("noise", SpanContext{}).End()
-	}
-	spans := tr.Spans(trace)
-	if len(spans) != 2 {
-		t.Fatalf("retained trace has %d spans after wraparound, want 2", len(spans))
-	}
-	if err := ValidateSpans(spans); err != nil {
-		t.Fatalf("retained trace invalid: %v", err)
-	}
-	// A span ending after Retain is appended to the retained store.
-	late := tr.StartSpan("late", root.Context())
-	late.End()
-	for i := 0; i < 32; i++ {
-		tr.StartSpan("noise", SpanContext{}).End()
-	}
-	if got := len(tr.Spans(trace)); got != 3 {
-		t.Fatalf("late span not retained: %d spans, want 3", got)
-	}
-	// Retained traces appear in summaries even with their ring spans gone.
-	found := false
-	for _, s := range tr.Summaries(0, false) {
-		if s.Trace == trace {
-			found = true
-			if !s.Retained {
-				t.Error("summary not flagged retained")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("retained trace missing from summaries")
-	}
-}
-
 func TestRetainedStoreBounded(t *testing.T) {
 	tr := NewTracer(4)
 	var traces []string
@@ -197,86 +152,6 @@ func TestRetainedStoreBounded(t *testing.T) {
 	tr.mu.Unlock()
 	if oldest || !newest {
 		t.Fatalf("eviction order wrong: oldest=%v newest=%v", oldest, newest)
-	}
-}
-
-func TestSpanParentLinksAndAttrs(t *testing.T) {
-	tr := NewTracer(0)
-	root := tr.StartSpan("root", SpanContext{}, L("a", "1"))
-	child := tr.StartSpan("child", root.Context())
-	child.Annotate(L("b", "2"))
-	child.End()
-	child.Annotate(L("after", "end")) // no-op
-	if d := child.End(); d != 0 {     // idempotent
-		t.Fatalf("second End = %v, want 0", d)
-	}
-	root.End()
-
-	spans := tr.Spans(root.Context().Trace)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
-	}
-	if err := ValidateSpans(spans); err != nil {
-		t.Fatal(err)
-	}
-	tree := BuildSpanTree(spans)
-	if len(tree) != 1 || tree[0].Name != "root" || len(tree[0].Children) != 1 || tree[0].Children[0].Name != "child" {
-		t.Fatalf("tree shape wrong: %+v", tree)
-	}
-	for _, n := range tree[0].Children {
-		for _, a := range n.Attrs {
-			if a.Key == "after" {
-				t.Error("Annotate after End recorded")
-			}
-		}
-	}
-	// An over-long attr list is truncated, not grown unbounded.
-	attrs := make([]Label, maxSpanAttrs+4)
-	for i := range attrs {
-		attrs[i] = L(fmt.Sprintf("k%d", i), "v")
-	}
-	sp := tr.StartSpan("wide", SpanContext{}, attrs...)
-	sp.Annotate(L("extra", "v"))
-	sp.End()
-	wide := tr.Spans(sp.Context().Trace)
-	if len(wide) != 1 || len(wide[0].Attrs) > maxSpanAttrs {
-		t.Fatalf("attr cap broken: %d attrs", len(wide[0].Attrs))
-	}
-}
-
-func TestValidateSpansRejects(t *testing.T) {
-	now := time.Now().UnixNano()
-	mk := func(trace, span, parent string, start, end int64) SpanRecord {
-		return SpanRecord{Trace: trace, Span: span, Parent: parent, Name: span, Start: start, End: end}
-	}
-	tr1, tr2 := NewTraceID(), NewTraceID()
-	a, b, c := NewSpanID(), NewSpanID(), NewSpanID()
-
-	cases := []struct {
-		name  string
-		spans []SpanRecord
-	}{
-		{"empty", nil},
-		{"mixed traces", []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr2, b, a, now, now+5)}},
-		{"two roots", []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr1, b, "", now, now+5)}},
-		{"orphan parent", []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr1, b, c, now, now+5)}},
-		{"end before start", []SpanRecord{mk(tr1, a, "", now, now-1)}},
-		{"child before parent", []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr1, b, a, now-5, now)}},
-		{"duplicate span", []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr1, a, "", now, now+10)}},
-	}
-	for _, tc := range cases {
-		if ValidateSpans(tc.spans) == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	good := []SpanRecord{mk(tr1, a, "", now, now+10), mk(tr1, b, a, now+1, now+8), mk(tr1, c, b, now+2, now+4)}
-	if err := ValidateSpans(good); err != nil {
-		t.Errorf("valid tree rejected: %v", err)
-	}
-	// BuildSpanTree promotes an orphan parent to a root instead of losing it.
-	orphaned := []SpanRecord{mk(tr1, b, c, now, now+5)}
-	if tree := BuildSpanTree(orphaned); len(tree) != 1 {
-		t.Errorf("orphan not promoted to root: %d roots", len(tree))
 	}
 }
 

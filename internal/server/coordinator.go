@@ -67,9 +67,6 @@ func NewCoordinatorWith(c *cluster.Coordinator, cfg CoordinatorConfig) *Coordina
 	return cs
 }
 
-// Cluster returns the wrapped coordinator.
-func (cs *Coordinator) Cluster() *cluster.Coordinator { return cs.c }
-
 // Handler returns the HTTP API handler: the front door's endpoints plus
 // the /members/* administration.
 func (cs *Coordinator) Handler() http.Handler {

@@ -405,7 +405,7 @@ func TestSLOWatchdogTrips(t *testing.T) {
 	}
 
 	gauges := map[string]float64{}
-	for _, m := range srv.Obs().Snapshot() {
+	for _, m := range srv.ro.reg.Snapshot() {
 		if m.Name != "flowmotif_slo_burn_rate" {
 			continue
 		}

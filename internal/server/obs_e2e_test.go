@@ -10,14 +10,14 @@ import (
 
 	"flowmotif/internal/cluster"
 	"flowmotif/internal/motif"
-	"flowmotif/internal/obs"
+	"flowmotif/internal/obs/obstest"
 	"flowmotif/internal/stream"
 )
 
 // scrape fetches url and parses it as Prometheus text exposition, failing
 // the test on any format violation (the parser validates TYPE uniqueness,
 // label syntax, cumulative buckets, +Inf terminals and _count agreement).
-func scrape(t *testing.T, client *http.Client, url string) map[string]*obs.ExpoFamily {
+func scrape(t *testing.T, client *http.Client, url string) map[string]*obstest.ExpoFamily {
 	t.Helper()
 	resp, err := client.Get(url)
 	if err != nil {
@@ -34,7 +34,7 @@ func scrape(t *testing.T, client *http.Client, url string) map[string]*obs.ExpoF
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParseExposition(string(body))
+	fams, err := obstest.ParseExposition(string(body))
 	if err != nil {
 		t.Fatalf("GET %s: invalid exposition: %v\n%s", url, err, body)
 	}
@@ -42,7 +42,7 @@ func scrape(t *testing.T, client *http.Client, url string) map[string]*obs.ExpoF
 }
 
 // histCount sums the family's _count samples.
-func histCount(f *obs.ExpoFamily) float64 {
+func histCount(f *obstest.ExpoFamily) float64 {
 	var n float64
 	for _, s := range f.Series {
 		if strings.HasSuffix(s.Name, "_count") {
@@ -53,7 +53,7 @@ func histCount(f *obs.ExpoFamily) float64 {
 }
 
 // labelValues collects the distinct values of one label across a family.
-func labelValues(f *obs.ExpoFamily, key string) map[string]bool {
+func labelValues(f *obstest.ExpoFamily, key string) map[string]bool {
 	out := map[string]bool{}
 	for _, s := range f.Series {
 		if v, ok := s.Labels[key]; ok {
@@ -63,7 +63,7 @@ func labelValues(f *obs.ExpoFamily, key string) map[string]bool {
 	return out
 }
 
-func requireHistogram(t *testing.T, fams map[string]*obs.ExpoFamily, name string) *obs.ExpoFamily {
+func requireHistogram(t *testing.T, fams map[string]*obstest.ExpoFamily, name string) *obstest.ExpoFamily {
 	t.Helper()
 	f := fams[name]
 	if f == nil {
@@ -171,7 +171,7 @@ func TestPrometheusScrapeEndToEnd(t *testing.T) {
 
 	// There is one exposition: without ?format= both roles answer the same
 	// families in the same format (scrape checks the content type).
-	for url, with := range map[string]map[string]*obs.ExpoFamily{mts.URL: mf, front.URL: cf} {
+	for url, with := range map[string]map[string]*obstest.ExpoFamily{mts.URL: mf, front.URL: cf} {
 		without := scrape(t, client, url+"/metrics")
 		for name := range with {
 			if without[name] == nil {

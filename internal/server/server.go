@@ -189,13 +189,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Obs returns the server's metrics registry (nil with Config.DisableObs).
-func (s *Server) Obs() *obs.Registry { return s.ro.reg }
-
-// Tracer returns the server's trace flight recorder (nil with
-// Config.DisableObs).
-func (s *Server) Tracer() *obs.Tracer { return s.ro.tracer }
-
 // The backend methods: the front door's data plane over the one shard.
 
 func (s *Server) ingest(evs []temporal.Event, seq int64, parent obs.SpanContext) (any, error) {

@@ -13,6 +13,7 @@ import (
 	"flowmotif/internal/cluster"
 	"flowmotif/internal/motif"
 	"flowmotif/internal/obs"
+	"flowmotif/internal/obs/obstest"
 	"flowmotif/internal/stream"
 )
 
@@ -62,7 +63,7 @@ func TestTraceparentHTTPRoundTrip(t *testing.T) {
 
 	// The server's flight recorder holds the request's span subtree; with
 	// the caller's own span stitched in, the set validates as one tree.
-	spans := srv.Tracer().Spans(ack.Trace)
+	spans := srv.ro.tracer.Spans(ack.Trace)
 	names := map[string]bool{}
 	for _, s := range spans {
 		names[s.Name] = true
@@ -73,7 +74,7 @@ func TestTraceparentHTTPRoundTrip(t *testing.T) {
 		}
 	}
 	stitched := append(callerTracer.Spans(ack.Trace), spans...)
-	if err := obs.ValidateSpans(stitched); err != nil {
+	if err := obstest.ValidateSpans(stitched); err != nil {
 		t.Fatalf("stitched caller+server trace invalid: %v", err)
 	}
 	tree := obs.BuildSpanTree(stitched)
@@ -95,8 +96,8 @@ func TestTraceparentHTTPRoundTrip(t *testing.T) {
 	if ack2.Trace == "" || ack2.Trace == ack.Trace {
 		t.Fatalf("headerless ingest should root a fresh trace, got %q", ack2.Trace)
 	}
-	own := srv.Tracer().Spans(ack2.Trace)
-	if err := obs.ValidateSpans(own); err != nil {
+	own := srv.ro.tracer.Spans(ack2.Trace)
+	if err := obstest.ValidateSpans(own); err != nil {
 		t.Fatal(err)
 	}
 	if root := obs.BuildSpanTree(own); len(root) != 1 || root[0].Name != "http.ingest" {
@@ -165,7 +166,7 @@ func TestClusterTraceE2E(t *testing.T) {
 	if detail.Trace != ack.Trace || detail.Count != len(detail.Spans) {
 		t.Fatalf("trace detail inconsistent: %+v", detail)
 	}
-	if err := obs.ValidateSpans(detail.Spans); err != nil {
+	if err := obstest.ValidateSpans(detail.Spans); err != nil {
 		t.Fatalf("stitched cluster trace invalid: %v", err)
 	}
 	counts := map[string]int{}
@@ -213,7 +214,7 @@ func TestClusterTraceE2E(t *testing.T) {
 		Spans []obs.SpanRecord `json:"spans"`
 	}
 	getJSON(t, client, front.URL+"/debug/traces?trace="+queryTrace, &qd)
-	if err := obs.ValidateSpans(qd.Spans); err != nil {
+	if err := obstest.ValidateSpans(qd.Spans); err != nil {
 		t.Fatalf("query trace invalid: %v", err)
 	}
 	qc := map[string]int{}
@@ -252,7 +253,7 @@ func TestSlowRequestTailSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	control := srv.Tracer().StartSpan("test.control", obs.SpanContext{})
+	control := srv.ro.tracer.StartSpan("test.control", obs.SpanContext{})
 	control.End()
 
 	// Served synchronously, so the warning is written before ServeHTTP
@@ -276,13 +277,13 @@ func TestSlowRequestTailSampling(t *testing.T) {
 	}
 
 	for i := 0; i <= obs.DefaultTraceCapacity; i++ {
-		srv.Tracer().StartSpan("test.filler", obs.SpanContext{}).End()
+		srv.ro.tracer.StartSpan("test.filler", obs.SpanContext{}).End()
 	}
-	if spans := srv.Tracer().Spans(control.Context().Trace); len(spans) != 0 {
+	if spans := srv.ro.tracer.Spans(control.Context().Trace); len(spans) != 0 {
 		t.Fatalf("ring did not wrap: unretained control trace still holds %d spans", len(spans))
 	}
 	names := map[string]bool{}
-	for _, s := range srv.Tracer().Spans(ack.Trace) {
+	for _, s := range srv.ro.tracer.Spans(ack.Trace) {
 		names[s.Name] = true
 	}
 	if !names["http.ingest"] || !names["engine.ingest"] {

@@ -392,7 +392,7 @@ func TestWireFrameTooLarge(t *testing.T) {
 func TestWireSymbolicFrameRefused(t *testing.T) {
 	srv, _, addr := startWireServer(t, Config{Subs: wireTestSubs()})
 	req4xx := func() float64 {
-		for _, m := range srv.Obs().Snapshot() {
+		for _, m := range srv.ro.reg.Snapshot() {
 			if m.Name == "flowmotif_wire_requests_total" && len(m.Labels) == 1 && m.Labels[0].Value == "4xx" {
 				return m.Value
 			}
@@ -484,7 +484,7 @@ func TestWireMetricsAndHealthz(t *testing.T) {
 		"flowmotif_wire_frame_bytes":    false,
 	}
 	var conns, req2xx, req4xx, events float64
-	for _, m := range srv.Obs().Snapshot() {
+	for _, m := range srv.ro.reg.Snapshot() {
 		if _, ok := want[m.Name]; ok {
 			want[m.Name] = true
 		}
@@ -603,7 +603,7 @@ func TestMixedTransportClusterE2E(t *testing.T) {
 	// Every member really ingested over the binary transport.
 	for i, srv := range daemons {
 		fed := false
-		for _, m := range srv.Obs().Snapshot() {
+		for _, m := range srv.ro.reg.Snapshot() {
 			if m.Name == "flowmotif_wire_events_total" && m.Value > 0 {
 				fed = true
 			}

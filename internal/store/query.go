@@ -62,8 +62,8 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 	// Events below loT cannot influence any in-range window, not even via
 	// the backward-extension (maximality) rule; events above hiT cannot
 	// belong to any in-range window.
-	loT := satSub(anchorLo, p.Delta)
-	hiT := satAdd(anchorHi, p.Delta)
+	loT := temporal.SatSub(anchorLo, p.Delta)
+	hiT := temporal.SatAdd(anchorHi, p.Delta)
 
 	segs, err := s.snapshotSegments()
 	if err != nil {
@@ -85,8 +85,8 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 		if !primed || hi <= emitted {
 			return nil
 		}
-		lo := satAdd(emitted, 1)
-		g, err := buf.BuildGraph(satSub(lo, p.Delta), satAdd(hi, p.Delta))
+		lo := temporal.SatAdd(emitted, 1)
+		g, err := buf.BuildGraph(temporal.SatSub(lo, p.Delta), temporal.SatAdd(hi, p.Delta))
 		if err != nil {
 			return fmt.Errorf("store: band graph: %w", err)
 		}
@@ -106,7 +106,7 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 			return err
 		}
 		emitted = hi
-		buf.EvictBefore(satSub(satAdd(hi, 1), p.Delta))
+		buf.EvictBefore(temporal.SatSub(temporal.SatAdd(hi, 1), p.Delta))
 		pending = 0
 		return nil
 	}
@@ -136,14 +136,14 @@ func (s *Store) QueryRange(mo *motif.Motif, p core.Params, q QueryOptions, ancho
 				return false
 			}
 			if !primed {
-				emitted = max(satSub(ev.T, 1), satSub(anchorLo, 1))
+				emitted = max(temporal.SatSub(ev.T, 1), temporal.SatSub(anchorLo, 1))
 				primed = true
 			}
 			pending++
 			if pending >= chunk {
 				// The watermark ev.T closes every window anchored at or
 				// before ev.T-δ-1 (no later event can land inside it).
-				if err := flushBand(satSub(ev.T, p.Delta+1)); err != nil {
+				if err := flushBand(temporal.SatSub(ev.T, p.Delta+1)); err != nil {
 					scanErr = err
 					return false
 				}
@@ -183,7 +183,3 @@ func addStats(dst, src *core.EnumStats) {
 	dst.AvailPruned += src.AvailPruned
 	dst.Instances += src.Instances
 }
-
-func satAdd(a, b int64) int64 { return temporal.SatAdd(a, b) }
-
-func satSub(a, b int64) int64 { return temporal.SatSub(a, b) }

@@ -73,7 +73,7 @@ func (e *Engine) AddSubscription(sub Subscription, opts AddOptions) error {
 		first := opts.Catchup[0].T
 		for _, have := range e.subs {
 			if !have.primed {
-				have.emitted = satSub(first, 1)
+				have.emitted = temporal.SatSub(first, 1)
 				have.primed = true
 			}
 		}
@@ -154,7 +154,7 @@ func (e *Engine) RemoveSubscription(id string) (RemovedSub, error) {
 		Bands:      s.bands,
 	}
 	if s.primed {
-		need := satSub(satAdd(s.emitted, 1), s.sub.Delta)
+		need := temporal.SatSub(temporal.SatAdd(s.emitted, 1), s.sub.Delta)
 		out.Events = append([]temporal.Event(nil), e.log.Range(need, math.MaxInt64)...)
 	}
 	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)

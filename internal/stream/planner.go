@@ -162,7 +162,7 @@ func (e *Engine) finalize(terminal bool) {
 	for _, g := range e.groups {
 		hi := w
 		if !terminal {
-			hi = satSub(w, 1+g.key.delta)
+			hi = temporal.SatSub(w, 1+g.key.delta)
 		}
 		first := len(members)
 		lo := int64(math.MaxInt64)
@@ -171,7 +171,7 @@ func (e *Engine) finalize(terminal bool) {
 				continue
 			}
 			members = append(members, s)
-			lo = min(lo, satAdd(s.emitted, 1))
+			lo = min(lo, temporal.SatAdd(s.emitted, 1))
 		}
 		if len(members) == first {
 			continue
@@ -185,8 +185,8 @@ func (e *Engine) finalize(terminal bool) {
 		// append that moves the list leaves the window on the old array.
 		db := dueBand{group: g, subs: members[first:len(members):len(members)], first: first, lo: lo, hi: hi, plan: i}
 		due = append(due, db)
-		snapLo = min(snapLo, satSub(lo, g.key.delta))
-		snapHi = max(snapHi, satAdd(hi, g.key.delta))
+		snapLo = min(snapLo, temporal.SatSub(lo, g.key.delta))
+		snapHi = max(snapHi, temporal.SatAdd(hi, g.key.delta))
 
 		sp := &plans[i]
 		sp.bands++
@@ -305,7 +305,7 @@ func (e *Engine) sweepBand(g *temporal.Graph, matches []match.Match, subs []*sub
 	}
 	e.round.phis = phis
 	p := core.Params{Delta: subs[0].sub.Delta, Phi: phis[0]}
-	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, satAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
+	_, err := core.SweepMatchesRange(g, subs[0].sub.Motif, matches, p, phis, temporal.SatAdd(subs[0].emitted, 1), hi, func(in *core.Instance, admitted int) bool {
 		e.out.record(in, sub, admitted, w)
 		for _, s := range subs[:admitted] {
 			s.bandEmits++

@@ -136,7 +136,7 @@ func TestStreamSharedShapePlannerEquivalence(t *testing.T) {
 
 		check := func(sub Subscription, anchorLo int64) {
 			p := core.Params{Delta: sub.Delta, Phi: sub.Phi}
-			want, err := core.CollectRange(g, sub.Motif, p, anchorLo, math.MaxInt64)
+			want, err := collectRange(g, sub.Motif, p, anchorLo, math.MaxInt64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -402,7 +402,7 @@ func (e *Engine) IngestTraced(events []temporal.Event, parent obs.SpanContext) (
 	for _, s := range e.subs {
 		if !s.primed {
 			// No anchor can precede the first event ever seen.
-			s.emitted = satSub(first, 1)
+			s.emitted = temporal.SatSub(first, 1)
 			s.primed = true
 		}
 	}
@@ -559,7 +559,7 @@ func (e *Engine) evict() {
 		if !s.primed {
 			return
 		}
-		if edge := satSub(s.emitted, s.sub.Delta); edge < keep {
+		if edge := temporal.SatSub(s.emitted, s.sub.Delta); edge < keep {
 			keep = edge
 		}
 	}
@@ -645,7 +645,3 @@ func (e *Engine) Subscriptions() []Subscription {
 	}
 	return out
 }
-
-func satAdd(a, b int64) int64 { return temporal.SatAdd(a, b) }
-
-func satSub(a, b int64) int64 { return temporal.SatSub(a, b) }

@@ -14,6 +14,16 @@ import (
 	"flowmotif/internal/temporal"
 )
 
+// collectRange materializes the instances core.EnumerateRange streams.
+func collectRange(g *temporal.Graph, mo *motif.Motif, p core.Params, anchorLo, anchorHi int64) ([]*core.Instance, error) {
+	var out []*core.Instance
+	_, err := core.EnumerateRange(g, mo, p, anchorLo, anchorHi, func(in *core.Instance) bool {
+		out = append(out, in)
+		return true
+	})
+	return out, err
+}
+
 // runSubs streams evs through a fresh engine in 64-event batches plus a
 // final flush and returns each subscription's detections in emission order.
 func runSubs(t *testing.T, subs []Subscription, evs []temporal.Event) map[string][]*Detection {
@@ -67,7 +77,7 @@ func exactFlows(evs []temporal.Event) []temporal.Event {
 //     an ulp to the other side of a tied threshold), in emission order too:
 //     the sweep moves only how subscriptions interleave, never one
 //     subscription's own sequence;
-//   - with exact flows, also core.CollectRange over the whole event log.
+//   - with exact flows, also collectRange over the whole event log.
 func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 	for ci, c := range []struct {
 		mo    *motif.Motif
@@ -130,7 +140,7 @@ func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 					continue
 				}
 				sort.Strings(got)
-				ins, err := core.CollectRange(g, s.Motif, core.Params{Delta: s.Delta, Phi: s.Phi}, math.MinInt64, math.MaxInt64)
+				ins, err := collectRange(g, s.Motif, core.Params{Delta: s.Delta, Phi: s.Phi}, math.MinInt64, math.MaxInt64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +150,7 @@ func TestSweepGroupEqualsPerPhiSearches(t *testing.T) {
 				}
 				sort.Strings(batch)
 				if !reflect.DeepEqual(got, batch) {
-					t.Errorf("sub %s (φ=%v): sweep set (%d) != core.CollectRange (%d)", s.ID, s.Phi, len(got), len(batch))
+					t.Errorf("sub %s (φ=%v): sweep set (%d) != collectRange (%d)", s.ID, s.Phi, len(got), len(batch))
 				}
 			}
 		})
@@ -237,7 +247,7 @@ func TestSweepMixedEmittedBounds(t *testing.T) {
 		}
 
 		check := func(sub Subscription, lo, hi int64) {
-			ins, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
+			ins, err := collectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"flowmotif/internal/motif"
 	"flowmotif/internal/obs"
+	"flowmotif/internal/obs/obstest"
 	"flowmotif/internal/temporal"
 )
 
@@ -55,7 +56,7 @@ func TestIngestTraceTree(t *testing.T) {
 	}
 
 	spans := tracer.Spans(ack2.Trace)
-	if err := obs.ValidateSpans(spans); err != nil {
+	if err := obstest.ValidateSpans(spans); err != nil {
 		t.Fatalf("batch trace invalid: %v", err)
 	}
 	names := map[string]int{}
@@ -82,7 +83,7 @@ func TestIngestTraceTree(t *testing.T) {
 	if ack3.Trace != parent.Context().Trace {
 		t.Fatalf("parented ingest rooted its own trace %q, want %q", ack3.Trace, parent.Context().Trace)
 	}
-	if err := obs.ValidateSpans(tracer.Spans(ack3.Trace)); err != nil {
+	if err := obstest.ValidateSpans(tracer.Spans(ack3.Trace)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,7 +126,7 @@ func TestSlowRoundRetainsTrace(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("slow round's trace not retained across ring wraparound")
 	}
-	if err := obs.ValidateSpans(spans); err != nil {
+	if err := obstest.ValidateSpans(spans); err != nil {
 		t.Fatal(err)
 	}
 }

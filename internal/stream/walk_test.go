@@ -72,7 +72,7 @@ func TestLongStreamOneWalkPerRound(t *testing.T) {
 		eng.Flush()
 
 		check := func(sub Subscription, anchorLo int64) {
-			want, err := core.CollectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
+			want, err := collectRange(g, sub.Motif, core.Params{Delta: sub.Delta, Phi: sub.Phi}, anchorLo, math.MaxInt64)
 			if err != nil {
 				t.Fatal(err)
 			}
